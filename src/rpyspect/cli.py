@@ -100,7 +100,10 @@ def cmd_analyze(args) -> int:
     stats = wos.ParseStats()
     result = wos.analyze_file(args.input, filt, stats)
     if args.verbose and stats.malformed_records:
-        print(f"warning: {stats.malformed_records} malformed records skipped", file=sys.stderr)
+        print(
+            f"warning: {stats.malformed_records} malformed records or CR lines skipped",
+            file=sys.stderr,
+        )
     print(f"citing={result.n_citing} crs={result.n_cr}")
     return 0
 

@@ -38,7 +38,6 @@ class Environment:
     base_seed: int = 0
     iteration: Optional[int] = None
     sink: Callable[[str], None] = lambda line: print(line, file=sys.stderr)
-    last_stats: Optional[wos.FileStats] = None
 
     def child(self, iteration: int) -> Environment:
         return Environment(
@@ -116,7 +115,6 @@ def _call_analyze(stmt: Call, env: Environment, bindings: dict) -> None:
         py_range=_triple(args["PY"]) if "PY" in args else None,
     )
     stats = wos.analyze_file(args["file"], filt)
-    env.last_stats = stats
     env.sink(f"analyzed {args['file']}: citing={stats.n_citing} crs={stats.n_cr}")
 
 

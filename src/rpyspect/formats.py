@@ -109,11 +109,15 @@ def save_cre(dataset: Dataset, path, settings: Optional[Mapping[str, object]] = 
 
 
 def load_cre(path) -> Dataset:
-    """Load a CRE v1 file, verifying version, checksum, and row count.
+    """Load a CRE v1 file, verifying version, checksum, row count and
+    fields.
 
     References are rebuilt from the stored fields; the verbatim raw string
     is not part of the format, so it comes back as the normalized key, and
-    the per-variant citing-year sets come back as bare counts.
+    the per-variant citing-year sets come back as bare counts. A bad field
+    (a non-integer count, an ncr below 1, a year outside the valid range,
+    an empty key) raises CreFormatError naming the file and the 1-based
+    line.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -149,7 +153,10 @@ def load_cre(path) -> Dataset:
     summary = _expect(lines[3], "#SUMMARY", path).split("\t")
     if len(summary) != 3:
         raise CreFormatError(f"{path}: malformed #SUMMARY line")
-    n_citing, n_cr_total, n_variants = (int(x) for x in summary)
+    try:
+        n_citing, n_cr_total, n_variants = (int(x) for x in summary)
+    except ValueError as exc:
+        raise CreFormatError(f"{path}: line 4: bad #SUMMARY field: {exc}") from None
     _expect(lines[4], "#TABLE", path)
 
     rows = lines[5:-2]
@@ -158,29 +165,32 @@ def load_cre(path) -> Dataset:
             f"{path}: summary declares {n_variants} variants, table has {len(rows)}"
         )
     variants: dict[str, CRVariant] = {}
-    for row in rows:
+    for lineno, row in enumerate(rows, start=6):
         cols = row.split("\t")
         if len(cols) != len(_TABLE_COLUMNS):
-            raise CreFormatError(f"{path}: malformed variant row {row!r}")
+            raise CreFormatError(f"{path}: line {lineno}: malformed variant row {row!r}")
         key, author, rpy, source, volume, page, doi, ncr, cluster_id, n_py = cols
         if key in variants:
-            raise CreFormatError(f"{path}: duplicate variant key {key!r}")
-        ref = CitedReference(
-            raw=key,
-            author=author,
-            rpy=int(rpy) if rpy else None,
-            source=source,
-            volume=volume or None,
-            page=page or None,
-            doi=doi or None,
-        )
-        variants[key] = CRVariant(
-            key=key,
-            reference=ref,
-            ncr=int(ncr),
-            cluster_id=int(cluster_id) if cluster_id else None,
-            n_py_years=int(n_py),
-        )
+            raise CreFormatError(f"{path}: line {lineno}: duplicate variant key {key!r}")
+        try:
+            ref = CitedReference(
+                raw=key,
+                author=author,
+                rpy=int(rpy) if rpy else None,
+                source=source,
+                volume=volume or None,
+                page=page or None,
+                doi=doi or None,
+            )
+            variants[key] = CRVariant(
+                key=key,
+                reference=ref,
+                ncr=int(ncr),
+                cluster_id=int(cluster_id) if cluster_id else None,
+                n_py_years=int(n_py),
+            )
+        except ValueError as exc:
+            raise CreFormatError(f"{path}: line {lineno}: {exc}") from None
     return Dataset(
         variants=variants,
         n_citing=n_citing,
@@ -213,8 +223,9 @@ def csv_cr_bytes(dataset: Dataset, n_pct_range: int = 0) -> bytes:
         dataset.variants.values(),
         key=lambda v: (v.rpy is None, v.rpy if v.rpy is not None else 0, -v.ncr, v.key),
     )
+    totals = spectroscopy.ncr_per_rpy(dataset)
     for i, v in enumerate(ordered, start=1):
-        pct = spectroscopy.n_pct(dataset, v, n_pct_range)
+        pct = spectroscopy.window_share(totals, v, n_pct_range)
         writer.writerow(
             [
                 i,

@@ -112,18 +112,17 @@ def _sort_key(v: CRVariant):
 
 @dataclass(frozen=True)
 class Dataset:
-    """The working set: variant table plus import-level statistics.
+    """The working set: variant table, import-level counts and provenance.
 
     ``n_cr_total`` records the occurrence count at import time and never
     changes afterwards; removal only shrinks the variant table, so
-    ``sum(v.ncr) <= n_cr_total`` always holds.
+    ``sum(v.ncr) <= n_cr_total`` always holds. The import's year filters
+    are recorded only in ``provenance``, the operation log.
     """
 
     variants: dict[str, CRVariant] = field(default_factory=dict)
     n_citing: int = 0
     n_cr_total: int = 0
-    rpy_filter: Optional[YearFilter] = None
-    py_filter: Optional[YearFilter] = None
     provenance: str = ""
 
     def sorted_variants(self) -> list[CRVariant]:
@@ -174,8 +173,6 @@ class Spectrogram:
 def aggregate(
     occurrences: Iterable[Occurrence],
     n_citing: int = 0,
-    rpy_filter: Optional[YearFilter] = None,
-    py_filter: Optional[YearFilter] = None,
     provenance: str = "",
 ) -> Dataset:
     """Fold an occurrence stream into the distinct-variant table.
@@ -183,7 +180,8 @@ def aggregate(
     One CRVariant per distinct normalized key; ncr counts occurrences and
     n_py_years counts distinct citing years. An empty stream yields an
     empty Dataset. Single pass; the first occurrence of a key provides the
-    representative CitedReference.
+    representative CitedReference. Callers filter the stream beforehand
+    and note the filters in ``provenance``.
     """
     refs: dict[str, CitedReference] = {}
     counts: dict[str, int] = {}
@@ -214,8 +212,6 @@ def aggregate(
         variants=variants,
         n_citing=n_citing,
         n_cr_total=total,
-        rpy_filter=rpy_filter,
-        py_filter=py_filter,
         provenance=provenance,
     )
 

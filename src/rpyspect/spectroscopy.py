@@ -9,9 +9,18 @@ median is the mean of its two central values.
 from __future__ import annotations
 
 import statistics
+from typing import Optional
 
 from .errors import DomainError, EmptyDatasetError
-from .model import CRVariant, Dataset, Spectrogram, SpectroRow
+from .model import YEAR_MAX, YEAR_MIN, CRVariant, Dataset, Spectrogram, SpectroRow
+
+
+def ncr_per_rpy(dataset: Dataset) -> dict[Optional[int], int]:
+    """NCR summed per reference publication year, undated variants under None."""
+    totals: dict[Optional[int], int] = {}
+    for v in dataset.variants.values():
+        totals[v.rpy] = totals.get(v.rpy, 0) + v.ncr
+    return totals
 
 
 def compute_spectrogram(dataset: Dataset, median_range: int = 2) -> Spectrogram:
@@ -24,10 +33,8 @@ def compute_spectrogram(dataset: Dataset, median_range: int = 2) -> Spectrogram:
     """
     if median_range < 0:
         raise DomainError("median_range must be >= 0")
-    counts: dict[int, int] = {}
-    for v in dataset.variants.values():
-        if v.rpy is not None:
-            counts[v.rpy] = counts.get(v.rpy, 0) + v.ncr
+    counts = ncr_per_rpy(dataset)
+    counts.pop(None, None)
     if not counts:
         raise EmptyDatasetError("no variant carries a reference publication year")
     lo, hi = min(counts), max(counts)
@@ -95,17 +102,17 @@ def n_pct(dataset: Dataset, variant: CRVariant, n_pct_range: int = 0) -> float:
     """The variant's share of the NCR mass within ±n_pct_range years of
     its own RPY (range 0: its share of its year). Variants without an RPY
     are compared against the other undated variants."""
-    if n_pct_range < 0:
-        raise DomainError("n_pct_range must be >= 0")
     if variant.key not in dataset.variants:
         raise DomainError(f"variant {variant.key!r} not in dataset")
+    return window_share(ncr_per_rpy(dataset), variant, n_pct_range)
+
+
+def window_share(totals: dict[Optional[int], int], variant: CRVariant, n_pct_range: int) -> float:
+    """``n_pct`` of a variant, given its dataset's ``ncr_per_rpy`` totals."""
+    if n_pct_range < 0:
+        raise DomainError("n_pct_range must be >= 0")
     if variant.rpy is None:
-        denom = sum(v.ncr for v in dataset.variants.values() if v.rpy is None)
-    else:
-        lo, hi = variant.rpy - n_pct_range, variant.rpy + n_pct_range
-        denom = sum(
-            v.ncr
-            for v in dataset.variants.values()
-            if v.rpy is not None and lo <= v.rpy <= hi
-        )
-    return variant.ncr / denom
+        return variant.ncr / totals[None]
+    # Clamped to the valid RPY span, so a huge range costs no more than a wide one.
+    lo, hi = max(variant.rpy - n_pct_range, YEAR_MIN), min(variant.rpy + n_pct_range, YEAR_MAX)
+    return variant.ncr / sum(totals.get(y, 0) for y in range(lo, hi + 1))

@@ -70,7 +70,11 @@ class FileStats(NamedTuple):
 
 @dataclass
 class ParseStats:
-    """Non-fatal parse diagnostics (reported, never raised)."""
+    """Non-fatal parse diagnostics (reported, never raised).
+
+    ``malformed_records`` counts records left open at EF/EOF and CR lines
+    that normalize to the empty string.
+    """
 
     malformed_records: int = 0
 
@@ -101,7 +105,7 @@ def _year_passes(year: Optional[int], rng: Optional[YearFilter]) -> bool:
     return rng[0] <= year <= rng[1]
 
 
-def parse_cr_line(line: str) -> CitedReference:
+def parse_cr_line(line: str) -> Optional[CitedReference]:
     """Parse one cited-reference line into its fields.
 
     Works on the normalized form of the line (upper case, collapsed
@@ -110,10 +114,13 @@ def parse_cr_line(line: str) -> CitedReference:
     seeds the source; remaining tokens are claimed as volume ("V" +
     digits), page ("P" + alphanumerics, hyphens allowed), or DOI ("DOI "
     prefix), and anything unclaimed is appended back onto the source.
-    Never fails: a line with no parseable year yields rpy = None.
+    A line with no parseable year yields rpy = None; a line that
+    normalizes to the empty string (e.g. only punctuation) yields None.
     """
     norm = normalize_key(line)
-    tokens = norm.split(", ") if norm else [""]
+    if not norm:
+        return None
+    tokens = norm.split(", ")
     author = tokens[0]
     rpy: Optional[int] = None
     source_parts: list[str] = []
@@ -173,8 +180,9 @@ def parse_wos(stream: BinaryIO, stats: Optional[ParseStats] = None) -> Iterator[
     """Yield CitingRecords from a WoS tagged export, in file order.
 
     Record boundaries sit at the ER tag; a record still open at EF/EOF is
-    malformed and skipped (counted in ``stats``). Unknown tags and their
-    continuation lines are ignored.
+    malformed and skipped (counted in ``stats``), and so is a CR line that
+    normalizes to the empty string, which has no key. Unknown tags and
+    their continuation lines are ignored.
     """
     stats = stats if stats is not None else ParseStats()
     py: Optional[int] = None
@@ -182,6 +190,13 @@ def parse_wos(stream: BinaryIO, stats: Optional[ParseStats] = None) -> Iterator[
     crs: list[CitedReference] = []
     open_record = False
     last_tag = ""
+
+    def add_cr(text: str) -> None:
+        cr = parse_cr_line(text)
+        if cr is None:
+            stats.malformed_records += 1
+        else:
+            crs.append(cr)
 
     for raw_line in _decoded_lines(stream):
         line = raw_line.rstrip("\r\n")
@@ -191,7 +206,7 @@ def parse_wos(stream: BinaryIO, stats: Optional[ParseStats] = None) -> Iterator[
             if open_record and last_tag == "CR":
                 text = line[3:]
                 if text.strip():
-                    crs.append(parse_cr_line(text))
+                    add_cr(text)
             continue
         tag = line[:2]
         if not (tag.isalpha() and tag.isupper() and (len(line) == 2 or line[2] == " ")):
@@ -225,7 +240,7 @@ def parse_wos(stream: BinaryIO, stats: Optional[ParseStats] = None) -> Iterator[
             doc_type = value.strip()
         elif tag == "CR":
             if value.strip():
-                crs.append(parse_cr_line(value))
+                add_cr(value)
         last_tag = tag
 
     if open_record:
@@ -339,10 +354,4 @@ def import_file(
         f" py={_format_range(filt.py_range)} sampling={sampler.mode}"
         f" maxCR={filt.max_cr} offset={filt.offset} seed={seed}"
     )
-    return aggregate(
-        selected,
-        n_citing=n_citing,
-        rpy_filter=filt.rpy_range,
-        py_filter=filt.py_range,
-        provenance=note,
-    )
+    return aggregate(selected, n_citing=n_citing, provenance=note)

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from rpyspect.cli import main
@@ -176,3 +178,38 @@ class TestSpectro:
     def test_missing_cre_fails(self, workdir, capsys):
         assert main(["spectro", "absent.cre", "--out", "g.csv"]) == 1
         assert "error" in capsys.readouterr().err
+
+    def test_punctuation_only_cr_line_never_reaches_the_cre(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "dots.txt").write_text(
+            "PT J\nPY 2011\nCR ...\n   A B, 2000, J\n   ;;\nER\n"
+            "PT J\nPY 2012\nCR C D, 2001, K\nER\nEF\n"
+        )
+        assert main(["sample", "dots.txt", "--out", "dots.cre"]) == 0
+        assert sorted(load_cre("dots.cre").variants) == ["A B, 2000, J", "C D, 2001, K"]
+        assert main(["spectro", "dots.cre", "--out", "g.csv"]) == 0
+        assert (tmp_path / "g.csv").read_text() == "RPY,N_CR,MEDIAN_DEV\n2000,1,0\n2001,1,0\n"
+
+    @pytest.mark.parametrize(
+        "line, column, value",
+        [
+            (5, 7, "abc"),  # ncr not an integer
+            (5, 7, "0"),  # ncr below 1
+            (5, 2, "5"),  # rpy outside [YEAR_MIN, YEAR_MAX]
+            (5, 0, ""),  # empty key
+            (3, 1, "x"),  # #SUMMARY n_citing not an integer
+        ],
+    )
+    def test_bad_cre_field_fails_with_location(self, tmp_path, capsys, line, column, value):
+        (tmp_path / "in.txt").write_text("PT J\nPY 2011\nCR A B, 2000, J\nER\nEF\n")
+        path = tmp_path / "bad.cre"
+        save_cre(import_file(tmp_path / "in.txt", ImportFilter()), path)
+        lines = path.read_text().split("\n")
+        cols = lines[line].split("\t")
+        cols[column] = value
+        lines[line] = "\t".join(cols)
+        body = "\n".join(lines[:-3]) + "\n"
+        lines[-3] = f"#CHECKSUM\t{hashlib.sha256(body.encode()).hexdigest()}"
+        path.write_text("\n".join(lines))
+        assert main(["spectro", str(path), "--out", str(tmp_path / "g.csv")]) == 1
+        assert f"bad.cre: line {line + 1}:" in capsys.readouterr().err

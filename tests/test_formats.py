@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import csv
+import io
 import random
 from dataclasses import replace
 
@@ -23,7 +25,7 @@ from rpyspect.formats import (
     union_cre,
 )
 from rpyspect.model import Dataset, Occurrence, Spectrogram, SpectroRow, aggregate
-from rpyspect.spectroscopy import compute_spectrogram
+from rpyspect.spectroscopy import compute_spectrogram, n_pct
 from rpyspect.wos import parse_cr_line
 
 from conftest import dataset_fields
@@ -141,6 +143,15 @@ class TestCsvCr:
         assert lines[1] == '1,"ALPHA A, 2000, NATURE, V5, P10",2000,3,0.75,,1'
         assert lines[2] == '2,"BETA B, 2000, SCIENCE",2000,1,0.25,,1'
         assert len(lines) == 3
+
+    @pytest.mark.parametrize("n_pct_range", (0, 1, 3))
+    @pytest.mark.parametrize("seed", range(10))
+    def test_pct_rpy_is_n_pct(self, seed, n_pct_range):
+        ds = random_dataset(seed)
+        rows = list(csv.reader(io.StringIO(csv_cr_bytes(ds, n_pct_range).decode())))[1:]
+        assert len(rows) == len(ds.variants)
+        for row in rows:
+            assert float(row[4]) == n_pct(ds, ds.variants[row[1]], n_pct_range)
 
     def test_empty_dataset_header_only(self):
         assert csv_cr_bytes(Dataset()).decode() == "ID,CR,RPY,N_CR,PCT_RPY,CID,CID_SIZE\n"

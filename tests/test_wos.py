@@ -62,6 +62,13 @@ class TestParseWos:
         assert len(records) == 1
         assert stats.malformed_records == 1
 
+    def test_empty_key_cr_lines_are_skipped_and_counted(self):
+        text = "PT J\nPY 2011\nCR ...\n   A B, 2000, J\n   , ;\nER\nEF\n"
+        stats = ParseStats()
+        records = parse_text(text, stats)
+        assert [cr.key for cr in records[0].crs] == ["A B, 2000, J"]
+        assert stats.malformed_records == 2
+
     def test_unknown_tags_ignored(self):
         text = "PT J\nPY 2011\nZZ mystery\n   mystery continuation\nER\nEF\n"
         records = parse_text(text)
