@@ -78,6 +78,7 @@ def cmd_run(args) -> int:
     env = engine.Environment(
         tmpdir=args.tmpdir,
         base_seed=args.seed,
+        verbose=args.verbose,
         sink=lambda line: print(line, file=sys.stderr),
     )
     try:
@@ -99,11 +100,9 @@ def cmd_analyze(args) -> int:
     filt = wos.ImportFilter(rpy_range=args.rpy, py_range=args.py)
     stats = wos.ParseStats()
     result = wos.analyze_file(args.input, filt, stats)
-    if args.verbose and stats.malformed_records:
-        print(
-            f"warning: {stats.malformed_records} malformed records or CR lines skipped",
-            file=sys.stderr,
-        )
+    warning = stats.warning()
+    if args.verbose and warning:
+        print(warning, file=sys.stderr)
     print(f"citing={result.n_citing} crs={result.n_cr}")
     return 0
 

@@ -5,6 +5,10 @@ different years never cluster), compared with a normalized Levenshtein
 similarity over "author, source", and gated by volume/page/DOI equality
 where enabled. A union-find over accepted pairs yields the clusters;
 merging collapses each cluster onto its highest-NCR member.
+
+The edit distance is computed with the bit-parallel algorithm of Myers
+(JACM 1999) in Hyyrö's (2001) formulation for edit distance, which
+processes one whole DP column per character of the longer string.
 """
 
 from __future__ import annotations
@@ -33,21 +37,49 @@ class ClusterConfig:
 
 
 def levenshtein(a: str, b: str) -> int:
-    """Edit distance, two-row dynamic program."""
+    """Edit distance by the Myers/Hyyrö bit-parallel algorithm.
+
+    The shorter string is the pattern: bit ``i`` of ``peq[c]`` is set when
+    its ``i``-th character is ``c``. Each character of the longer string
+    then updates one DP column at once, held as bit-vectors of the
+    vertical +1/-1 deltas (``pv``/``mv``); the score tracks the last row.
+    Python ints are unbounded, so any pattern length fits one "word".
+    (G. Myers, "A fast bit-vector algorithm for approximate string
+    matching based on dynamic programming", JACM 1999; H. Hyyrö,
+    "Explaining and extending the bit-parallel approximate string
+    matching algorithm of Myers", 2001.)
+    """
     if a == b:
         return 0
     if len(a) < len(b):
         a, b = b, a
     if not b:
         return len(a)
-    prev = list(range(len(b) + 1))
-    for i, ca in enumerate(a, start=1):
-        cur = [i]
-        for j, cb in enumerate(b, start=1):
-            cost = 0 if ca == cb else 1
-            cur.append(min(prev[j] + 1, cur[j - 1] + 1, prev[j - 1] + cost))
-        prev = cur
-    return prev[-1]
+    peq: dict[str, int] = {}
+    bit = 1
+    for c in b:
+        peq[c] = peq.get(c, 0) | bit
+        bit <<= 1
+    mask = bit - 1
+    last = bit >> 1
+    pv, mv, score = mask, 0, len(b)
+    for c in a:
+        eq = peq.get(c, 0)
+        xv = eq | mv
+        xh = (((eq & pv) + pv) ^ pv) | eq
+        ph = mv | (~(xh | pv) & mask)
+        mh = pv & xh
+        if ph & last:
+            score += 1
+        elif mh & last:
+            score -= 1
+        # The top row of the DP grows by one per text character, so a +1
+        # horizontal delta enters at bit 0.
+        ph = (ph << 1) | 1
+        mh <<= 1
+        pv = (mh | ~(xv | ph)) & mask
+        mv = ph & xv
+    return score
 
 
 def _name_string(ref: CitedReference) -> str:
@@ -63,7 +95,11 @@ def similarity(a: CitedReference, b: CitedReference) -> float:
     normalized Levenshtein over the lower-cased "author, source" string."""
     if a.key == b.key:
         return 1.0
-    sa, sb = _name_string(a), _name_string(b)
+    return _name_similarity(_name_string(a), _name_string(b))
+
+
+def _name_similarity(sa: str, sb: str) -> float:
+    """1 - edit distance / longer length; 1.0 for two empty names."""
     longest = max(len(sa), len(sb))
     if longest == 0:
         return 1.0
@@ -168,7 +204,10 @@ def _cluster_block(
             longest = max(len_i, len(names[j]))
             if longest and 1.0 - abs(len_i - len(names[j])) / longest < config.threshold:
                 continue
-            if similarity(ref_i, ref_j) >= config.threshold:
+            # A variant's key is its reference's key and keys are unique in
+            # a dataset, so similarity()'s equal-key shortcut never fires
+            # here: compare the names built once for the block.
+            if _name_similarity(names[i], names[j]) >= config.threshold:
                 uf.union(i, j)
 
 

@@ -30,13 +30,15 @@ EXPORT_TYPES = ("CSV_CR", "CSV_GRAPH")
 @dataclass
 class Environment:
     """Mutable interpreter state: settings, the working dataset, seeds,
-    and the sink that receives info() lines."""
+    the verbosity (the CLI's ``-v`` count) and the sink that receives
+    info() lines and, when verbose, import warnings."""
 
     settings: dict[str, int] = field(default_factory=lambda: dict(DEFAULT_SETTINGS))
     dataset: Optional[Dataset] = None
     tmpdir: Optional[str] = None
     base_seed: int = 0
     iteration: Optional[int] = None
+    verbose: int = 0
     sink: Callable[[str], None] = lambda line: print(line, file=sys.stderr)
 
     def child(self, iteration: int) -> Environment:
@@ -46,6 +48,7 @@ class Environment:
             tmpdir=self.tmpdir,
             base_seed=self.base_seed,
             iteration=iteration,
+            verbose=self.verbose,
             sink=self.sink,
         )
 
@@ -104,7 +107,11 @@ def _import_filter(args: dict, env: Environment) -> wos.ImportFilter:
 def _call_import(stmt: Call, env: Environment, bindings: dict) -> None:
     args = _args(stmt, bindings)
     wos.check_format(args["type"])
-    env.dataset = wos.import_file(args["file"], _import_filter(args, env))
+    stats = wos.ParseStats()
+    env.dataset = wos.import_file(args["file"], _import_filter(args, env), stats=stats)
+    warning = stats.warning()
+    if env.verbose and warning:
+        env.sink(warning)
 
 
 def _call_analyze(stmt: Call, env: Environment, bindings: dict) -> None:

@@ -96,6 +96,8 @@ class CRVariant:
     def __post_init__(self):
         if self.ncr < 1:
             raise ValueError("variant ncr must be >= 1")
+        if self.n_py_years < 0:
+            raise ValueError("variant n_py_years must be >= 0")
 
     @property
     def rpy(self) -> Optional[int]:

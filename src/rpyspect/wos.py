@@ -78,6 +78,12 @@ class ParseStats:
 
     malformed_records: int = 0
 
+    def warning(self) -> Optional[str]:
+        """The line ``-v`` reports when anything was skipped, else None."""
+        if not self.malformed_records:
+            return None
+        return f"warning: {self.malformed_records} malformed records or CR lines skipped"
+
 
 class MemoryProbe:
     """Instrumentation hook for the streaming contract.

@@ -54,6 +54,15 @@ class TestRun:
         assert main(["run", "syntax.crs"]) == 1
         assert "expected an expression" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("verbose", [False, True])
+    def test_skipped_cr_line_warns_only_when_verbose(self, tmp_path, monkeypatch, capsys, verbose):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "dots.txt").write_text("PT J\nPY 2011\nCR ...\n   A B, 2000, J\nER\nEF\n")
+        (tmp_path / "s.crs").write_text('importFile(file: "dots.txt", type: "WOS")\n')
+        assert main(["-v", "run", "s.crs"] if verbose else ["run", "s.crs"]) == 0
+        warned = "warning: 1 malformed records or CR lines skipped" in capsys.readouterr().err
+        assert warned == verbose
+
     def test_seeded_rerun_is_byte_identical(self, workdir):
         script = (
             "forEachUnion(count: 3, { index ->\n"
@@ -198,6 +207,10 @@ class TestSpectro:
             (5, 2, "5"),  # rpy outside [YEAR_MIN, YEAR_MAX]
             (5, 0, ""),  # empty key
             (3, 1, "x"),  # #SUMMARY n_citing not an integer
+            (5, 9, "-4"),  # n_py_years negative
+            (3, 1, "-1"),  # #SUMMARY n_citing negative
+            (3, 2, "0"),  # #SUMMARY n_cr_total below the table's sum(ncr)
+            (5, 0, "a  b, 2000, j"),  # key that normalize_key would change
         ],
     )
     def test_bad_cre_field_fails_with_location(self, tmp_path, capsys, line, column, value):

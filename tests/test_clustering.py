@@ -9,6 +9,7 @@ from rpyspect.clustering import (
     ClusterConfig,
     cluster_crs,
     compatible,
+    levenshtein,
     merge_clusters,
     remove_cr,
     similarity,
@@ -69,6 +70,20 @@ class TestSimilarity:
         a = ref(author=("X" + s).strip() or "X", source=s)
         b = ref(author=("X" + t).strip() or "X", source=t)
         assert similarity(a, b) == similarity(b, a)
+
+
+# Lengths drawn uniformly up to 150, so patterns longer than one 64-bit
+# machine word (and the empty string) are as likely as short ones.
+KERNEL_TEXT = st.integers(0, 150).flatmap(
+    lambda n: st.text(alphabet="abé ", min_size=n, max_size=n)
+)
+
+
+class TestLevenshtein:
+    @given(KERNEL_TEXT, KERNEL_TEXT)
+    def test_matches_textbook_and_is_symmetric(self, a, b):
+        assert levenshtein(a, b) == textbook_levenshtein(a, b)
+        assert levenshtein(a, b) == levenshtein(b, a)
 
 
 class TestCompatible:
