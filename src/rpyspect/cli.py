@@ -70,6 +70,12 @@ def cmd_run(args) -> int:
     except OSError as exc:
         print(f"error: {args.script}: file not found ({exc})", file=sys.stderr)
         return 1
+    except UnicodeDecodeError as exc:
+        print(
+            f"error: {args.script}: not valid UTF-8 at byte {exc.start} ({exc.reason})",
+            file=sys.stderr,
+        )
+        return 1
     try:
         program = script.parse_script(text)
     except ScriptError as exc:

@@ -109,20 +109,23 @@ def _call_import(stmt: Call, env: Environment, bindings: dict) -> None:
     wos.check_format(args["type"])
     stats = wos.ParseStats()
     env.dataset = wos.import_file(args["file"], _import_filter(args, env), stats=stats)
-    warning = stats.warning()
-    if env.verbose and warning:
-        env.sink(warning)
+    _warn_skipped(stats, env)
 
 
 def _call_analyze(stmt: Call, env: Environment, bindings: dict) -> None:
     args = _args(stmt, bindings)
     wos.check_format(args["type"])
-    filt = wos.ImportFilter(
-        rpy_range=_triple(args["RPY"]) if "RPY" in args else None,
-        py_range=_triple(args["PY"]) if "PY" in args else None,
-    )
-    stats = wos.analyze_file(args["file"], filt)
-    env.sink(f"analyzed {args['file']}: citing={stats.n_citing} crs={stats.n_cr}")
+    stats = wos.ParseStats()
+    result = wos.analyze_file(args["file"], _import_filter(args, env), stats=stats)
+    _warn_skipped(stats, env)
+    env.sink(f"analyzed {args['file']}: citing={result.n_citing} crs={result.n_cr}")
+
+
+def _warn_skipped(stats: wos.ParseStats, env: Environment) -> None:
+    """Under -v, report what the reader skipped (as ``rpyspect -v analyze`` does)."""
+    warning = stats.warning()
+    if env.verbose and warning:
+        env.sink(warning)
 
 
 def _call_info(stmt: Call, env: Environment, bindings: dict) -> None:
@@ -188,7 +191,7 @@ _CALLS = {
 
 
 def _run_loop(loop: Loop, env: Environment, bindings: dict) -> None:
-    args = {name: eval_expr(expr, bindings) for name, expr in loop.args}
+    args = _args(loop, bindings)
     count = args["count"]
     if count < 1:
         raise ScriptError(f"count must be >= 1, got {count}", loop.line, loop.col)

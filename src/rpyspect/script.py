@@ -1,20 +1,32 @@
-"""The .crs script language: lexer, parser, AST, static validation, and a
+"""The .crs script language: tokenizer, parser, AST, static validation, and a
 pretty-printer.
 
+Lexical rules: ``//`` starts a comment that runs to the end of the line.
+Strings are double-quoted, end on the line they start, and take the JSON
+escapes (``\\" \\\\ \\/ \\b \\f \\n \\r \\t`` and ``\\uXXXX`` naming a
+non-surrogate code point). Numbers are integers, or reals written
+``digits.digits`` with no sign or exponent. Identifiers start with a letter
+or ``_`` and go on with letters, digits or ``_``; ``true`` and ``false``
+are the booleans. One regex (``_TOKEN``) holds the token rules and one
+(``_ESCAPE``) the escapes.
+
 The language is a flat sequence of named-argument calls plus two loop
-forms, forEach and forEachUnion, whose block binds a single integer loop
-variable usable in +/- argument arithmetic. A `use("...").with { ... }`
-wrapper is accepted syntax that only introduces the block scope; it is not
-preserved in the AST. Unknown function names, unknown argument names, and
-argument type mismatches are rejected at parse-validation time, before
-anything runs.
+forms, forEach and forEachUnion, whose argument list ends in a
+``{ var -> ... }`` block binding a single integer loop variable usable in
++/- argument arithmetic. A ``use("...").with { ... }`` wrapper is accepted
+syntax that only introduces the block scope; it is not preserved in the
+AST. Unknown function names, unknown argument names, and argument type
+mismatches are rejected at parse-validation time, before anything runs.
+Every rejected script raises a ScriptError carrying a line and column.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from decimal import Decimal
+from typing import NamedTuple, NoReturn, Optional, Union
 
 from .errors import BadArgumentError, ScriptSyntaxError, UnknownFunctionError
 
@@ -69,12 +81,6 @@ class Loop:
     line: int = field(default=0, compare=False)
     col: int = field(default=0, compare=False)
 
-    def arg(self, name: str) -> Optional[Expr]:
-        for key, expr in self.args:
-            if key == name:
-                return expr
-        return None
-
 
 Statement = Union[Call, Loop]
 
@@ -86,8 +92,8 @@ class ScriptProgram:
 
 # --- Registered surface --------------------------------------------------
 
-# Argument types: int, real (int accepted), bool, str, range (3-element
-# [int, int, bool] triple), intpair (2-element [int, int]).
+# Argument types: int, real (int accepted), bool, str, and the list types
+# in _SHAPES.
 REGISTRY: dict[str, dict[str, tuple]] = {
     "set": {"required": (), "optional": (("n_pct_range", "int"), ("median_range", "int"))},
     "importFile": {
@@ -119,126 +125,107 @@ REGISTRY: dict[str, dict[str, tuple]] = {
 LOOP_ARGS = {"required": (("count", "int"),), "optional": (("dir", "str"),)}
 LOOP_KINDS = ("forEach", "forEachUnion")
 
+# List argument types: the element types, in order. A range is
+# [lo, hi, include_unknown]; an intpair is [lo, hi].
+_SHAPES = {"range": ("int", "int", "bool"), "intpair": ("int", "int")}
 
-# --- Lexer ---------------------------------------------------------------
+
+# --- Tokenizer -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # IDENT INT REAL STRING BOOL PUNCT ARROW EOF
+class _Token(NamedTuple):
+    kind: str  # IDENT INT REAL STRING BOOL EOF, or the punctuation itself
     value: object
     line: int
     col: int
 
 
-_PUNCT = set("()[]{},:+-.")
+# One named group per token kind, tried in order (the tokenizer recipe of
+# the `re` documentation). \d and \w are the Unicode classes that int() and
+# str.isalnum() accept; a WORD must still start with a letter or "_".
+_TOKEN = re.compile(
+    "|".join(
+        f"(?P<{kind}>{pattern})"
+        for kind, pattern in (
+            ("NEWLINE", r"\n"),
+            ("SKIP", r"[ \t\r]+"),
+            ("COMMENT", r"//[^\n]*"),
+            ("REAL", r"\d+\.\d+"),
+            ("INT", r"\d+"),
+            ("WORD", r"\w+"),
+            ("STRING", r'"(?:\\.|[^"\\\n])*(?P<CLOSE>"?)'),
+            ("PUNCT", r"->|[()\[\]{},:+\-.]"),
+            ("OTHER", r"."),
+        )
+    )
+)
+
+_ESCAPES = {'"': '"', "\\": "\\", "/": "/", "b": "\b", "f": "\f", "n": "\n", "r": "\r", "t": "\t"}
+
+# A backslash and what follows it: a one-letter escape (group 1), a
+# non-surrogate \uXXXX (group 2), or, when neither matches, a bad escape.
+_ESCAPE = re.compile(
+    r"\\(?:([%s])|u((?![dD][89a-fA-F])[0-9a-fA-F]{4}))?" % re.escape("".join(_ESCAPES))
+)
+
+
+def _fail(tok: _Token, message: str) -> NoReturn:
+    raise ScriptSyntaxError(message, tok.line, tok.col)
 
 
 def _tokenize(text: str) -> list[_Token]:
     tokens: list[_Token] = []
-    line, col = 1, 1
-    i, n = 0, len(text)
-
-    def err(msg: str):
-        raise ScriptSyntaxError(msg, line, col)
-
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            i += 1
-            line += 1
-            col = 1
+    line, line_start, end = 1, 0, 0
+    for m in _TOKEN.finditer(text):
+        kind, lexeme = m.lastgroup, m.group()
+        tok = _Token(kind, lexeme, line, m.start() - line_start + 1)
+        # End of text is reported where a trailing comment starts.
+        end = m.start() if kind == "COMMENT" else m.end()
+        if kind == "NEWLINE":
+            line, line_start = line + 1, m.end()
+        elif kind in ("SKIP", "COMMENT"):
             continue
-        if c in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if text.startswith("//", i):
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        start_line, start_col = line, col
-        if text.startswith("->", i):
-            tokens.append(_Token("ARROW", "->", start_line, start_col))
-            i += 2
-            col += 2
-            continue
-        if c.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            if j < n and text[j] == "." and j + 1 < n and text[j + 1].isdigit():
-                j += 1
-                while j < n and text[j].isdigit():
-                    j += 1
-                tok = _Token("REAL", float(text[i:j]), start_line, start_col)
+        elif kind == "REAL":
+            tokens.append(tok._replace(value=float(lexeme)))
+        elif kind == "INT":
+            try:
+                tokens.append(tok._replace(value=int(lexeme)))
+            except ValueError:  # longer than sys.get_int_max_str_digits()
+                _fail(tok, "integer literal too long")
+        elif kind == "WORD":
+            if not (lexeme[0].isalpha() or lexeme[0] == "_"):
+                _fail(tok, f"unexpected character {lexeme[0]!r}")
+            if lexeme in ("true", "false"):
+                tokens.append(tok._replace(kind="BOOL", value=lexeme == "true"))
             else:
-                tok = _Token("INT", int(text[i:j]), start_line, start_col)
-            tokens.append(tok)
-            col += j - i
-            i = j
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            word = text[i:j]
-            if word in ("true", "false"):
-                tokens.append(_Token("BOOL", word == "true", start_line, start_col))
-            else:
-                tokens.append(_Token("IDENT", word, start_line, start_col))
-            col += j - i
-            i = j
-            continue
-        if c == '"':
-            value, i, line, col = _lex_string(text, i, line, col)
-            tokens.append(_Token("STRING", value, start_line, start_col))
-            continue
-        if c in _PUNCT:
-            tokens.append(_Token("PUNCT", c, start_line, start_col))
-            i += 1
-            col += 1
-            continue
-        err(f"unexpected character {c!r}")
-    tokens.append(_Token("EOF", None, line, col))
+                tokens.append(tok._replace(kind="IDENT"))
+        elif kind == "STRING":
+            body = lexeme[1 : len(lexeme) - len(m.group("CLOSE"))]
+            value = _unescape(body, line, tok.col + 1)
+            if not m.group("CLOSE"):
+                _fail(tok, "unterminated string literal")
+            tokens.append(tok._replace(value=value))
+        elif kind == "PUNCT":
+            tokens.append(tok._replace(kind=lexeme))
+        else:
+            _fail(tok, f"unexpected character {lexeme!r}")
+    tokens.append(_Token("EOF", None, line, end - line_start + 1))
     return tokens
 
 
-_ESCAPES = {'"': '"', "\\": "\\", "/": "/", "n": "\n", "t": "\t", "r": "\r", "b": "\b", "f": "\f"}
+def _unescape(body: str, line: int, col: int) -> str:
+    """Decode the escapes of a string body whose first character is at
+    (line, col)."""
 
+    def decode(m: re.Match) -> str:
+        if m.group(1):
+            return _ESCAPES[m.group(1)]
+        if m.group(2):
+            return chr(int(m.group(2), 16))
+        bad = body[m.start() : m.start() + 2]
+        raise ScriptSyntaxError(f"bad escape {bad}", line, col + m.start())
 
-def _lex_string(text: str, i: int, line: int, col: int):
-    # i points at the opening quote.
-    out: list[str] = []
-    start_line, start_col = line, col
-    i += 1
-    col += 1
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c == '"':
-            return "".join(out), i + 1, line, col + 1
-        if c == "\n":
-            raise ScriptSyntaxError("unterminated string literal", start_line, start_col)
-        if c == "\\":
-            if i + 1 >= n:
-                break
-            esc = text[i + 1]
-            if esc in _ESCAPES:
-                out.append(_ESCAPES[esc])
-                i += 2
-                col += 2
-                continue
-            if esc == "u" and i + 5 < n:
-                out.append(chr(int(text[i + 2 : i + 6], 16)))
-                i += 6
-                col += 6
-                continue
-            raise ScriptSyntaxError(f"bad escape \\{esc}", line, col)
-        out.append(c)
-        i += 1
-        col += 1
-    raise ScriptSyntaxError("unterminated string literal", start_line, start_col)
+    return _ESCAPE.sub(decode, body)
 
 
 # --- Parser --------------------------------------------------------------
@@ -249,8 +236,8 @@ class _Parser:
         self.tokens = tokens
         self.pos = 0
 
-    def peek(self, ahead: int = 0) -> _Token:
-        return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
+    def at(self, kind: str) -> bool:
+        return self.tokens[self.pos].kind == kind
 
     def take(self) -> _Token:
         tok = self.tokens[self.pos]
@@ -258,167 +245,113 @@ class _Parser:
             self.pos += 1
         return tok
 
-    def expect_punct(self, char: str) -> _Token:
-        tok = self.take()
-        if tok.kind != "PUNCT" or tok.value != char:
-            raise ScriptSyntaxError(f"expected {char!r}, got {tok.value!r}", tok.line, tok.col)
-        return tok
-
     def expect(self, kind: str) -> _Token:
         tok = self.take()
         if tok.kind != kind:
-            raise ScriptSyntaxError(f"expected {kind}, got {tok.value!r}", tok.line, tok.col)
+            _fail(tok, f"expected {kind!r}, got {tok.value!r}")
         return tok
 
-    def at_punct(self, char: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "PUNCT" and tok.value == char
-
-    def parse_program(self) -> ScriptProgram:
+    def parse_statements(self, opener: Optional[_Token] = None, label: str = "") -> list[Statement]:
+        """Statements up to the ``}`` closing ``opener``, or to the end of
+        the text when there is none; an opener still open at the end of the
+        text is an ``unterminated {label}``."""
+        end = "}" if opener else "EOF"
         statements: list[Statement] = []
-        while self.peek().kind != "EOF":
+        while not self.at(end):
+            if self.at("EOF"):
+                _fail(opener, f"unterminated {label}")
             statements.extend(self.parse_statement())
-        return ScriptProgram(statements=tuple(statements))
+        self.take()
+        return statements
 
     def parse_statement(self) -> list[Statement]:
-        tok = self.peek()
-        if tok.kind != "IDENT":
-            raise ScriptSyntaxError(f"expected a statement, got {tok.value!r}", tok.line, tok.col)
-        if tok.value == "use" and self.peek(1).kind == "PUNCT" and self.peek(1).value == "(":
+        head = self.take()
+        if head.kind != "IDENT":
+            _fail(head, f"expected a statement, got {head.value!r}")
+        if head.value == "use":
             return self.parse_use_block()
-        if tok.value in LOOP_KINDS:
-            return [self.parse_loop()]
-        return [self.parse_call()]
+        if head.value in LOOP_KINDS:
+            args, (var, body) = self.parse_args(head.value)
+            return [Loop(head.value, args, var, body, line=head.line, col=head.col)]
+        args, _ = self.parse_args()
+        return [Call(head.value, args, line=head.line, col=head.col)]
 
     def parse_use_block(self) -> list[Statement]:
         # use("...").with { loop trailing-statements }
-        self.take()
-        self.expect_punct("(")
-        self.expect("STRING")
-        self.expect_punct(")")
-        self.expect_punct(".")
+        for kind in ("(", "STRING", ")", "."):
+            self.expect(kind)
         with_tok = self.expect("IDENT")
         if with_tok.value != "with":
-            raise ScriptSyntaxError(
-                f"expected 'with', got {with_tok.value!r}", with_tok.line, with_tok.col
-            )
-        brace = self.expect_punct("{")
-        statements: list[Statement] = []
-        while not self.at_punct("}"):
-            if self.peek().kind == "EOF":
-                raise ScriptSyntaxError("unterminated use-block", brace.line, brace.col)
-            statements.extend(self.parse_statement())
-        self.expect_punct("}")
+            _fail(with_tok, f"expected 'with', got {with_tok.value!r}")
+        brace = self.expect("{")
+        statements = self.parse_statements(brace, "use-block")
         if not statements or not isinstance(statements[0], Loop):
-            raise ScriptSyntaxError(
-                "a use-block must start with forEach or forEachUnion", brace.line, brace.col
-            )
+            _fail(brace, "a use-block must start with forEach or forEachUnion")
         return statements
 
-    def parse_loop(self) -> Loop:
-        head = self.take()
-        kind = head.value
-        self.expect_punct("(")
+    def parse_args(self, loop: Optional[str] = None):
+        """``(name: expr, ...)``, returned with None; a loop's list (``loop``
+        is its kind) must end in its block, returned as ``(var, body)``."""
+        self.expect("(")
         args: list[tuple[str, Expr]] = []
-        var = None
-        body: tuple[Statement, ...] = ()
-        while True:
-            if self.at_punct("{"):
-                var, body = self.parse_block()
-                break
-            name_tok = self.expect("IDENT")
-            self.expect_punct(":")
-            args.append((name_tok.value, self.parse_expr()))
-            if self.at_punct(","):
+        block = None
+        if loop or not self.at(")"):
+            while not (loop and self.at("{")):
+                name = self.expect("IDENT")
+                self.expect(":")
+                args.append((name.value, self.parse_expr()))
+                if not self.at(","):
+                    if loop:
+                        _fail(self.take(), f"{loop} needs a {{ var -> ... }} block")
+                    break
                 self.take()
-                continue
-            break
-        if var is None:
-            tok = self.peek()
-            raise ScriptSyntaxError(f"{kind} needs a {{ var -> ... }} block", tok.line, tok.col)
-        self.expect_punct(")")
-        return Loop(
-            kind=kind,
-            args=tuple(args),
-            var=var,
-            body=body,
-            line=head.line,
-            col=head.col,
-        )
+            if loop:
+                block = self.parse_block()
+        self.expect(")")
+        return tuple(args), block
 
     def parse_block(self) -> tuple[str, tuple[Statement, ...]]:
-        brace = self.expect_punct("{")
-        var_tok = self.expect("IDENT")
-        self.expect("ARROW")
-        statements: list[Statement] = []
-        while not self.at_punct("}"):
-            if self.peek().kind == "EOF":
-                raise ScriptSyntaxError("unterminated loop block", brace.line, brace.col)
-            statements.extend(self.parse_statement())
-        self.expect_punct("}")
-        return var_tok.value, tuple(statements)
-
-    def parse_call(self) -> Call:
-        name_tok = self.expect("IDENT")
-        self.expect_punct("(")
-        args: list[tuple[str, Expr]] = []
-        if not self.at_punct(")"):
-            while True:
-                arg_tok = self.expect("IDENT")
-                self.expect_punct(":")
-                args.append((arg_tok.value, self.parse_expr()))
-                if self.at_punct(","):
-                    self.take()
-                    continue
-                break
-        self.expect_punct(")")
-        return Call(name=name_tok.value, args=tuple(args), line=name_tok.line, col=name_tok.col)
+        brace = self.expect("{")
+        var = self.expect("IDENT").value
+        self.expect("->")
+        return var, tuple(self.parse_statements(brace, "loop block"))
 
     def parse_expr(self) -> Expr:
         left = self.parse_atom()
-        while self.peek().kind == "PUNCT" and self.peek().value in ("+", "-"):
-            op = self.take().value
-            right = self.parse_atom()
-            left = BinOp(op=op, left=left, right=right)
+        while self.at("+") or self.at("-"):
+            op = self.take().kind
+            left = BinOp(op=op, left=left, right=self.parse_atom())
         return left
 
     def parse_atom(self) -> Expr:
-        tok = self.peek()
+        tok = self.take()
         if tok.kind in ("INT", "REAL", "STRING", "BOOL"):
-            self.take()
             return Lit(tok.value)
         if tok.kind == "IDENT":
-            self.take()
             return Var(tok.value)
-        if self.at_punct("["):
-            self.take()
+        if tok.kind == "[":
             items = [self.parse_expr()]
-            while self.at_punct(","):
+            while self.at(","):
                 self.take()
                 items.append(self.parse_expr())
-            self.expect_punct("]")
+            self.expect("]")
             return ListExpr(items=tuple(items))
-        if self.at_punct("("):
-            self.take()
+        if tok.kind == "(":
             inner = self.parse_expr()
-            self.expect_punct(")")
+            self.expect(")")
             return inner
-        raise ScriptSyntaxError(f"expected an expression, got {tok.value!r}", tok.line, tok.col)
+        _fail(tok, f"expected an expression, got {tok.value!r}")
 
 
 # --- Static validation ----------------------------------------------------
+
+_LIT_TYPES = {bool: "bool", int: "int", float: "real", str: "str"}
 
 
 def _expr_type(expr: Expr, loop_var: Optional[str], line: int, col: int) -> str:
     """Static type of an expression; loop variables are integers."""
     if isinstance(expr, Lit):
-        if isinstance(expr.value, bool):
-            return "bool"
-        if isinstance(expr.value, int):
-            return "int"
-        if isinstance(expr.value, float):
-            return "real"
-        return "str"
+        return _LIT_TYPES[type(expr.value)]
     if isinstance(expr, Var):
         if loop_var is None or expr.name != loop_var:
             raise BadArgumentError(f"unbound variable {expr.name!r}", line, col)
@@ -433,24 +366,12 @@ def _expr_type(expr: Expr, loop_var: Optional[str], line: int, col: int) -> str:
 
 def _check_arg(name: str, expr: Expr, want: str, loop_var: Optional[str], line: int, col: int):
     got = _expr_type(expr, loop_var, line, col)
-    if want == "range":
-        if not (isinstance(expr, ListExpr) and len(expr.items) == 3):
-            raise BadArgumentError(f"{name} expects a [lo, hi, flag] triple", line, col)
-        kinds = [_expr_type(e, loop_var, line, col) for e in expr.items]
-        if kinds[0] != "int" or kinds[1] != "int" or kinds[2] != "bool":
-            raise BadArgumentError(f"{name} expects [int, int, bool]", line, col)
-        return
-    if want == "intpair":
-        if not (isinstance(expr, ListExpr) and len(expr.items) == 2):
-            raise BadArgumentError(f"{name} expects a [lo, hi] pair", line, col)
-        if any(_expr_type(e, loop_var, line, col) != "int" for e in expr.items):
-            raise BadArgumentError(f"{name} expects [int, int]", line, col)
-        return
-    if want == "real":
-        if got not in ("real", "int"):
-            raise BadArgumentError(f"{name} expects a number, got {got}", line, col)
-        return
-    if got != want:
+    shape = _SHAPES.get(want)
+    if shape:
+        items = expr.items if isinstance(expr, ListExpr) else ()
+        if tuple(_expr_type(e, loop_var, line, col) for e in items) != shape:
+            raise BadArgumentError(f"{name} expects [{', '.join(shape)}]", line, col)
+    elif got != want and (want, got) != ("real", "int"):
         raise BadArgumentError(f"{name} expects {want}, got {got}", line, col)
 
 
@@ -462,8 +383,7 @@ def _validate_args(
     line: int,
     col: int,
 ) -> None:
-    allowed = {arg: kind for arg, kind in spec["required"]}
-    allowed.update({arg: kind for arg, kind in spec["optional"]})
+    allowed = dict(spec["required"] + spec["optional"])
     seen = set()
     for arg, expr in args:
         if arg not in allowed:
@@ -491,7 +411,7 @@ def _validate(statements: tuple[Statement, ...], loop_var: Optional[str]) -> Non
 
 def parse_script(text: str) -> ScriptProgram:
     """Parse and statically validate a script."""
-    program = _Parser(_tokenize(text)).parse_program()
+    program = ScriptProgram(statements=tuple(_Parser(_tokenize(text)).parse_statements()))
     _validate(program.statements, None)
     return program
 
@@ -520,6 +440,10 @@ def _fmt_expr(expr: Expr) -> str:
             return "true" if v else "false"
         if isinstance(v, str):
             return json.dumps(v, ensure_ascii=False)
+        if isinstance(v, float):
+            # digits.digits: repr() would write 1e-05 or 1e+16.
+            text = format(Decimal(repr(v)), "f")
+            return text if "." in text else text + ".0"
         return str(v)
     if isinstance(expr, Var):
         return expr.name

@@ -58,10 +58,16 @@ class TestRun:
     def test_skipped_cr_line_warns_only_when_verbose(self, tmp_path, monkeypatch, capsys, verbose):
         monkeypatch.chdir(tmp_path)
         (tmp_path / "dots.txt").write_text("PT J\nPY 2011\nCR ...\n   A B, 2000, J\nER\nEF\n")
-        (tmp_path / "s.crs").write_text('importFile(file: "dots.txt", type: "WOS")\n')
-        assert main(["-v", "run", "s.crs"] if verbose else ["run", "s.crs"]) == 0
-        warned = "warning: 1 malformed records or CR lines skipped" in capsys.readouterr().err
-        assert warned == verbose
+        for name in ("importFile", "analyzeFile"):
+            (tmp_path / "s.crs").write_text(f'{name}(file: "dots.txt", type: "WOS")\n')
+            assert main(["-v", "run", "s.crs"] if verbose else ["run", "s.crs"]) == 0
+            warned = "warning: 1 malformed records or CR lines skipped" in capsys.readouterr().err
+            assert warned == verbose, name
+
+    def test_script_not_utf8_exits_nonzero(self, workdir, capsys):
+        (workdir / "latin1.crs").write_bytes(b"info()\xff\n")
+        assert main(["run", "latin1.crs"]) == 1
+        assert "error: latin1.crs: not valid UTF-8 at byte 6" in capsys.readouterr().err
 
     def test_seeded_rerun_is_byte_identical(self, workdir):
         script = (

@@ -1,7 +1,15 @@
 from __future__ import annotations
 
-import pytest
+import io
+import re
+import sys
+from contextlib import redirect_stderr
+from pathlib import Path
 
+import pytest
+from hypothesis import assume, given, settings, strategies as st
+
+from rpyspect.cli import main
 from rpyspect.clustering import ClusterConfig, cluster_crs, merge_clusters, remove_cr
 from rpyspect.engine import Environment, execute
 from rpyspect.errors import (
@@ -12,6 +20,8 @@ from rpyspect.errors import (
 )
 from rpyspect.formats import load_cre
 from rpyspect.script import (
+    LOOP_KINDS,
+    REGISTRY,
     Call,
     ListExpr,
     Lit,
@@ -124,6 +134,110 @@ class TestPrettyRoundTrip:
         printed = pretty(prog)
         assert parse_script(printed) == prog
         assert pretty(parse_script(printed)) == printed
+
+
+# Script tokens plus Unicode numerals (int() reads "١" but not "²" or "½"),
+# a bad and a surrogate \u escape, and a lone quote and backslash.
+TOKENS = (
+    sorted(REGISTRY)
+    + list(LOOP_KINDS)
+    + ["use", "with", "index", "count", "dir", "file", "type", "N_CR", "RPY", "threshold"]
+    + ["median_range", "true", "false", "0", "7", "12", "0.75", '"x.txt"', '"\\n"', '"é"']
+    + list("()[]{},:+-.") + ["->", " ", "\n", "\t", "// c\n"]
+    + ["²", "½", "١", '"\\uZZZZ"', '"\\ud800"', '"', "\\"]
+)
+token_soup = st.lists(st.sampled_from(TOKENS), max_size=40).map("".join)
+# A sample script with token soup spliced in, so that near-valid scripts
+# are drawn as well as garbage.
+spliced = st.builds(
+    lambda src, at, soup: src[: at % (len(src) + 1)] + soup + src[at % (len(src) + 1) :],
+    st.sampled_from(SAMPLES),
+    st.integers(min_value=0),
+    st.lists(st.sampled_from(TOKENS), max_size=3).map("".join),
+)
+script_texts = st.one_of(token_soup, spliced)
+
+
+class TestMalformedScripts:
+    @settings(max_examples=500, deadline=None)
+    @given(script_texts)
+    def test_round_trips_or_fails_with_location(self, text):
+        try:
+            prog = parse_script(text)
+        except ScriptError as exc:
+            assert exc.line >= 1 and exc.col >= 1
+            return
+        assert parse_script(pretty(prog)) == prog
+
+    @settings(max_examples=100, deadline=None)
+    @given(text=script_texts)
+    def test_cli_exits_1_on_rejected_script(self, tmp_path_factory, text):
+        path = tmp_path_factory.getbasetemp() / "fuzz.crs"
+        path.write_text(text, encoding="utf-8")
+        try:  # what the CLI reads, newlines translated
+            parse_script(path.read_text(encoding="utf-8"))
+        except ScriptError:
+            pass
+        else:
+            assume(False)  # it would run
+        with redirect_stderr(io.StringIO()) as err:
+            assert main(["run", str(path)]) == 1
+        assert err.getvalue().startswith(f"error: {path}: line ")
+
+    @pytest.mark.parametrize(
+        "src",
+        [
+            'saveFile(file: "\\uZZZZ")',
+            "set(median_range: ²)",
+            'importFile(file: "\\ud800.txt", type: "WOS")',
+        ],
+        ids=["non-hex-escape", "superscript-digit", "surrogate-escape"],
+    )
+    def test_cli_reports_line(self, tmp_path, capsys, src):
+        (tmp_path / "bad.crs").write_text(src, encoding="utf-8")
+        assert main(["run", str(tmp_path / "bad.crs")]) == 1
+        assert "line 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "src, line, col",
+        [
+            ("set(median_range: 2,)", 1, 21),
+            ("set(median_range: ½)", 1, 19),
+            ('saveFile(file: "a\\qb")', 1, 18),
+            ('info()\nsaveFile(file: "a\\u12")', 2, 18),
+            ('saveFile(file: "ab', 1, 16),
+            ("forEach(count: 1)", 1, 17),
+            ("forEach(count: 1, { i ->\n    info()\n", 1, 19),
+            ("set(median_range: 2 // note", 1, 21),
+        ],
+    )
+    def test_syntax_error_location(self, src, line, col):
+        with pytest.raises(ScriptSyntaxError) as err:
+            parse_script(src)
+        assert (err.value.line, err.value.col) == (line, col)
+
+    @pytest.mark.skipif(
+        not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+        reason="int() has no digit limit in this interpreter",
+    )
+    def test_overlong_integer_fails_with_location(self):
+        digits = "9" * (sys.get_int_max_str_digits() + 1)
+        with pytest.raises(ScriptSyntaxError) as err:
+            parse_script(f"info()\nset(median_range: {digits})")
+        assert (err.value.line, err.value.col) == (2, 19)
+
+    def test_reals_print_without_exponent(self):
+        prog = parse_script("cluster(threshold: 0.00001)\ncluster(threshold: 12345678901234567.5)")
+        assert parse_script(pretty(prog)) == prog
+
+
+def test_readme_script_blocks_parse():
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Script language", 1)[1].split("\n## ", 1)[0]
+    blocks = re.findall(r"```\n(.*?)```", section, re.S)
+    assert len(blocks) >= 2
+    for block in blocks:
+        parse_script(block)
 
 
 LISTING1_STYLE = """\
