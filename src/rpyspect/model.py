@@ -12,11 +12,8 @@ share across parallel workers. Pipeline steps return new Dataset instances.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Iterator, NamedTuple, Optional
-
-_WS_RUN = re.compile(r"\s+")
 
 YEAR_MIN = 1000
 YEAR_MAX = 3000
@@ -27,10 +24,10 @@ def normalize_key(raw: str) -> str:
 
     Upper-cases, collapses whitespace runs to single spaces, trims, and
     strips trailing sentence punctuation. Idempotent: applying it twice
-    equals applying it once.
+    equals applying it once. ``str.split()`` splits on exactly the
+    characters that the ``\\s`` class of ``re`` matches.
     """
-    s = _WS_RUN.sub(" ", raw).strip().upper()
-    return s.rstrip(".,;: ")
+    return " ".join(raw.split()).upper().rstrip(".,;: ")
 
 
 @dataclass(frozen=True)

@@ -5,24 +5,27 @@ Lexical rules: ``//`` starts a comment that runs to the end of the line.
 Strings are double-quoted, end on the line they start, and take the JSON
 escapes (``\\" \\\\ \\/ \\b \\f \\n \\r \\t`` and ``\\uXXXX`` naming a
 non-surrogate code point). Numbers are integers, or reals written
-``digits.digits`` with no sign or exponent. Identifiers start with a letter
-or ``_`` and go on with letters, digits or ``_``; ``true`` and ``false``
-are the booleans. One regex (``_TOKEN``) holds the token rules and one
-(``_ESCAPE``) the escapes.
+``digits.digits`` with no sign or exponent that a float holds without
+overflowing. Identifiers start with a letter or ``_`` and go on with
+letters, digits or ``_``; ``true`` and ``false`` are the booleans. One
+regex (``_TOKEN``) holds the token rules and one (``_ESCAPE``) the
+escapes.
 
 The language is a flat sequence of named-argument calls plus two loop
 forms, forEach and forEachUnion, whose argument list ends in a
 ``{ var -> ... }`` block binding a single integer loop variable usable in
 +/- argument arithmetic. A ``use("...").with { ... }`` wrapper is accepted
 syntax that only introduces the block scope; it is not preserved in the
-AST. Unknown function names, unknown argument names, and argument type
-mismatches are rejected at parse-validation time, before anything runs.
-Every rejected script raises a ScriptError carrying a line and column.
+AST. Unknown function names, unknown argument names, argument type
+mismatches and ``file``/``dir`` names containing NUL are rejected at
+parse-validation time, before anything runs. Every rejected script raises
+a ScriptError carrying a line and column.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import re
 from dataclasses import dataclass, field
 from decimal import Decimal
@@ -125,6 +128,9 @@ REGISTRY: dict[str, dict[str, tuple]] = {
 LOOP_ARGS = {"required": (("count", "int"),), "optional": (("dir", "str"),)}
 LOOP_KINDS = ("forEach", "forEachUnion")
 
+# String arguments that name a file or directory.
+_PATH_ARGS = ("file", "dir")
+
 # List argument types: the element types, in order. A range is
 # [lo, hi, include_unknown]; an intpair is [lo, hi].
 _SHAPES = {"range": ("int", "int", "bool"), "intpair": ("int", "int")}
@@ -186,7 +192,10 @@ def _tokenize(text: str) -> list[_Token]:
         elif kind in ("SKIP", "COMMENT"):
             continue
         elif kind == "REAL":
-            tokens.append(tok._replace(value=float(lexeme)))
+            value = float(lexeme)
+            if math.isinf(value):  # pretty() could not write it back
+                _fail(tok, "real literal too large")
+            tokens.append(tok._replace(value=value))
         elif kind == "INT":
             try:
                 tokens.append(tok._replace(value=int(lexeme)))
@@ -373,6 +382,9 @@ def _check_arg(name: str, expr: Expr, want: str, loop_var: Optional[str], line: 
             raise BadArgumentError(f"{name} expects [{', '.join(shape)}]", line, col)
     elif got != want and (want, got) != ("real", "int"):
         raise BadArgumentError(f"{name} expects {want}, got {got}", line, col)
+    elif name in _PATH_ARGS and "\0" in expr.value:
+        # open() and os.makedirs() reject it only when the statement runs.
+        raise BadArgumentError(f"{name} must not contain a NUL character", line, col)
 
 
 def _validate_args(

@@ -8,6 +8,7 @@ documented byte-exactly in docs/wos-format.md.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import BinaryIO, Iterator, NamedTuple, Optional
 
@@ -111,12 +112,19 @@ def _year_passes(year: Optional[int], rng: Optional[YearFilter]) -> bool:
     return rng[0] <= year <= rng[1]
 
 
+# "P", then alphanumerics and hyphens starting with an alphanumeric.
+# [^\W_] is exactly str.isalnum(); each repeat takes one hyphen, so a
+# failed match backtracks in linear time.
+_PAGE = re.compile(r"P[^\W_]+(?:-[^\W_]*)*").fullmatch
+
+
 def parse_cr_line(line: str) -> Optional[CitedReference]:
     """Parse one cited-reference line into its fields.
 
     Works on the normalized form of the line (upper case, collapsed
-    whitespace), splitting on ", ": first token is the author; a 4-digit
-    token right after it is the reference publication year; the next token
+    whitespace), splitting on ", ": first token is the author; a token of 4
+    decimal digits (ones ``int()`` reads, so not ``¹⁹⁹⁰``) in 1000-3000
+    right after it is the reference publication year; the next token
     seeds the source; remaining tokens are claimed as volume ("V" +
     digits), page ("P" + alphanumerics, hyphens allowed), or DOI ("DOI "
     prefix), and anything unclaimed is appended back onto the source.
@@ -127,50 +135,45 @@ def parse_cr_line(line: str) -> Optional[CitedReference]:
     if not norm:
         return None
     tokens = norm.split(", ")
-    author = tokens[0]
     rpy: Optional[int] = None
-    source_parts: list[str] = []
+    start = 1
+    # isdecimal(), not isdigit(): int() cannot read digits such as "¹".
+    if len(tokens) > 1 and len(tokens[1]) == 4 and tokens[1].isdecimal():
+        year = int(tokens[1])
+        if 1000 <= year <= 3000:
+            rpy = year
+            start = 2
+    source_parts = tokens[start : start + 1]
     volume: Optional[str] = None
     page: Optional[str] = None
     doi: Optional[str] = None
-
-    rest = tokens[1:]
-    i = 0
-    if rest and len(rest[0]) == 4 and rest[0].isdigit():
-        year = int(rest[0])
-        if 1000 <= year <= 3000:
-            rpy = year
-            i = 1
-    if i < len(rest):
-        source_parts.append(rest[i])
-        i += 1
-    for tok in rest[i:]:
-        if not tok:
+    # Only a token's first character can make it a volume, page or DOI.
+    for tok in tokens[start + 1 :]:
+        head = tok[:1]
+        if head == "V":
+            if volume is None and tok[1:].isdigit():
+                volume = tok[1:]
+                continue
+        elif head == "P":
+            if page is None and _PAGE(tok):
+                page = tok[1:]
+                continue
+        elif head == "D":
+            if doi is None and len(tok) > 4 and tok.startswith("DOI "):
+                doi = tok[4:]
+                continue
+        elif not tok:
             continue
-        if volume is None and len(tok) > 1 and tok[0] == "V" and tok[1:].isdigit():
-            volume = tok[1:]
-        elif page is None and _is_page_token(tok):
-            page = tok[1:]
-        elif doi is None and tok.startswith("DOI ") and len(tok) > 4:
-            doi = tok[4:]
-        else:
-            source_parts.append(tok)
+        source_parts.append(tok)
     return CitedReference(
         raw=line,
-        author=author,
+        author=tokens[0],
         rpy=rpy,
         source=", ".join(source_parts),
         volume=volume,
         page=page,
         doi=doi,
     )
-
-
-def _is_page_token(tok: str) -> bool:
-    if len(tok) < 2 or tok[0] != "P":
-        return False
-    body = tok[1:]
-    return body[0].isalnum() and all(c.isalnum() or c == "-" for c in body)
 
 
 def _decoded_lines(stream: BinaryIO) -> Iterator[str]:

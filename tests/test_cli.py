@@ -69,6 +69,22 @@ class TestRun:
         assert main(["run", "latin1.crs"]) == 1
         assert "error: latin1.crs: not valid UTF-8 at byte 6" in capsys.readouterr().err
 
+    def test_superscript_year_is_not_a_year(self, tmp_path, monkeypatch, capsys):
+        # "¹⁹⁹⁰".isdigit() is true, but int() cannot read it.
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "sup.txt").write_text(
+            "PT J\nPY 2011\nCR SMITH J, ¹⁹⁹⁰, NATURE\n   A B, 2000, J\nER\nEF\n",
+            encoding="utf-8",
+        )
+        (tmp_path / "s.crs").write_text(
+            'importFile(file: "sup.txt", type: "WOS")\nsaveFile(file: "sup.cre")\n'
+        )
+        assert main(["run", "s.crs"]) == 0
+        smith = load_cre("sup.cre").variants["SMITH J, ¹⁹⁹⁰, NATURE"].reference
+        assert (smith.rpy, smith.source) == (None, "¹⁹⁹⁰, NATURE")
+        assert main(["analyze", "sup.txt"]) == 0
+        assert capsys.readouterr().out == "citing=1 crs=2\n"
+
     def test_seeded_rerun_is_byte_identical(self, workdir):
         script = (
             "forEachUnion(count: 3, { index ->\n"

@@ -209,6 +209,7 @@ class TestMalformedScripts:
             ("forEach(count: 1)", 1, 17),
             ("forEach(count: 1, { i ->\n    info()\n", 1, 19),
             ("set(median_range: 2 // note", 1, 21),
+            pytest.param("cluster(threshold: " + "1" * 400 + ".0)", 1, 20, id="real-overflow"),
         ],
     )
     def test_syntax_error_location(self, src, line, col):
@@ -225,6 +226,27 @@ class TestMalformedScripts:
         with pytest.raises(ScriptSyntaxError) as err:
             parse_script(f"info()\nset(median_range: {digits})")
         assert (err.value.line, err.value.col) == (2, 19)
+
+    @pytest.mark.parametrize(
+        "stmt",
+        [
+            'importFile(file: "a\\u0000b", type: "WOS")',
+            'analyzeFile(file: "a\\u0000b", type: "WOS")',
+            'saveFile(file: "a\\u0000b")',
+            'exportFile(file: "a\\u0000b", type: "CSV_CR")',
+            'forEach(count: 1, dir: "\\u0000", { i ->\n    info()\n})',
+        ],
+        ids=["importFile", "analyzeFile", "saveFile", "exportFile", "forEach-dir"],
+    )
+    def test_nul_in_file_name_fails_with_location(self, tmp_path, capsys, stmt):
+        (tmp_path / "in.txt").write_text("PT J\nPY 2011\nCR A B, 2000, J\nER\nEF\n")
+        script = f'importFile(file: "{tmp_path / "in.txt"}", type: "WOS")\n{stmt}\n'
+        with pytest.raises(BadArgumentError, match="NUL") as err:
+            parse_script(script)
+        assert (err.value.line, err.value.col) == (2, 1)
+        (tmp_path / "nul.crs").write_text(script, encoding="utf-8")
+        assert main(["run", str(tmp_path / "nul.crs")]) == 1
+        assert "line 2, col 1: " in capsys.readouterr().err
 
     def test_reals_print_without_exponent(self):
         prog = parse_script("cluster(threshold: 0.00001)\ncluster(threshold: 12345678901234567.5)")

@@ -2,11 +2,14 @@ from __future__ import annotations
 
 import gc
 import io
+import re
+from typing import Optional
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from rpyspect.errors import EmptySampleError, OffsetTooLargeError
-from rpyspect.model import CitedReference, aggregate, iter_occurrences
+from rpyspect.model import CitedReference, aggregate, iter_occurrences, normalize_key
 from rpyspect.wos import (
     FileStats,
     ImportFilter,
@@ -21,6 +24,88 @@ from rpyspect.wos import (
 )
 
 from corpus import Corpus, make_corpus
+
+
+def reference_normalize_key(raw: str) -> str:
+    """The regex normalizer, kept as the reference for ``normalize_key``."""
+    s = re.sub(r"\s+", " ", raw).strip().upper()
+    return s.rstrip(".,;: ")
+
+
+def reference_parse_cr_line(line: str) -> Optional[CitedReference]:
+    """The token-loop CR parser, kept as the reference for ``parse_cr_line``.
+
+    It raises ValueError on a year token that isdigit() accepts but int()
+    cannot read, such as "¹⁹⁹⁰".
+    """
+    norm = reference_normalize_key(line)
+    if not norm:
+        return None
+    tokens = norm.split(", ")
+    rpy = None
+    source_parts = []
+    volume = page = doi = None
+    rest = tokens[1:]
+    i = 0
+    if rest and len(rest[0]) == 4 and rest[0].isdigit():
+        year = int(rest[0])
+        if 1000 <= year <= 3000:
+            rpy = year
+            i = 1
+    if i < len(rest):
+        source_parts.append(rest[i])
+        i += 1
+    for tok in rest[i:]:
+        if not tok:
+            continue
+        if volume is None and len(tok) > 1 and tok[0] == "V" and tok[1:].isdigit():
+            volume = tok[1:]
+        elif (
+            page is None
+            and len(tok) > 1
+            and tok[0] == "P"
+            and tok[1].isalnum()
+            and all(c.isalnum() or c == "-" for c in tok[1:])
+        ):
+            page = tok[1:]
+        elif doi is None and tok.startswith("DOI ") and len(tok) > 4:
+            doi = tok[4:]
+        else:
+            source_parts.append(tok)
+    return CitedReference(
+        raw=line,
+        author=tokens[0],
+        rpy=rpy,
+        source=", ".join(source_parts),
+        volume=volume,
+        page=page,
+        doi=doi,
+    )
+
+
+# Letters that start volume, page and DOI tokens, digits int() reads ("1",
+# "١") and one it does not ("²"), "ß" (upper-cases to two letters), "_"
+# (not alphanumeric), punctuation that normalize_key strips, and Unicode
+# whitespace.
+CR_CHARS = list("ABDIOPVv19ß²١_-.,;:") + ["\t", "\x1c", "\xa0", " ", "\u3000"]
+# Lines drawn character by character (with the separators that make field
+# tokens), or as ", "-joined tokens that start like a field and go on with
+# digits only or with any of CR_CHARS.
+CR_TEXT = st.one_of(
+    st.lists(
+        st.sampled_from(CR_CHARS + [", V", ", P", ", DOI ", ", 1990"]), max_size=30
+    ).map("".join),
+    st.lists(
+        st.tuples(
+            st.sampled_from(["", "V", "P", "D", "DOI ", "1990"]),
+            st.one_of(
+                st.text(alphabet="19²١", max_size=4),
+                st.lists(st.sampled_from(CR_CHARS), max_size=5).map("".join),
+            ),
+        ).map("".join),
+        max_size=8,
+    ).map(", ".join),
+)
 
 
 def parse_text(text: str, stats=None):
@@ -133,6 +218,31 @@ class TestParseCrLine:
     def test_hyphenated_page(self):
         cr = parse_cr_line("SMITH J, 1999, J THING, V2, P19-32")
         assert cr.page == "19-32"
+
+    def test_year_int_cannot_read_stays_in_source(self):
+        cr = parse_cr_line("SMITH J, ¹⁹⁹⁰, NATURE")
+        assert (cr.rpy, cr.source) == (None, "¹⁹⁹⁰, NATURE")
+        assert parse_cr_line("SMITH J, ١٩٩٠, NATURE").rpy == 1990
+
+
+class TestReferenceEquivalence:
+    @settings(max_examples=1000)
+    @given(CR_TEXT)
+    @example("A, B, P_1, P2")  # "_" is not alphanumeric
+    @example("A, B, V², V2")  # "²" is a digit, not a decimal
+    @example("A, 1990, B, , C, DOI , DOI X")
+    def test_matches_reference(self, text):
+        assert normalize_key(text) == reference_normalize_key(text)
+        try:
+            expected = reference_parse_cr_line(text)
+        except ValueError:  # the reference's traceback on "¹⁹⁹⁰"-like years
+            return
+        assert parse_cr_line(text) == expected
+
+    def test_matches_reference_on_a_corpus(self):
+        corpus = make_corpus(seed=5, misspell_rate=0.2)
+        for raw, _ in corpus.occurrences():
+            assert parse_cr_line(raw) == reference_parse_cr_line(raw)
 
 
 class TestAnalyzeFile:
