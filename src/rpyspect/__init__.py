@@ -28,9 +28,9 @@ from .sampling import (
 from .script import parse_script, pretty
 from .spectroscopy import compute_spectrogram, n_pct, scale_factor, spectrogram_diff, top_crs
 from .wos import (
-    FileStats,
     ImportFilter,
     MemoryProbe,
+    ParseStats,
     analyze_file,
     import_file,
     parse_cr_line,

@@ -68,7 +68,7 @@ def cmd_run(args) -> int:
         with open(args.script, "r", encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
-        print(f"error: {args.script}: file not found ({exc})", file=sys.stderr)
+        print(f"error: {args.script}: {exc.strerror or exc}", file=sys.stderr)
         return 1
     except UnicodeDecodeError as exc:
         print(
@@ -102,14 +102,18 @@ def cmd_run(args) -> int:
     return 0
 
 
-def cmd_analyze(args) -> int:
-    filt = wos.ImportFilter(rpy_range=args.rpy, py_range=args.py)
-    stats = wos.ParseStats()
-    result = wos.analyze_file(args.input, filt, stats)
+def _warn_skipped(stats: wos.ParseStats, args) -> None:
+    """Under -v, report what the reader skipped."""
     warning = stats.warning()
     if args.verbose and warning:
         print(warning, file=sys.stderr)
-    print(f"citing={result.n_citing} crs={result.n_cr}")
+
+
+def cmd_analyze(args) -> int:
+    filt = wos.ImportFilter(rpy_range=args.rpy, py_range=args.py)
+    stats = wos.analyze_file(args.input, filt)
+    _warn_skipped(stats, args)
+    print(f"citing={stats.n_citing} crs={stats.n_cr}")
     return 0
 
 
@@ -127,7 +131,9 @@ def cmd_sample(args, parser: argparse.ArgumentParser) -> int:
         offset=args.offset,
         seed=args.seed,
     )
-    dataset = wos.import_file(args.input, filt)
+    stats = wos.ParseStats()
+    dataset = wos.import_file(args.input, filt, stats=stats)
+    _warn_skipped(stats, args)
     formats.save_cre(dataset, args.out, settings=engine.DEFAULT_SETTINGS)
     print(
         f"sampled {dataset.sum_ncr()} CRs into {len(dataset.variants)} variants -> {args.out}",

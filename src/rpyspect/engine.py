@@ -24,8 +24,6 @@ from .script import Call, Loop, ScriptProgram, Statement, eval_expr
 
 DEFAULT_SETTINGS = {"median_range": 2, "n_pct_range": 0}
 
-EXPORT_TYPES = ("CSV_CR", "CSV_GRAPH")
-
 
 @dataclass
 class Environment:
@@ -115,10 +113,9 @@ def _call_import(stmt: Call, env: Environment, bindings: dict) -> None:
 def _call_analyze(stmt: Call, env: Environment, bindings: dict) -> None:
     args = _args(stmt, bindings)
     wos.check_format(args["type"])
-    stats = wos.ParseStats()
-    result = wos.analyze_file(args["file"], _import_filter(args, env), stats=stats)
+    stats = wos.analyze_file(args["file"], _import_filter(args, env))
     _warn_skipped(stats, env)
-    env.sink(f"analyzed {args['file']}: citing={result.n_citing} crs={result.n_cr}")
+    env.sink(f"analyzed {args['file']}: citing={stats.n_citing} crs={stats.n_cr}")
 
 
 def _warn_skipped(stats: wos.ParseStats, env: Environment) -> None:

@@ -14,12 +14,13 @@ import csv
 import hashlib
 import io
 import os
+import re
 import tempfile
 from typing import Mapping, Optional, Sequence
 
 from . import model, spectroscopy
 from .errors import ChecksumError, CreFormatError, DomainError, EmptyDatasetError, FormatVersionError
-from .model import CitedReference, CRVariant, Dataset, Spectrogram
+from .model import CitedReference, CRVariant, Dataset, Spectrogram, canonical_order
 
 CRE_MAGIC = "#CRE"
 CRE_VERSION = 1
@@ -36,6 +37,17 @@ _TABLE_COLUMNS = (
     "cluster_id",
     "n_py_years",
 )
+
+
+# The only integer spelling cre_bytes writes: ASCII digits, no sign, no
+# leading zero. int() would also read "+3", " 1", "1_0" and "١٩٩٠".
+_CANONICAL_INT = re.compile(r"0|[1-9][0-9]*").fullmatch
+
+
+def _int(text: str, name: str, where: str) -> int:
+    if not _CANONICAL_INT(text):
+        raise CreFormatError(f"{where}: {name} {text!r} is not a canonical integer")
+    return int(text)
 
 
 def _clean(text: str) -> str:
@@ -109,16 +121,16 @@ def save_cre(dataset: Dataset, path, settings: Optional[Mapping[str, object]] = 
 
 
 def load_cre(path) -> Dataset:
-    """Load a CRE v1 file, verifying version, checksum, row count and
-    fields.
+    """Load a CRE v1 file, verifying version, checksum, row count, fields
+    and row order.
 
     References are rebuilt from the stored fields; the verbatim raw string
     is not part of the format, so it comes back as the normalized key, and
     the per-variant citing-year sets come back as bare counts. A bad field
-    (a non-integer count, an ncr below 1, a negative n_py_years or
-    n_citing, a year outside the valid range, an empty or unnormalized
-    key, an n_cr_total below the table's sum of ncr) raises CreFormatError
-    naming the file and the 1-based line.
+    (an integer not spelled as ``cre_bytes`` writes it, an ncr below 1, a
+    year outside the valid range, an empty or unnormalized key, an
+    n_cr_total below the table's sum of ncr) or a row out of canonical
+    order raises CreFormatError naming the file and the 1-based line.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -142,10 +154,7 @@ def load_cre(path) -> Dataset:
     head = lines[0].split("\t")
     if head[0] != CRE_MAGIC or len(head) != 2:
         raise CreFormatError(f"{path}: not a CRE file")
-    try:
-        version = int(head[1])
-    except ValueError:
-        raise CreFormatError(f"{path}: bad version {head[1]!r}") from None
+    version = _int(head[1], "version", f"{path}: line 1")
     if version != CRE_VERSION:
         raise FormatVersionError(f"{path}: unsupported CRE version {version}")
 
@@ -154,12 +163,10 @@ def load_cre(path) -> Dataset:
     summary = _expect(lines[3], "#SUMMARY", path).split("\t")
     if len(summary) != 3:
         raise CreFormatError(f"{path}: malformed #SUMMARY line")
-    try:
-        n_citing, n_cr_total, n_variants = (int(x) for x in summary)
-    except ValueError as exc:
-        raise CreFormatError(f"{path}: line 4: bad #SUMMARY field: {exc}") from None
-    if n_citing < 0:
-        raise CreFormatError(f"{path}: line 4: negative n_citing {n_citing}")
+    n_citing, n_cr_total, n_variants = (
+        _int(field, name, f"{path}: line 4")
+        for field, name in zip(summary, ("n_citing", "n_cr_total", "n_variants"))
+    )
     _expect(lines[4], "#TABLE", path)
 
     rows = lines[5:-2]
@@ -168,36 +175,43 @@ def load_cre(path) -> Dataset:
             f"{path}: summary declares {n_variants} variants, table has {len(rows)}"
         )
     variants: dict[str, CRVariant] = {}
+    previous = None
     for lineno, row in enumerate(rows, start=6):
+        where = f"{path}: line {lineno}"
         cols = row.split("\t")
         if len(cols) != len(_TABLE_COLUMNS):
-            raise CreFormatError(f"{path}: line {lineno}: malformed variant row {row!r}")
+            raise CreFormatError(f"{where}: malformed variant row {row!r}")
         key, author, rpy, source, volume, page, doi, ncr, cluster_id, n_py = cols
         if key in variants:
-            raise CreFormatError(f"{path}: line {lineno}: duplicate variant key {key!r}")
+            raise CreFormatError(f"{where}: duplicate variant key {key!r}")
         # Looked up on the module so that rebinding model.normalize_key
         # (bench/tracer.py counts its calls) reaches this call too.
         if model.normalize_key(key) != key:
-            raise CreFormatError(f"{path}: line {lineno}: key {key!r} is not normalized")
+            raise CreFormatError(f"{where}: key {key!r} is not normalized")
         try:
             ref = CitedReference(
                 raw=key,
                 author=author,
-                rpy=int(rpy) if rpy else None,
+                rpy=_int(rpy, "rpy", where) if rpy else None,
                 source=source,
                 volume=volume or None,
                 page=page or None,
                 doi=doi or None,
             )
-            variants[key] = CRVariant(
+            variant = CRVariant(
                 key=key,
                 reference=ref,
-                ncr=int(ncr),
-                cluster_id=int(cluster_id) if cluster_id else None,
-                n_py_years=int(n_py),
+                ncr=_int(ncr, "ncr", where),
+                cluster_id=_int(cluster_id, "cluster_id", where) if cluster_id else None,
+                n_py_years=_int(n_py, "n_py_years", where),
             )
         except ValueError as exc:
-            raise CreFormatError(f"{path}: line {lineno}: {exc}") from None
+            raise CreFormatError(f"{where}: {exc}") from None
+        order = canonical_order(variant)
+        if previous is not None and order < previous:
+            raise CreFormatError(f"{where}: row is out of (rpy, key) order")
+        previous = order
+        variants[key] = variant
     table_ncr = sum(v.ncr for v in variants.values())
     if n_cr_total < table_ncr:
         raise CreFormatError(

@@ -13,7 +13,7 @@ share across parallel workers. Pipeline steps return new Dataset instances.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Iterator, NamedTuple, Optional
+from typing import Iterable, NamedTuple, Optional
 
 YEAR_MIN = 1000
 YEAR_MAX = 3000
@@ -60,11 +60,10 @@ class CitedReference:
 
 @dataclass(frozen=True)
 class CitingRecord:
-    """One citing publication: its year, document type, and its cited
-    references in file order (systematic sampling depends on that order)."""
+    """One citing publication: its year and its cited references in file
+    order (systematic sampling depends on that order)."""
 
     py: Optional[int]
-    doc_type: str
     crs: tuple[CitedReference, ...]
 
 
@@ -104,8 +103,9 @@ class CRVariant:
 YearFilter = tuple[int, int, bool]  # (lo, hi, include_unknown)
 
 
-def _sort_key(v: CRVariant):
-    # Canonical variant order: dated variants by (rpy, key), undated last.
+def canonical_order(v: CRVariant):
+    """Sort key of the canonical variant order: dated variants by
+    (rpy, key), undated ones last."""
     return (v.rpy is None, v.rpy if v.rpy is not None else 0, v.key)
 
 
@@ -126,7 +126,7 @@ class Dataset:
 
     def sorted_variants(self) -> list[CRVariant]:
         """Variants in canonical order: (rpy, key), undated ones last."""
-        return sorted(self.variants.values(), key=_sort_key)
+        return sorted(self.variants.values(), key=canonical_order)
 
     def sum_ncr(self) -> int:
         return sum(v.ncr for v in self.variants.values())
@@ -213,10 +213,3 @@ def aggregate(
         n_cr_total=total,
         provenance=provenance,
     )
-
-
-def iter_occurrences(records: Iterable[CitingRecord]) -> Iterator[Occurrence]:
-    """Flatten citing records into (reference, citing year) occurrences."""
-    for rec in records:
-        for cr in rec.crs:
-            yield Occurrence(cr, rec.py)

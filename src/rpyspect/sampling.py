@@ -22,13 +22,18 @@ MODES = ("NONE", "RANDOM", "SYSTEMATIC", "CLUSTER")
 class Sampler:
     """Streaming selection interface used by the import pipeline.
 
-    ``offer`` feeds one occurrence; ``wants_more`` lets the reader stop
-    early once the sample cannot grow; ``retained`` reports how many
-    occurrences are currently held (the memory-contract instrumentation
-    reads it); ``result`` returns the selection.
+    The base holds the selection in ``_kept``: ``retained`` reports how
+    many occurrences it currently holds (the memory-contract
+    instrumentation reads it) and ``result`` returns it. Each subclass
+    defines ``offer``, which feeds one occurrence and decides what
+    ``_kept`` holds; ``wants_more`` lets the reader stop early once the
+    sample cannot grow.
     """
 
     mode = "NONE"
+
+    def __init__(self):
+        self._kept: list[Occurrence] = []
 
     def offer(self, occ: Occurrence) -> None:
         raise NotImplementedError
@@ -37,10 +42,10 @@ class Sampler:
         return True
 
     def retained(self) -> int:
-        raise NotImplementedError
+        return len(self._kept)
 
     def result(self) -> list[Occurrence]:
-        raise NotImplementedError
+        return self._kept
 
 
 class NoneSampler(Sampler):
@@ -52,8 +57,8 @@ class NoneSampler(Sampler):
     def __init__(self, limit: int = 0):
         if limit < 0:
             raise DomainError("limit must be >= 0")
+        super().__init__()
         self.limit = limit
-        self._kept: list[Occurrence] = []
 
     def offer(self, occ: Occurrence) -> None:
         if self.wants_more():
@@ -61,12 +66,6 @@ class NoneSampler(Sampler):
 
     def wants_more(self) -> bool:
         return self.limit == 0 or len(self._kept) < self.limit
-
-    def retained(self) -> int:
-        return len(self._kept)
-
-    def result(self) -> list[Occurrence]:
-        return self._kept
 
 
 class RandomSampler(Sampler):
@@ -78,27 +77,21 @@ class RandomSampler(Sampler):
     def __init__(self, n: int, seed: int = 0):
         if n < 1:
             raise DomainError("random sample size must be >= 1")
+        super().__init__()
         self.n = n
         self._rng = random.Random(seed)
         self._seen = 0
-        self._reservoir: list[Occurrence] = []
 
     def offer(self, occ: Occurrence) -> None:
         i = self._seen
         self._seen += 1
         if i < self.n:
-            self._reservoir.append(occ)
+            self._kept.append(occ)
             return
         # Classic replacement rule: keep the newcomer with probability n/(i+1).
         j = self._rng.randrange(i + 1)
         if j < self.n:
-            self._reservoir[j] = occ
-
-    def retained(self) -> int:
-        return len(self._reservoir)
-
-    def result(self) -> list[Occurrence]:
-        return self._reservoir
+            self._kept[j] = occ
 
 
 class SystematicSampler(Sampler):
@@ -124,9 +117,9 @@ class SystematicSampler(Sampler):
             raise OffsetTooLargeError(
                 f"offset {offset} >= step {self.step} (total {total}, n {n})"
             )
+        super().__init__()
         self.offset = offset
         self._pos = 0
-        self._kept: list[Occurrence] = []
 
     def offer(self, occ: Occurrence) -> None:
         pos = self._pos
@@ -139,12 +132,6 @@ class SystematicSampler(Sampler):
     def wants_more(self) -> bool:
         return len(self._kept) < self.n
 
-    def retained(self) -> int:
-        return len(self._kept)
-
-    def result(self) -> list[Occurrence]:
-        return self._kept
-
 
 class ClusterSampler(Sampler):
     """Selects every occurrence whose citing year equals one year drawn
@@ -155,18 +142,12 @@ class ClusterSampler(Sampler):
     def __init__(self, py_lo: int, py_hi: int, seed: int = 0):
         if py_lo > py_hi:
             raise DomainError(f"empty citing-year range [{py_lo}, {py_hi}]")
+        super().__init__()
         self.chosen_year = random.Random(seed).randint(py_lo, py_hi)
-        self._kept: list[Occurrence] = []
 
     def offer(self, occ: Occurrence) -> None:
         if occ.py == self.chosen_year:
             self._kept.append(occ)
-
-    def retained(self) -> int:
-        return len(self._kept)
-
-    def result(self) -> list[Occurrence]:
-        return self._kept
 
 
 def random_sample(stream: Iterable[Occurrence], n: int, rng_seed: int = 0) -> list[Occurrence]:

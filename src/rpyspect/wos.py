@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import BinaryIO, Iterator, NamedTuple, Optional
+from typing import BinaryIO, Iterator, Optional
 
 from .errors import DomainError, EmptySampleError
 from .model import (
@@ -50,7 +50,7 @@ class ImportFilter:
     max_cr: int = 0
     sampling_mode: str = "NONE"
     offset: int = 0
-    seed: Optional[int] = None
+    seed: int = 0
 
     def __post_init__(self):
         for rng in (self.rpy_range, self.py_range):
@@ -64,20 +64,20 @@ class ImportFilter:
             raise DomainError(f"unknown sampling mode {self.sampling_mode!r}")
 
 
-class FileStats(NamedTuple):
-    n_citing: int
-    n_cr: int
-
-
 @dataclass
 class ParseStats:
-    """Non-fatal parse diagnostics (reported, never raised).
+    """What one pass over a WoS file saw; problems are reported, never raised.
 
     ``malformed_records`` counts records left open at EF/EOF and CR lines
-    that normalize to the empty string.
+    that normalize to the empty string; every pass given this object adds
+    to it. ``n_citing`` and ``n_cr`` are the citing records and CRs that
+    passed the year filters of the last ``analyze_file`` pass, which sets
+    them; ``import_file`` leaves them alone.
     """
 
     malformed_records: int = 0
+    n_citing: int = 0
+    n_cr: int = 0
 
     def warning(self) -> Optional[str]:
         """The line ``-v`` reports when anything was skipped, else None."""
@@ -195,7 +195,6 @@ def parse_wos(stream: BinaryIO, stats: Optional[ParseStats] = None) -> Iterator[
     """
     stats = stats if stats is not None else ParseStats()
     py: Optional[int] = None
-    doc_type = ""
     crs: list[CitedReference] = []
     open_record = False
     last_tag = ""
@@ -218,7 +217,7 @@ def parse_wos(stream: BinaryIO, stats: Optional[ParseStats] = None) -> Iterator[
                     add_cr(text)
             continue
         tag = line[:2]
-        if not (tag.isalpha() and tag.isupper() and (len(line) == 2 or line[2] == " ")):
+        if not (tag.isalpha() and tag.isupper() and (len(line) == 2 or line[2:3] == " ")):
             continue
         value = line[3:] if len(line) > 3 else ""
         if tag in ("FN", "VR"):
@@ -231,22 +230,19 @@ def parse_wos(stream: BinaryIO, stats: Optional[ParseStats] = None) -> Iterator[
             break
         if tag == "ER":
             if open_record:
-                yield CitingRecord(py=py, doc_type=doc_type, crs=tuple(crs))
+                yield CitingRecord(py=py, crs=tuple(crs))
                 open_record = False
             last_tag = ""
             continue
         if not open_record:
             open_record = True
             py = None
-            doc_type = ""
             crs = []
         if tag == "PY":
             try:
                 py = int(value.strip())
             except ValueError:
                 py = None
-        elif tag == "DT":
-            doc_type = value.strip()
         elif tag == "CR":
             if value.strip():
                 add_cr(value)
@@ -270,11 +266,15 @@ def check_format(fmt: str) -> None:
     raise DomainError(f"unknown import format {fmt!r}")
 
 
-def analyze_file(path, filt: ImportFilter, stats: Optional[ParseStats] = None) -> FileStats:
+def analyze_file(path, filt: ImportFilter, stats: Optional[ParseStats] = None) -> ParseStats:
     """Count citing records and CRs passing the year filters, without
     retaining records. Sampling fields of ``filt`` are ignored: the CR
     count is the population total the systematic sampler divides by.
+
+    The counts are stored in ``stats`` (or a new ParseStats), replacing
+    any earlier ones, and that object is returned.
     """
+    stats = stats if stats is not None else ParseStats()
     n_citing = 0
     n_cr = 0
     for rec in parse_wos_path(path, stats):
@@ -284,7 +284,9 @@ def analyze_file(path, filt: ImportFilter, stats: Optional[ParseStats] = None) -
         for cr in rec.crs:
             if _year_passes(cr.rpy, filt.rpy_range):
                 n_cr += 1
-    return FileStats(n_citing=n_citing, n_cr=n_cr)
+    stats.n_citing = n_citing
+    stats.n_cr = n_cr
+    return stats
 
 
 def _format_range(rng: Optional[YearFilter]) -> str:
@@ -299,12 +301,11 @@ def build_sampler(filt: ImportFilter, total: Optional[int] = None) -> Sampler:
     SYSTEMATIC needs ``total`` (the filtered population CR count); CLUSTER
     needs a py_range to draw the citing year from.
     """
-    seed = filt.seed if filt.seed is not None else 0
     mode = filt.sampling_mode
     if mode == "NONE":
         return NoneSampler(limit=filt.max_cr)
     if mode == "RANDOM":
-        return RandomSampler(n=filt.max_cr, seed=seed)
+        return RandomSampler(n=filt.max_cr, seed=filt.seed)
     if mode == "SYSTEMATIC":
         if total is None:
             raise DomainError("systematic sampling needs the population CR count")
@@ -312,7 +313,7 @@ def build_sampler(filt: ImportFilter, total: Optional[int] = None) -> Sampler:
     if mode == "CLUSTER":
         if filt.py_range is None:
             raise DomainError("cluster sampling requires a citing-year range")
-        return ClusterSampler(filt.py_range[0], filt.py_range[1], seed=seed)
+        return ClusterSampler(filt.py_range[0], filt.py_range[1], seed=filt.seed)
     raise DomainError(f"unknown sampling mode {mode!r}")
 
 
@@ -357,10 +358,9 @@ def import_file(
     selected = sampler.result()
     if not selected:
         raise EmptySampleError(f"{sampler.mode} sampling selected no CRs from {path}")
-    seed = filt.seed if filt.seed is not None else 0
     note = (
         f"import file={path} rpy={_format_range(filt.rpy_range)}"
         f" py={_format_range(filt.py_range)} sampling={sampler.mode}"
-        f" maxCR={filt.max_cr} offset={filt.offset} seed={seed}"
+        f" maxCR={filt.max_cr} offset={filt.offset} seed={filt.seed}"
     )
     return aggregate(selected, n_citing=n_citing, provenance=note)

@@ -43,6 +43,14 @@ class TestRun:
         assert main(["run", "missing.crs"]) == 1
         assert "missing.crs" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "script, reason",
+        [(".", "Is a directory"), ("missing.crs", "No such file or directory")],
+    )
+    def test_unreadable_script_prints_the_os_reason(self, workdir, capsys, script, reason):
+        assert main(["run", script]) == 1
+        assert capsys.readouterr().err == f"error: {script}: {reason}\n"
+
     def test_script_error_has_location(self, workdir, capsys):
         (workdir / "bad.crs").write_text('importFile(file: "nope.txt", type: "WOS")\n')
         assert main(["run", "bad.crs"]) == 1
@@ -63,6 +71,17 @@ class TestRun:
             assert main(["-v", "run", "s.crs"] if verbose else ["run", "s.crs"]) == 0
             warned = "warning: 1 malformed records or CR lines skipped" in capsys.readouterr().err
             assert warned == verbose, name
+
+    @pytest.mark.parametrize("verbose", [False, True])
+    def test_sample_warns_about_skipped_cr_line_only_when_verbose(
+        self, tmp_path, monkeypatch, capsys, verbose
+    ):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "dots.txt").write_text("PT J\nPY 2011\nCR A B, 2000, J\n   ...\nER\nEF\n")
+        args = ["sample", "dots.txt", "--out", "dots.cre"]
+        assert main(["-v", *args] if verbose else args) == 0
+        warned = "warning: 1 malformed records or CR lines skipped" in capsys.readouterr().err
+        assert warned == verbose
 
     def test_script_not_utf8_exits_nonzero(self, workdir, capsys):
         (workdir / "latin1.crs").write_bytes(b"info()\xff\n")
@@ -233,18 +252,48 @@ class TestSpectro:
             (3, 1, "-1"),  # #SUMMARY n_citing negative
             (3, 2, "0"),  # #SUMMARY n_cr_total below the table's sum(ncr)
             (5, 0, "a  b, 2000, j"),  # key that normalize_key would change
+            (3, 1, "+3"),  # #SUMMARY n_citing with a sign
+            (5, 7, " 1"),  # ncr with a leading space
+            (5, 2, "١٩٩٠"),  # rpy in Arabic-Indic digits
+            (5, 8, "-0"),  # cluster_id with a sign
+            (6, 2, "1999"),  # second row's rpy sorts before the first row's
+            (0, 1, "01"),  # version with a leading zero
         ],
     )
     def test_bad_cre_field_fails_with_location(self, tmp_path, capsys, line, column, value):
-        (tmp_path / "in.txt").write_text("PT J\nPY 2011\nCR A B, 2000, J\nER\nEF\n")
-        path = tmp_path / "bad.cre"
-        save_cre(import_file(tmp_path / "in.txt", ImportFilter()), path)
-        lines = path.read_text().split("\n")
+        lines = two_row_cre_lines(tmp_path)
         cols = lines[line].split("\t")
         cols[column] = value
         lines[line] = "\t".join(cols)
-        body = "\n".join(lines[:-3]) + "\n"
-        lines[-3] = f"#CHECKSUM\t{hashlib.sha256(body.encode()).hexdigest()}"
-        path.write_text("\n".join(lines))
-        assert main(["spectro", str(path), "--out", str(tmp_path / "g.csv")]) == 1
+        resign(tmp_path / "bad.cre", lines)
+        assert main(["spectro", str(tmp_path / "bad.cre"), "--out", str(tmp_path / "g.csv")]) == 1
         assert f"bad.cre: line {line + 1}:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("undate_first", [False, True])
+    def test_rows_out_of_canonical_order_fail_with_location(self, tmp_path, capsys, undate_first):
+        lines = two_row_cre_lines(tmp_path)
+        if undate_first:  # an undated row before a dated one
+            cols = lines[5].split("\t")
+            cols[2] = ""
+            lines[5] = "\t".join(cols)
+        else:  # the two (2000, key) rows swapped
+            lines[5], lines[6] = lines[6], lines[5]
+        resign(tmp_path / "bad.cre", lines)
+        assert main(["spectro", str(tmp_path / "bad.cre"), "--out", str(tmp_path / "g.csv")]) == 1
+        assert "bad.cre: line 7: row is out of (rpy, key) order" in capsys.readouterr().err
+
+
+def two_row_cre_lines(tmp_path) -> list[str]:
+    """The lines of a saved CRE whose rows (lines 6 and 7) are
+    "A B, 2000, J" and "C D, 2000, K"."""
+    (tmp_path / "in.txt").write_text("PT J\nPY 2011\nCR A B, 2000, J\n   C D, 2000, K\nER\nEF\n")
+    path = tmp_path / "good.cre"
+    save_cre(import_file(tmp_path / "in.txt", ImportFilter()), path)
+    return path.read_text(encoding="utf-8").split("\n")
+
+
+def resign(path, lines: list[str]) -> None:
+    """Write ``lines`` with a #CHECKSUM that matches their body."""
+    body = "\n".join(lines[:-3]) + "\n"
+    lines[-3] = f"#CHECKSUM\t{hashlib.sha256(body.encode()).hexdigest()}"
+    path.write_text("\n".join(lines), encoding="utf-8")

@@ -6,6 +6,7 @@ import random
 from dataclasses import replace
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from rpyspect.errors import (
     CreFormatError,
@@ -26,7 +27,7 @@ from rpyspect.formats import (
 )
 from rpyspect.model import Dataset, Occurrence, Spectrogram, SpectroRow, aggregate
 from rpyspect.spectroscopy import compute_spectrogram, n_pct
-from rpyspect.wos import parse_cr_line
+from rpyspect.wos import ImportFilter, import_file, parse_cr_line
 
 from conftest import dataset_fields
 
@@ -126,6 +127,65 @@ class TestCreRoundTrip:
     def test_missing_file(self, tmp_path):
         with pytest.raises(OSError):
             load_cre(tmp_path / "absent.cre")
+
+
+# CR-line pieces: years in ASCII, Arabic-Indic and superscript digits,
+# volume/page/DOI look-alikes, punctuation-only and whitespace tokens, and
+# bytes that are not UTF-8 (the reader decodes such a line as Latin-1).
+CR_TOKENS = [
+    t.encode("utf-8")
+    for t in ("SMITH J", "A B", "1990", "١٩٩٠", "¹⁹⁹⁰", "0999", "NATURE", "V35", "V²")
+    + ("P215", "P19-32", "P_1", "DOI 10.1/X", "DOI ", "", "...", ";", "é", "\t", "  ")
+] + [b"M\xdcLLER", b"\xc3", b"\x85"]
+cr_text = st.lists(st.sampled_from(CR_TOKENS), max_size=6).map(b", ".join)
+tag_line = st.one_of(
+    st.sampled_from([b"FN X", b"VR 1.0", b"PT J", b"ER", b"EF", b"DT Article", b"ZZ z"]),
+    st.sampled_from([b"", b"PY", b"PY x", b"PY 1990", b"PY 2011", b"PY 2013"]),
+    cr_text.map(lambda t: b"CR " + t),
+    cr_text.map(lambda t: b"   " + t),
+    st.binary(max_size=8),
+)
+# Whole records, each followed by up to two loose lines, so that most
+# imports keep some CRs.
+record = st.builds(
+    lambda py, crs, loose: [b"PT J", py, *crs, b"ER", *loose],
+    st.sampled_from([b"PY 1990", b"PY 2011", b"PY 2013", b"PY x"]),
+    st.lists(cr_text.map(lambda t: b"CR " + t), min_size=1, max_size=4),
+    st.lists(tag_line, max_size=2),
+)
+wos_files = st.builds(
+    lambda records, eol: b"".join(line + eol for rec in records for line in rec),
+    st.lists(record, max_size=6),
+    st.sampled_from([b"\n", b"\r\n"]),
+)
+IMPORT_FILTERS = [
+    ImportFilter(),
+    ImportFilter(rpy_range=(1980, 2000, True), py_range=(1995, 2012, False)),
+    ImportFilter(max_cr=3),
+    ImportFilter(max_cr=2, sampling_mode="RANDOM", seed=1),
+    ImportFilter(max_cr=2, sampling_mode="SYSTEMATIC", offset=1),
+    ImportFilter(py_range=(2011, 2013, True), sampling_mode="CLUSTER", seed=2),
+]
+
+
+class TestWosToCre:
+    @settings(max_examples=300, deadline=None)
+    @given(data=wos_files, filt=st.sampled_from(IMPORT_FILTERS))
+    @example(data=b"A\nPT J\nCR A B, 2000, J\nER\n", filt=ImportFilter())  # one-letter line
+    def test_import_save_load_round_trips(self, tmp_path_factory, data, filt):
+        """Whatever the WoS reader imports, the CRE writer saves and the
+        reader loads back unchanged, in the same canonical bytes."""
+        base = tmp_path_factory.getbasetemp()
+        (base / "fuzz.txt").write_bytes(data)
+        try:
+            ds = import_file(base / "fuzz.txt", filt)
+        except RpysError:
+            return
+        settings_ = {"median_range": 2, "n_pct_range": 0}
+        save_cre(ds, base / "fuzz.cre", settings=settings_)
+        loaded = load_cre(base / "fuzz.cre")
+        assert dataset_fields(loaded) == dataset_fields(ds)
+        assert cre_bytes(loaded, settings=settings_) == (base / "fuzz.cre").read_bytes()
 
 
 def tiny_dataset():

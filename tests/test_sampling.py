@@ -103,7 +103,7 @@ class TestClusterSample:
             crs = tuple(
                 CitedReference(raw=f"WORK {py} {i}, 1990, J") for i in range(n)
             )
-            recs.append(CitingRecord(py=py, doc_type="Article", crs=crs))
+            recs.append(CitingRecord(py=py, crs=crs))
         return recs
 
     def test_fixed_year_selects_that_year(self):
