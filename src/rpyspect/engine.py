@@ -1,11 +1,12 @@
 """Execution of parsed scripts against the analysis modules.
 
 Statements run in order, mutating one Environment. Loop iterations each
-start from a fresh dataset (and a private copy of the settings), write
-their result as a CRE file into the loop directory, and forEachUnion
-folds those files back into the environment's dataset; re-clustering
-after a union stays an explicit step, never an implicit one. Every
-module error is re-raised with the failing statement's source location.
+start from a fresh dataset and a private copy of the settings (the run's
+population counts stay shared), write their result as a CRE file into
+the loop directory, and forEachUnion folds those files back into the
+environment's dataset; re-clustering after a union stays an explicit
+step, never an implicit one. Every module error is re-raised with the
+failing statement's source location.
 """
 
 from __future__ import annotations
@@ -28,8 +29,16 @@ DEFAULT_SETTINGS = {"median_range": 2, "n_pct_range": 0}
 @dataclass
 class Environment:
     """Mutable interpreter state: settings, the working dataset, seeds,
-    the verbosity (the CLI's ``-v`` count) and the sink that receives
-    info() lines and, when verbose, import warnings."""
+    the verbosity (the CLI's ``-v`` count), the sink that receives
+    info() lines and, when verbose, import warnings, and the run's
+    population counts.
+
+    ``population_counts`` maps a file's identity and year filters (see
+    ``_population_key``) to the number of CRs that pass them. analyzeFile
+    fills it and a SYSTEMATIC importFile reads it, counting only on a
+    miss, so a loop of k systematic samples reads the file k + 1 times
+    rather than 2k. Loop iterations share the parent's dict.
+    """
 
     settings: dict[str, int] = field(default_factory=lambda: dict(DEFAULT_SETTINGS))
     dataset: Optional[Dataset] = None
@@ -38,6 +47,7 @@ class Environment:
     iteration: Optional[int] = None
     verbose: int = 0
     sink: Callable[[str], None] = lambda line: print(line, file=sys.stderr)
+    population_counts: dict[tuple, int] = field(default_factory=dict)
 
     def child(self, iteration: int) -> Environment:
         return Environment(
@@ -48,6 +58,7 @@ class Environment:
             iteration=iteration,
             verbose=self.verbose,
             sink=self.sink,
+            population_counts=self.population_counts,
         )
 
     def require_dataset(self) -> Dataset:
@@ -102,18 +113,39 @@ def _import_filter(args: dict, env: Environment) -> wos.ImportFilter:
     )
 
 
+def _population_key(path, filt: wos.ImportFilter) -> tuple:
+    """The file's identity and the year filters: what a CR count depends on.
+
+    Writes are atomic renames, so a file rewritten during the run has a
+    new inode (and usually a new size and mtime) and is counted again.
+    """
+    st = os.stat(path)
+    return (st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns, filt.py_range, filt.rpy_range)
+
+
 def _call_import(stmt: Call, env: Environment, bindings: dict) -> None:
     args = _args(stmt, bindings)
     wos.check_format(args["type"])
+    filt = _import_filter(args, env)
+    sampler = None
+    if filt.sampling_mode == "SYSTEMATIC":
+        key = _population_key(args["file"], filt)
+        total = env.population_counts.get(key)
+        if total is None:
+            total = env.population_counts[key] = wos.analyze_file(args["file"], filt).n_cr
+        sampler = wos.build_sampler(filt, total=total)
     stats = wos.ParseStats()
-    env.dataset = wos.import_file(args["file"], _import_filter(args, env), stats=stats)
+    env.dataset = wos.import_file(args["file"], filt, sampler=sampler, stats=stats)
     _warn_skipped(stats, env)
 
 
 def _call_analyze(stmt: Call, env: Environment, bindings: dict) -> None:
     args = _args(stmt, bindings)
     wos.check_format(args["type"])
-    stats = wos.analyze_file(args["file"], _import_filter(args, env))
+    filt = _import_filter(args, env)
+    key = _population_key(args["file"], filt)
+    stats = wos.analyze_file(args["file"], filt)
+    env.population_counts[key] = stats.n_cr
     _warn_skipped(stats, env)
     env.sink(f"analyzed {args['file']}: citing={stats.n_citing} crs={stats.n_cr}")
 

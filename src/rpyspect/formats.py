@@ -37,11 +37,15 @@ _TABLE_COLUMNS = (
     "cluster_id",
     "n_py_years",
 )
-
+_TABLE_LINE = "\t".join(_TABLE_COLUMNS)
 
 # The only integer spelling cre_bytes writes: ASCII digits, no sign, no
 # leading zero. int() would also read "+3", " 1", "1_0" and "١٩٩٠".
 _CANONICAL_INT = re.compile(r"0|[1-9][0-9]*").fullmatch
+
+# One #SETTINGS pair. Script settings are integers, and arithmetic such as
+# ``0-1`` can make them negative.
+_SETTING = re.compile(r"[A-Za-z_][A-Za-z0-9_]*=(?:0|-?[1-9][0-9]*)").fullmatch
 
 
 def _int(text: str, name: str, where: str) -> int:
@@ -55,16 +59,12 @@ def _clean(text: str) -> str:
     return text.replace("\t", " ").replace("\n", " ").replace("\r", " ")
 
 
-def _fmt_settings(settings: Optional[Mapping[str, object]]) -> str:
-    if not settings:
-        return ""
-    parts = []
-    for key in sorted(settings):
-        val = settings[key]
-        if isinstance(val, bool):
-            val = "true" if val else "false"
-        parts.append(f"{key}={val}")
-    return " ".join(parts)
+def _fmt_settings(settings: Optional[Mapping[str, int]]) -> str:
+    text = " ".join(f"{key}={settings[key]}" for key in sorted(settings or ()))
+    # The reader's rule, so that every file written loads back.
+    if not _canonical_settings(text):
+        raise DomainError(f"settings must map names to integers, got {dict(settings)!r}")
+    return text
 
 
 def _opt(value) -> str:
@@ -84,7 +84,7 @@ def _atomic_write(path, data: bytes) -> None:
         raise
 
 
-def cre_bytes(dataset: Dataset, settings: Optional[Mapping[str, object]] = None) -> bytes:
+def cre_bytes(dataset: Dataset, settings: Optional[Mapping[str, int]] = None) -> bytes:
     """Serialize a dataset to CRE v1 bytes (canonical variant order:
     rpy then key, undated variants last)."""
     lines = [f"{CRE_MAGIC}\t{CRE_VERSION}"]
@@ -116,21 +116,24 @@ def cre_bytes(dataset: Dataset, settings: Optional[Mapping[str, object]] = None)
     return (body + f"#CHECKSUM\t{digest}\n#END\n").encode("utf-8")
 
 
-def save_cre(dataset: Dataset, path, settings: Optional[Mapping[str, object]] = None) -> None:
+def save_cre(dataset: Dataset, path, settings: Optional[Mapping[str, int]] = None) -> None:
     _atomic_write(path, cre_bytes(dataset, settings))
 
 
 def load_cre(path) -> Dataset:
-    """Load a CRE v1 file, verifying version, checksum, row count, fields
-    and row order.
+    """Load a CRE v1 file, verifying version, checksum, header lines, row
+    count, fields and row order.
 
     References are rebuilt from the stored fields; the verbatim raw string
     is not part of the format, so it comes back as the normalized key, and
-    the per-variant citing-year sets come back as bare counts. A bad field
-    (an integer not spelled as ``cre_bytes`` writes it, an ncr below 1, a
-    year outside the valid range, an empty or unnormalized key, an
-    n_cr_total below the table's sum of ncr) or a row out of canonical
-    order raises CreFormatError naming the file and the 1-based line.
+    the per-variant citing-year sets come back as bare counts. A header
+    line that ``cre_bytes`` would not write (no tab after its tag, a tab
+    or CR in the provenance, settings that are not sorted name=integer
+    pairs, other table columns), a bad field (an integer not spelled as
+    ``cre_bytes`` writes it, an ncr below 1, a year outside the valid
+    range, an empty or unnormalized key, an n_cr_total below the table's
+    sum of ncr) or a row out of canonical order raises CreFormatError
+    naming the file and the 1-based line.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -158,16 +161,20 @@ def load_cre(path) -> Dataset:
     if version != CRE_VERSION:
         raise FormatVersionError(f"{path}: unsupported CRE version {version}")
 
-    provenance = _expect(lines[1], "#PROVENANCE", path)
-    _expect(lines[2], "#SETTINGS", path)
-    summary = _expect(lines[3], "#SUMMARY", path).split("\t")
+    provenance = _header(lines, 1, "#PROVENANCE", path)
+    if "\t" in provenance or "\r" in provenance:
+        raise CreFormatError(f"{path}: line 2: #PROVENANCE holds a tab or CR")
+    if not _canonical_settings(_header(lines, 2, "#SETTINGS", path)):
+        raise CreFormatError(f"{path}: line 3: #SETTINGS is not sorted name=integer pairs")
+    summary = _header(lines, 3, "#SUMMARY", path).split("\t")
     if len(summary) != 3:
-        raise CreFormatError(f"{path}: malformed #SUMMARY line")
+        raise CreFormatError(f"{path}: line 4: malformed #SUMMARY line")
     n_citing, n_cr_total, n_variants = (
         _int(field, name, f"{path}: line 4")
         for field, name in zip(summary, ("n_citing", "n_cr_total", "n_variants"))
     )
-    _expect(lines[4], "#TABLE", path)
+    if _header(lines, 4, "#TABLE", path) != _TABLE_LINE:
+        raise CreFormatError(f"{path}: line 5: #TABLE columns are not {_TABLE_LINE!r}")
 
     rows = lines[5:-2]
     if len(rows) != n_variants:
@@ -225,10 +232,22 @@ def load_cre(path) -> Dataset:
     )
 
 
-def _expect(line: str, tag: str, path) -> str:
-    if not line.startswith(tag + "\t") and line != tag:
-        raise CreFormatError(f"{path}: expected {tag} line, got {line!r}")
-    return line[len(tag) + 1 :] if len(line) > len(tag) else ""
+def _header(lines: list[str], index: int, tag: str, path) -> str:
+    """The text after ``tag`` and its tab on header line ``index``."""
+    line = lines[index]
+    if not line.startswith(tag + "\t"):
+        raise CreFormatError(f"{path}: line {index + 1}: expected {tag} and a tab, got {line!r}")
+    return line[len(tag) + 1 :]
+
+
+def _canonical_settings(text: str) -> bool:
+    """Whether ``text`` is a canonical #SETTINGS text: empty, or
+    name=integer pairs joined by single spaces, names strictly rising."""
+    if not text:
+        return True
+    pairs = text.split(" ")
+    names = [pair.split("=", 1)[0] for pair in pairs]
+    return all(map(_SETTING, pairs)) and all(a < b for a, b in zip(names, names[1:]))
 
 
 def _fmt_num(x: float) -> str:

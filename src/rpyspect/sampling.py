@@ -98,8 +98,10 @@ class SystematicSampler(Sampler):
     """Equidistant selection: positions offset, offset+step, ... with
     step = max(1, floor(total / n)), truncated to at most n picks.
 
-    ``total`` must be the exact occurrence count the stream will yield
-    (the import pipeline establishes it with a prior counting pass).
+    ``total`` must be the exact occurrence count the stream will yield:
+    ``wos.import_file`` establishes it with a prior counting pass, and
+    the script engine reuses one count per file and year filters for the
+    whole run (``wos.build_sampler`` rejects a total of 0 first).
     """
 
     mode = "SYSTEMATIC"

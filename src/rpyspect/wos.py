@@ -298,8 +298,11 @@ def _format_range(rng: Optional[YearFilter]) -> str:
 def build_sampler(filt: ImportFilter, total: Optional[int] = None) -> Sampler:
     """Construct the sampler an ImportFilter asks for.
 
-    SYSTEMATIC needs ``total`` (the filtered population CR count); CLUSTER
-    needs a py_range to draw the citing year from.
+    SYSTEMATIC needs ``total``, the count of CRs that pass the year
+    filters (``analyze_file(...).n_cr``); a total of 0 raises
+    EmptySampleError, for ``import_file``'s own count and for the script
+    engine's cached one alike. CLUSTER needs a py_range to draw the
+    citing year from.
     """
     mode = filt.sampling_mode
     if mode == "NONE":
@@ -309,6 +312,8 @@ def build_sampler(filt: ImportFilter, total: Optional[int] = None) -> Sampler:
     if mode == "SYSTEMATIC":
         if total is None:
             raise DomainError("systematic sampling needs the population CR count")
+        if total == 0:
+            raise EmptySampleError("SYSTEMATIC sample is empty: no CRs pass the filters")
         return SystematicSampler(n=filt.max_cr, total=total, offset=filt.offset)
     if mode == "CLUSTER":
         if filt.py_range is None:
@@ -326,16 +331,16 @@ def import_file(
 ) -> Dataset:
     """Stream a WoS file through the filters and a sampler into a Dataset.
 
-    For SYSTEMATIC sampling the population CR count is established with an
-    automatic counting pass (the file is read twice rather than buffered).
-    Raises EmptySampleError when the sampler selects nothing.
+    Without a ``sampler`` one is built from ``filt``; for SYSTEMATIC
+    sampling that first runs a counting pass (``analyze_file``) for the
+    population CR count, so the file is read twice rather than buffered.
+    A caller that already knows the count passes a sampler built with
+    ``build_sampler(filt, total=...)`` and saves that pass, as the script
+    engine does. Raises EmptySampleError when the population or the
+    selection is empty.
     """
     if sampler is None:
-        total = None
-        if filt.sampling_mode == "SYSTEMATIC":
-            total = analyze_file(path, filt).n_cr
-            if total == 0:
-                raise EmptySampleError("SYSTEMATIC sample is empty: no CRs pass the filters")
+        total = analyze_file(path, filt).n_cr if filt.sampling_mode == "SYSTEMATIC" else None
         sampler = build_sampler(filt, total=total)
 
     n_citing = 0

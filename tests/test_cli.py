@@ -1,15 +1,23 @@
 from __future__ import annotations
 
 import hashlib
+import io
+import os
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from rpyspect import wos
 from rpyspect.cli import main
 from rpyspect.engine import DEFAULT_SETTINGS, Environment, execute
-from rpyspect.formats import cre_bytes, load_cre, save_cre
+from rpyspect.errors import EmptySampleError
+from rpyspect.formats import cre_bytes, load_cre, save_cre, union_cre
 from rpyspect.script import parse_script
 from rpyspect.spectroscopy import compute_spectrogram
 from rpyspect.wos import ImportFilter, import_file
+
+from corpus import make_corpus
 
 
 LISTING1 = """\
@@ -128,6 +136,138 @@ class TestRun:
         first = (workdir / "s.cre").read_bytes()
         main(["run", "loop.crs", "--seed", "2"])
         assert (workdir / "s.cre").read_bytes() != first
+
+
+def systematic(offset: str = "0", extra: str = "") -> str:
+    """A SYSTEMATIC importFile of corpus.txt: 1,250 of its 5,000 CRs,
+    ``offset`` and ``extra`` (more arguments) in script syntax."""
+    return (
+        f'importFile(file: "corpus.txt", type: "WOS"{extra}, sampling: "SYSTEMATIC",'
+        f" maxCR: 1250, offset: {offset})\n"
+    )
+
+
+@pytest.fixture()
+def count_passes(monkeypatch):
+    """Records (file name, py_range, rpy_range) for every counting pass."""
+    calls = []
+    real = wos.analyze_file
+
+    def counting(path, filt, stats=None):
+        calls.append((os.path.basename(path), filt.py_range, filt.rpy_range))
+        return real(path, filt, stats)
+
+    monkeypatch.setattr(wos, "analyze_file", counting)
+    return calls
+
+
+class TestPopulationCountCache:
+    def test_systematic_loop_counts_once_and_matches_separate_samples(
+        self, workdir, count_passes
+    ):
+        (workdir / "loop.crs").write_text(
+            "forEachUnion(count: 4, { index ->\n"
+            + "    "
+            + systematic("index")
+            + "})\n"
+            + 'saveFile(file: "loop.cre")\n'
+        )
+        assert main(["run", "loop.crs"]) == 0
+        assert len(count_passes) == 1
+
+        # The union names its inputs, so the samples take the loop's file names.
+        (workdir / "samples").mkdir()
+        files = [workdir / "samples" / f"iter_{i:04d}.cre" for i in range(4)]
+        for i, path in enumerate(files):
+            args = ["--mode", "systematic", "--n", "1250", "--offset", str(i)]
+            assert main(["sample", "corpus.txt", *args, "--out", str(path)]) == 0
+        assert len(count_passes) == 5
+        save_cre(union_cre(files), "separate.cre", settings=DEFAULT_SETTINGS)
+        assert (workdir / "loop.cre").read_bytes() == (workdir / "separate.cre").read_bytes()
+
+    def test_analyze_then_systematic_import_counts_once(self, workdir, count_passes):
+        rpy = ", RPY: [1970, 2010, false]"
+        (workdir / "s.crs").write_text(
+            f'analyzeFile(file: "corpus.txt", type: "WOS"{rpy})\n'
+            + systematic(extra=rpy)
+            + 'saveFile(file: "s.cre")\n'
+        )
+        assert main(["run", "s.crs"]) == 0
+        assert count_passes == [("corpus.txt", None, (1970, 2010, False))]
+        args = ["--mode", "systematic", "--n", "1250", "--rpy", "1970:2010"]
+        assert main(["sample", "corpus.txt", *args, "--out", "alone.cre"]) == 0
+        assert (workdir / "s.cre").read_bytes() == (workdir / "alone.cre").read_bytes()
+
+    def test_each_pair_of_year_filters_counts_on_its_own(self, workdir, count_passes):
+        filters = [
+            "",
+            ", RPY: [1970, 2010, false]",
+            ", RPY: [1970, 2010, true]",
+            ", PY: [1980, 2014, false]",
+            ", RPY: [1970, 2010, false], PY: [1980, 2014, false]",
+        ]
+        # Each filter twice: only its first import counts.
+        (workdir / "s.crs").write_text("".join(systematic(extra=f) for f in filters * 2))
+        assert main(["run", "s.crs"]) == 0
+        assert count_passes == [
+            ("corpus.txt", None, None),
+            ("corpus.txt", None, (1970, 2010, False)),
+            ("corpus.txt", None, (1970, 2010, True)),
+            ("corpus.txt", (1980, 2014, False), None),
+            ("corpus.txt", (1980, 2014, False), (1970, 2010, False)),
+        ]
+
+    def test_file_rewritten_by_the_script_is_counted_again(self, workdir, count_passes, capsys):
+        # saveFile replaces corpus.txt with a CRE file, which holds no WoS
+        # record, so the recount finds no CRs; a stale count of 5,000 would
+        # reach the reader and fail there instead.
+        (workdir / "s.crs").write_text(
+            systematic() + 'saveFile(file: "corpus.txt")\n' + systematic()
+        )
+        assert main(["run", "s.crs"]) == 1
+        assert len(count_passes) == 2
+        err = capsys.readouterr().err
+        assert "line 3, col 1: SYSTEMATIC sample is empty: no CRs pass the filters" in err
+
+    def test_file_replaced_between_statements_is_counted_again(self, workdir, count_passes):
+        # One Environment is one run; the file changes between its statements.
+        env = Environment(sink=lambda line: None)
+        program = parse_script(systematic())
+        execute(program, env)
+        make_corpus(seed=12).write(workdir / "other.txt")
+        os.replace(workdir / "other.txt", workdir / "corpus.txt")
+        execute(program, env)
+        assert len(count_passes) == 2
+        filt = ImportFilter(max_cr=1250, sampling_mode="SYSTEMATIC")
+        assert env.dataset == import_file("corpus.txt", filt)
+        assert len(count_passes) == 3
+
+
+class TestEmptySystematicPopulation:
+    """A year filter that no CR passes leaves SYSTEMATIC nothing to divide."""
+
+    MESSAGE = "SYSTEMATIC sample is empty: no CRs pass the filters"
+
+    def test_import_file_raises(self, workdir):
+        filt = ImportFilter(rpy_range=(1900, 1901, False), max_cr=10, sampling_mode="SYSTEMATIC")
+        with pytest.raises(EmptySampleError) as err:
+            import_file("corpus.txt", filt)
+        assert str(err.value) == self.MESSAGE
+
+    def test_sample_exits_1(self, workdir, capsys):
+        args = ["--mode", "systematic", "--n", "10", "--rpy", "1900:1901", "--out", "e.cre"]
+        assert main(["sample", "corpus.txt", *args]) == 1
+        assert capsys.readouterr().err == f"error: {self.MESSAGE}\n"
+        assert not (workdir / "e.cre").exists()
+
+    def test_script_exits_1_at_the_statement(self, workdir, capsys):
+        (workdir / "s.crs").write_text(
+            "info()\n" + systematic(extra=", RPY: [1900, 1901, false]")
+        )
+        assert main(["run", "s.crs"]) == 1
+        assert capsys.readouterr().err.endswith(
+            f"error: s.crs: line 2, col 1: {self.MESSAGE}\n"
+        )
 
 
 class TestAnalyze:
@@ -258,12 +398,28 @@ class TestSpectro:
             (5, 8, "-0"),  # cluster_id with a sign
             (6, 2, "1999"),  # second row's rpy sorts before the first row's
             (0, 1, "01"),  # version with a leading zero
+            (1, 1, "a\tb"),  # #PROVENANCE holding a tab
+            (1, 1, "a\rb"),  # #PROVENANCE holding a CR
+            (1, 1, None),  # bare #PROVENANCE, no tab
+            (2, 1, "zzz garbage ==="),  # #SETTINGS not name=integer pairs
+            (2, 1, None),  # bare #SETTINGS, no tab
+            (2, 1, "n_pct_range=0 median_range=2"),  # #SETTINGS names out of order
+            (2, 1, "median_range=2 median_range=2"),  # #SETTINGS name repeated
+            (2, 1, "median_range=02"),  # #SETTINGS value with a leading zero
+            (2, 1, "median_range=2 "),  # #SETTINGS with a trailing space
+            (3, 3, None),  # #SUMMARY with two columns
+            (4, 1, "KEY"),  # #TABLE column renamed
+            (4, 10, "n_py_years\textra"),  # #TABLE with an extra column
         ],
     )
     def test_bad_cre_field_fails_with_location(self, tmp_path, capsys, line, column, value):
+        """``value`` None drops the column, and its tab with it."""
         lines = two_row_cre_lines(tmp_path)
         cols = lines[line].split("\t")
-        cols[column] = value
+        if value is None:
+            del cols[column]
+        else:
+            cols[column] = value
         lines[line] = "\t".join(cols)
         resign(tmp_path / "bad.cre", lines)
         assert main(["spectro", str(tmp_path / "bad.cre"), "--out", str(tmp_path / "g.csv")]) == 1
@@ -297,3 +453,93 @@ def resign(path, lines: list[str]) -> None:
     body = "\n".join(lines[:-3]) + "\n"
     lines[-3] = f"#CHECKSUM\t{hashlib.sha256(body.encode()).hexdigest()}"
     path.write_text("\n".join(lines), encoding="utf-8")
+
+
+# The base input of the corruption properties, small so that each line is
+# often hit: 3 records of 3 CRs (and, for spectro, their CRE).
+BASE_WOS = make_corpus(seed=3, n_records=3, crs_per_record=3, n_works=6, misspell_rate=0.3)
+CORRUPTIONS = ("truncate", "duplicate", "drop", "swap", "flip", "field")
+
+
+@st.composite
+def corrupted(draw, data: bytes, signed: bool) -> bytes:
+    """``data`` after 1 or 2 corruptions: truncation at any byte, a line
+    duplicated, dropped or swapped with another, a tab-separated field of
+    a line dropped or duplicated, or one bit flipped; for a CRE
+    (``signed``), mostly with its #CHECKSUM line re-signed after."""
+    for op in draw(st.lists(st.sampled_from(CORRUPTIONS), min_size=1, max_size=2)):
+        lines = data.splitlines(keepends=True)
+        if op == "truncate":
+            data = data[: draw(st.integers(0, len(data)))]
+        elif op == "flip" and data:
+            pos = draw(st.integers(0, len(data) - 1))
+            data = data[:pos] + bytes([data[pos] ^ 1 << draw(st.integers(0, 7))]) + data[pos + 1 :]
+        elif lines:
+            i = draw(st.integers(0, len(lines) - 1))
+            if op == "duplicate":
+                lines.insert(i, lines[i])
+            elif op == "drop":
+                del lines[i]
+            elif op == "field":
+                fields = lines[i].split(b"\t")
+                k = draw(st.integers(0, len(fields) - 1))
+                fields[k : k + 1] = [fields[k]] * draw(st.sampled_from([0, 2]))
+                lines[i] = b"\t".join(fields)
+            else:
+                j = draw(st.integers(0, len(lines) - 1))
+                lines[i], lines[j] = lines[j], lines[i]
+            data = b"".join(lines)
+    if signed and draw(st.integers(0, 3)):
+        data = resign_bytes(data)
+    return data
+
+
+def resign_bytes(data: bytes) -> bytes:
+    """Replace the first #CHECKSUM line's digest with that of the lines above it."""
+    lines = data.split(b"\n")
+    for i, line in enumerate(lines):
+        if line.startswith(b"#CHECKSUM\t"):
+            body = b"\n".join(lines[:i]) + b"\n"
+            lines[i] = b"#CHECKSUM\t" + hashlib.sha256(body).hexdigest().encode()
+            break
+    return b"\n".join(lines)
+
+
+def quiet_main(argv: list[str]) -> int:
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        return main(argv)
+
+
+class TestCorruptInputs:
+    """Whatever a data file holds, the CLI ends with exit 0 or 1, never a
+    traceback."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=corrupted(BASE_WOS.wos_bytes(), signed=False))
+    def test_wos_commands_exit_0_or_1(self, tmp_path_factory, data):
+        base = tmp_path_factory.getbasetemp()
+        wos_path, out = base / "c.txt", str(base / "c.cre")
+        wos_path.write_bytes(data)
+        (base / "c.crs").write_text(
+            f'importFile(file: "{wos_path}", type: "WOS", sampling: "SYSTEMATIC",'
+            f' maxCR: 4, offset: 1)\nsaveFile(file: "{out}")\n'
+        )
+        for argv in (
+            ["analyze", str(wos_path)],
+            ["sample", str(wos_path), "--mode", "random", "--n", "4", "--out", out],
+            ["sample", str(wos_path), "--mode", "systematic", "--n", "4", "--offset", "1"]
+            + ["--out", out],
+            ["run", str(base / "c.crs")],
+        ):
+            assert quiet_main(argv) in (0, 1), argv
+
+    @settings(max_examples=400, deadline=None)
+    @given(data=st.data())
+    def test_spectro_exits_0_or_1(self, tmp_path_factory, data):
+        base = tmp_path_factory.getbasetemp()
+        (base / "base.txt").write_bytes(BASE_WOS.wos_bytes())
+        base_cre = import_file(base / "base.txt", ImportFilter())
+        save_cre(base_cre, base / "base.cre", settings=DEFAULT_SETTINGS)
+        cre = data.draw(corrupted((base / "base.cre").read_bytes(), signed=True))
+        (base / "c.cre").write_bytes(cre)
+        assert quiet_main(["spectro", str(base / "c.cre"), "--out", str(base / "g.csv")]) in (0, 1)

@@ -84,6 +84,19 @@ class TestCreRoundTrip:
         loaded = load_cre(path)
         assert dataset_fields(loaded) == dataset_fields(ds)
 
+    def test_negative_setting_round_trips(self, tmp_path):
+        # A script can set one below 0 with arithmetic: set(n_pct_range: 0-1).
+        path = tmp_path / "neg.cre"
+        settings_ = {"median_range": 2, "n_pct_range": -1}
+        save_cre(random_dataset(3), path, settings=settings_)
+        assert cre_bytes(load_cre(path), settings=settings_) == path.read_bytes()
+
+    @pytest.mark.parametrize("settings_", [{"flag": True}, {"a b": 1}, {"n": 1.5}])
+    def test_setting_the_reader_would_reject_is_not_written(self, tmp_path, settings_):
+        with pytest.raises(DomainError, match="settings must map names to integers"):
+            save_cre(random_dataset(3), tmp_path / "s.cre", settings=settings_)
+        assert not (tmp_path / "s.cre").exists()
+
     def test_checksum_detects_corruption(self, tmp_path):
         path = tmp_path / "c.cre"
         save_cre(random_dataset(2), path)
