@@ -18,6 +18,7 @@ from .model import (
     Spectrogram,
     aggregate,
     normalize_key,
+    parse_key,
 )
 from .sampling import (
     cluster_sample,

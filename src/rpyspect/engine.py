@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from . import clustering, formats, spectroscopy, wos
-from .errors import RpysError, ScriptError
+from .errors import DomainError, RpysError, ScriptError
 from .model import Dataset
 from .script import Call, Loop, ScriptProgram, Statement, eval_expr
 
@@ -95,7 +95,13 @@ def _triple(value) -> tuple[int, int, bool]:
 
 
 def _call_set(stmt: Call, env: Environment, bindings: dict) -> None:
-    env.settings.update(_args(stmt, bindings))
+    args = _args(stmt, bindings)
+    # Checked here, not where a setting is used: a saveFile in between
+    # would write the bad value into a CRE's #SETTINGS.
+    for name, value in args.items():
+        if value < 0:
+            raise DomainError(f"{name} must be >= 0, got {value}")
+    env.settings.update(args)
 
 
 def _import_filter(args: dict, env: Environment) -> wos.ImportFilter:

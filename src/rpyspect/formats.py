@@ -20,7 +20,7 @@ from typing import Mapping, Optional, Sequence
 
 from . import model, spectroscopy
 from .errors import ChecksumError, CreFormatError, DomainError, EmptyDatasetError, FormatVersionError
-from .model import CitedReference, CRVariant, Dataset, Spectrogram, canonical_order
+from .model import CitedReference, CRVariant, Dataset, Spectrogram, canonical_order, parse_key
 
 CRE_MAGIC = "#CRE"
 CRE_VERSION = 1
@@ -71,6 +71,21 @@ def _opt(value) -> str:
     return "" if value is None else str(value)
 
 
+# The table columns that render a reference's fields, and that rendering.
+_FIELD_COLUMNS = _TABLE_COLUMNS[1:7]
+
+
+def _fields(ref: CitedReference) -> tuple[str, ...]:
+    return (
+        ref.author,
+        _opt(ref.rpy),
+        ref.source,
+        _opt(ref.volume),
+        _opt(ref.page),
+        _opt(ref.doi),
+    )
+
+
 def _atomic_write(path, data: bytes) -> None:
     directory = os.path.dirname(os.fspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
@@ -94,17 +109,11 @@ def cre_bytes(dataset: Dataset, settings: Optional[Mapping[str, int]] = None) ->
     lines.append(f"#SUMMARY\t{dataset.n_citing}\t{dataset.n_cr_total}\t{len(variants)}")
     lines.append("#TABLE\t" + "\t".join(_TABLE_COLUMNS))
     for v in variants:
-        ref = v.reference
         lines.append(
             "\t".join(
                 (
                     v.key,
-                    ref.author,
-                    _opt(ref.rpy),
-                    ref.source,
-                    _opt(ref.volume),
-                    _opt(ref.page),
-                    _opt(ref.doi),
+                    *_fields(v.reference),
                     str(v.ncr),
                     _opt(v.cluster_id),
                     str(v.n_py_years),
@@ -124,16 +133,16 @@ def load_cre(path) -> Dataset:
     """Load a CRE v1 file, verifying version, checksum, header lines, row
     count, fields and row order.
 
-    References are rebuilt from the stored fields; the verbatim raw string
-    is not part of the format, so it comes back as the normalized key, and
-    the per-variant citing-year sets come back as bare counts. A header
-    line that ``cre_bytes`` would not write (no tab after its tag, a tab
-    or CR in the provenance, settings that are not sorted name=integer
-    pairs, other table columns), a bad field (an integer not spelled as
-    ``cre_bytes`` writes it, an ncr below 1, a year outside the valid
-    range, an empty or unnormalized key, an n_cr_total below the table's
-    sum of ncr) or a row out of canonical order raises CreFormatError
-    naming the file and the 1-based line.
+    Each reference is derived from its row's key (``parse_key``), and the
+    stored fields must be that reference's rendering; the per-variant
+    citing-year sets come back as bare counts. A header line that
+    ``cre_bytes`` would not write (no tab after its tag, a tab or CR in
+    the provenance, settings that are not sorted name=integer pairs,
+    other table columns), a bad field (an integer not spelled as
+    ``cre_bytes`` writes it, an ncr below 1, an empty or unnormalized
+    key, a reference field that differs from its key's, an n_cr_total
+    below the table's sum of ncr) or a row out of canonical order raises
+    CreFormatError naming the file and the 1-based line.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -191,20 +200,22 @@ def load_cre(path) -> Dataset:
         key, author, rpy, source, volume, page, doi, ncr, cluster_id, n_py = cols
         if key in variants:
             raise CreFormatError(f"{where}: duplicate variant key {key!r}")
+        if not key:
+            raise CreFormatError(f"{where}: empty key")
         # Looked up on the module so that rebinding model.normalize_key
         # (bench/tracer.py counts its calls) reaches this call too.
         if model.normalize_key(key) != key:
             raise CreFormatError(f"{where}: key {key!r} is not normalized")
+        # The fields are the key's, so rpy is canonical and in range too.
+        ref = parse_key(key)
+        for name, stored, derived in zip(
+            _FIELD_COLUMNS, (author, rpy, source, volume, page, doi), _fields(ref)
+        ):
+            if stored != derived:
+                raise CreFormatError(
+                    f"{where}: {name} {stored!r} differs from {derived!r}, its key's"
+                )
         try:
-            ref = CitedReference(
-                raw=key,
-                author=author,
-                rpy=_int(rpy, "rpy", where) if rpy else None,
-                source=source,
-                volume=volume or None,
-                page=page or None,
-                doi=doi or None,
-            )
             variant = CRVariant(
                 key=key,
                 reference=ref,
@@ -338,7 +349,7 @@ def union_cre(paths: Sequence) -> Dataset:
             else:
                 merged[key] = CRVariant(
                     key=key,
-                    reference=_min_ref(prev.reference, v.reference),
+                    reference=prev.reference,
                     ncr=prev.ncr + v.ncr,
                     cluster_id=None,
                     n_py_years=max(prev.n_py_years, v.n_py_years),
@@ -350,12 +361,3 @@ def union_cre(paths: Sequence) -> Dataset:
         n_cr_total=n_cr_total,
         provenance=f"union of {len(paths)} files: {names}",
     )
-
-
-def _min_ref(a: CitedReference, b: CitedReference) -> CitedReference:
-    # Same key implies same parsed fields in practice; pick deterministically
-    # anyway so union stays permutation-invariant on hand-edited inputs.
-    def tup(r: CitedReference):
-        return (r.author, r.rpy or 0, r.source, r.volume or "", r.page or "", r.doi or "")
-
-    return min(a, b, key=tup)

@@ -2,9 +2,11 @@
 and spectrogram rows.
 
 A "variant" is one distinct string form of a cited reference; identity is
-the full normalized raw string, not the parsed field tuple. Fuzzy identity
-(several variants denoting the same work) is handled later by clustering,
-never here.
+its key, the normalized line, not the parsed field tuple. The fields
+depend only on the key, so they are parsed once per distinct key
+(``parse_key``), never once per occurrence. Fuzzy identity (several
+variants denoting the same work) is handled later by clustering, never
+here.
 
 All types are frozen: a Dataset is immutable after construction and safe to
 share across parallel workers. Pipeline steps return new Dataset instances.
@@ -12,6 +14,7 @@ share across parallel workers. Pipeline steps return new Dataset instances.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field, replace
 from typing import Iterable, NamedTuple, Optional
 
@@ -30,13 +33,29 @@ def normalize_key(raw: str) -> str:
     return " ".join(raw.split()).upper().rstrip(".,;: ")
 
 
+def parse_year(token: str) -> Optional[int]:
+    """The reference publication year ``token`` spells, or None.
+
+    A year is 4 decimal digits (ones ``int()`` reads, so not ``¹⁹⁹⁰``)
+    in [YEAR_MIN, YEAR_MAX]. This is the one year rule: the per-line
+    year test of the WoS reader and ``parse_key`` both apply it to the
+    second ``", "`` token of a key.
+    """
+    # isdecimal(), not isdigit(): int() cannot read digits such as "¹".
+    if len(token) == 4 and token.isdecimal():
+        year = int(token)
+        if YEAR_MIN <= year <= YEAR_MAX:
+            return year
+    return None
+
+
 @dataclass(frozen=True)
 class CitedReference:
-    """One parsed cited-reference variant.
+    """The parsed fields of one cited-reference variant.
 
-    ``raw`` keeps the verbatim input line; the parsed fields are derived
-    from its normalized form, so two inputs with the same normalized key
-    always carry identical parsed fields.
+    ``raw`` holds the variant's key (the normalized line, see
+    ``normalize_key``), and ``parse_key`` derives every field from it,
+    so two references with the same key carry identical fields.
     """
 
     raw: str
@@ -58,18 +77,75 @@ class CitedReference:
         return normalize_key(self.raw)
 
 
+# "P", then alphanumerics and hyphens starting with an alphanumeric.
+# [^\W_] is exactly str.isalnum(); each repeat takes one hyphen, so a
+# failed match backtracks in linear time.
+_PAGE = re.compile(r"P[^\W_]+(?:-[^\W_]*)*").fullmatch
+
+
+def parse_key(key: str) -> CitedReference:
+    """Parse a non-empty key (a ``normalize_key`` result) into its fields.
+
+    Splitting on ", ": the first token is the author; a year
+    (``parse_year``) right after it is the reference publication year;
+    the next token seeds the source; remaining tokens are claimed as
+    volume ("V" + digits), page ("P" + alphanumerics, hyphens allowed),
+    or DOI ("DOI " prefix), and anything unclaimed is appended back onto
+    the source. A key with no parseable year yields rpy = None; parsing
+    never fails.
+    """
+    tokens = key.split(", ")
+    rpy = parse_year(tokens[1]) if len(tokens) > 1 else None
+    start = 1 if rpy is None else 2
+    source_parts = tokens[start : start + 1]
+    volume: Optional[str] = None
+    page: Optional[str] = None
+    doi: Optional[str] = None
+    # Only a token's first character can make it a volume, page or DOI.
+    for tok in tokens[start + 1 :]:
+        head = tok[:1]
+        if head == "V":
+            if volume is None and tok[1:].isdigit():
+                volume = tok[1:]
+                continue
+        elif head == "P":
+            if page is None and _PAGE(tok):
+                page = tok[1:]
+                continue
+        elif head == "D":
+            if doi is None and len(tok) > 4 and tok.startswith("DOI "):
+                doi = tok[4:]
+                continue
+        elif not tok:
+            continue
+        source_parts.append(tok)
+    return CitedReference(
+        raw=key,
+        author=tokens[0],
+        rpy=rpy,
+        source=", ".join(source_parts),
+        volume=volume,
+        page=page,
+        doi=doi,
+    )
+
+
 @dataclass(frozen=True)
 class CitingRecord:
     """One citing publication: its year and its cited references in file
-    order (systematic sampling depends on that order)."""
+    order (systematic sampling depends on that order), each as a
+    (key, rpy) pair; the fields beyond the year are parsed later, once
+    per retained distinct key."""
 
     py: Optional[int]
-    crs: tuple[CitedReference, ...]
+    crs: tuple[tuple[str, Optional[int]], ...]
 
 
-# One sampled CR occurrence: the reference plus the citing publication year.
 class Occurrence(NamedTuple):
-    cr: CitedReference
+    """One CR occurrence that passed the year filters: the reference's
+    key and the citing publication year."""
+
+    key: str
     py: Optional[int]
 
 
@@ -176,31 +252,29 @@ def aggregate(
 ) -> Dataset:
     """Fold an occurrence stream into the distinct-variant table.
 
-    One CRVariant per distinct normalized key; ncr counts occurrences and
-    n_py_years counts distinct citing years. An empty stream yields an
-    empty Dataset. Single pass; the first occurrence of a key provides the
-    representative CitedReference. Callers filter the stream beforehand
-    and note the filters in ``provenance``.
+    One CRVariant per distinct key (occurrence keys are ``normalize_key``
+    results); ncr counts occurrences and n_py_years counts distinct
+    citing years. An empty stream yields an empty Dataset. Single pass,
+    then one ``parse_key`` per distinct key builds its CitedReference.
+    Callers filter the stream beforehand and note the filters in
+    ``provenance``.
     """
-    refs: dict[str, CitedReference] = {}
     counts: dict[str, int] = {}
     years: dict[str, set[int]] = {}
     total = 0
-    for cr, py in occurrences:
-        key = cr.key
+    for key, py in occurrences:
         total += 1
         if key in counts:
             counts[key] += 1
         else:
             counts[key] = 1
-            refs[key] = cr
             years[key] = set()
         if py is not None:
             years[key].add(py)
     variants = {
         key: CRVariant(
             key=key,
-            reference=refs[key],
+            reference=parse_key(key),
             ncr=n,
             n_py_years=len(years[key]),
             py_years=frozenset(years[key]),

@@ -178,8 +178,8 @@ def cluster_sample(
     """All CR occurrences of one randomly chosen citing year in py_range."""
     sampler = ClusterSampler(py_range[0], py_range[1], rng_seed)
     for rec in records:
-        for cr in rec.crs:
-            sampler.offer(Occurrence(cr, rec.py))
+        for key, _ in rec.crs:
+            sampler.offer(Occurrence(key, rec.py))
     out = sampler.result()
     if not out:
         raise EmptySampleError(

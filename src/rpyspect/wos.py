@@ -8,19 +8,18 @@ documented byte-exactly in docs/wos-format.md.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from typing import BinaryIO, Iterator, Optional
 
 from .errors import DomainError, EmptySampleError
 from .model import (
-    CitedReference,
     CitingRecord,
     Dataset,
     Occurrence,
     YearFilter,
     aggregate,
     normalize_key,
+    parse_year,
 )
 from .sampling import (
     MODES,
@@ -90,8 +89,8 @@ class MemoryProbe:
     """Instrumentation hook for the streaming contract.
 
     The import pipeline reports the number of simultaneously live
-    CitedReferences (sampler-retained occurrences plus the current
-    record's CRs) after each record; the probe keeps the peak.
+    occurrences (sampler-retained occurrences plus the current record's
+    (key, rpy) pairs) after each record; the probe keeps the peak.
     """
 
     def __init__(self):
@@ -112,68 +111,21 @@ def _year_passes(year: Optional[int], rng: Optional[YearFilter]) -> bool:
     return rng[0] <= year <= rng[1]
 
 
-# "P", then alphanumerics and hyphens starting with an alphanumeric.
-# [^\W_] is exactly str.isalnum(); each repeat takes one hyphen, so a
-# failed match backtracks in linear time.
-_PAGE = re.compile(r"P[^\W_]+(?:-[^\W_]*)*").fullmatch
+def parse_cr_line(line: str) -> Optional[tuple[str, Optional[int]]]:
+    """The key and reference publication year of one cited-reference line.
 
-
-def parse_cr_line(line: str) -> Optional[CitedReference]:
-    """Parse one cited-reference line into its fields.
-
-    Works on the normalized form of the line (upper case, collapsed
-    whitespace), splitting on ", ": first token is the author; a token of 4
-    decimal digits (ones ``int()`` reads, so not ``¹⁹⁹⁰``) in 1000-3000
-    right after it is the reference publication year; the next token
-    seeds the source; remaining tokens are claimed as volume ("V" +
-    digits), page ("P" + alphanumerics, hyphens allowed), or DOI ("DOI "
-    prefix), and anything unclaimed is appended back onto the source.
-    A line with no parseable year yields rpy = None; a line that
-    normalizes to the empty string (e.g. only punctuation) yields None.
+    The key is ``normalize_key(line)``; the year is ``parse_year`` of its
+    second ", " token, or None. A line that normalizes to the empty
+    string (e.g. only punctuation) has no key and yields None. The other
+    fields are left to ``model.parse_key``, which ``aggregate`` runs once
+    per retained distinct key, so this is the reader's only per-line
+    parsing work.
     """
-    norm = normalize_key(line)
-    if not norm:
+    key = normalize_key(line)
+    if not key:
         return None
-    tokens = norm.split(", ")
-    rpy: Optional[int] = None
-    start = 1
-    # isdecimal(), not isdigit(): int() cannot read digits such as "¹".
-    if len(tokens) > 1 and len(tokens[1]) == 4 and tokens[1].isdecimal():
-        year = int(tokens[1])
-        if 1000 <= year <= 3000:
-            rpy = year
-            start = 2
-    source_parts = tokens[start : start + 1]
-    volume: Optional[str] = None
-    page: Optional[str] = None
-    doi: Optional[str] = None
-    # Only a token's first character can make it a volume, page or DOI.
-    for tok in tokens[start + 1 :]:
-        head = tok[:1]
-        if head == "V":
-            if volume is None and tok[1:].isdigit():
-                volume = tok[1:]
-                continue
-        elif head == "P":
-            if page is None and _PAGE(tok):
-                page = tok[1:]
-                continue
-        elif head == "D":
-            if doi is None and len(tok) > 4 and tok.startswith("DOI "):
-                doi = tok[4:]
-                continue
-        elif not tok:
-            continue
-        source_parts.append(tok)
-    return CitedReference(
-        raw=line,
-        author=tokens[0],
-        rpy=rpy,
-        source=", ".join(source_parts),
-        volume=volume,
-        page=page,
-        doi=doi,
-    )
+    tokens = key.split(", ", 2)
+    return key, (parse_year(tokens[1]) if len(tokens) > 1 else None)
 
 
 def _decoded_lines(stream: BinaryIO) -> Iterator[str]:
@@ -195,16 +147,16 @@ def parse_wos(stream: BinaryIO, stats: Optional[ParseStats] = None) -> Iterator[
     """
     stats = stats if stats is not None else ParseStats()
     py: Optional[int] = None
-    crs: list[CitedReference] = []
+    crs: list[tuple[str, Optional[int]]] = []
     open_record = False
     last_tag = ""
 
     def add_cr(text: str) -> None:
-        cr = parse_cr_line(text)
-        if cr is None:
+        pair = parse_cr_line(text)
+        if pair is None:
             stats.malformed_records += 1
         else:
-            crs.append(cr)
+            crs.append(pair)
 
     for raw_line in _decoded_lines(stream):
         line = raw_line.rstrip("\r\n")
@@ -281,8 +233,8 @@ def analyze_file(path, filt: ImportFilter, stats: Optional[ParseStats] = None) -
         if not _year_passes(rec.py, filt.py_range):
             continue
         n_citing += 1
-        for cr in rec.crs:
-            if _year_passes(cr.rpy, filt.rpy_range):
+        for _, rpy in rec.crs:
+            if _year_passes(rpy, filt.rpy_range):
                 n_cr += 1
     stats.n_citing = n_citing
     stats.n_cr = n_cr
@@ -348,10 +300,10 @@ def import_file(
     for rec in parse_wos_path(path, stats):
         if _year_passes(rec.py, filt.py_range):
             n_citing += 1
-            for cr in rec.crs:
-                if not _year_passes(cr.rpy, filt.rpy_range):
+            for key, rpy in rec.crs:
+                if not _year_passes(rpy, filt.rpy_range):
                     continue
-                sampler.offer(Occurrence(cr, rec.py))
+                sampler.offer(Occurrence(key, rec.py))
                 if not sampler.wants_more():
                     scanning = False
                     break

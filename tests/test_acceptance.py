@@ -20,11 +20,11 @@ from rpyspect.clustering import ClusterConfig, cluster_crs, compatible, merge_cl
 from rpyspect.engine import Environment, execute
 from rpyspect.errors import RpysError
 from rpyspect.formats import load_cre, save_cre, union_cre
-from rpyspect.model import CitedReference, CRVariant, Dataset, Occurrence, aggregate
+from rpyspect.model import CitedReference, CRVariant, Dataset, Occurrence, aggregate, normalize_key
 from rpyspect.sampling import random_sample, removal_threshold, systematic_sample
 from rpyspect.script import parse_script
 from rpyspect.spectroscopy import compute_spectrogram, scale_factor, top_crs
-from rpyspect.wos import ImportFilter, MemoryProbe, import_file, parse_cr_line
+from rpyspect.wos import ImportFilter, MemoryProbe, import_file
 
 from conftest import dataset_fields
 from corpus import make_corpus
@@ -47,10 +47,7 @@ def criterion(number: int, name: str, budget_s: float):
 
 
 def occurrence_stream(n: int) -> list[Occurrence]:
-    return [
-        Occurrence(CitedReference(raw=f"AUTHOR {i}, 1990, JOURNAL"), 2000)
-        for i in range(n)
-    ]
+    return [Occurrence(f"AUTHOR {i}, 1990, JOURNAL", 2000) for i in range(n)]
 
 
 def test_criterion_1_removal_threshold_reproduction():
@@ -61,7 +58,7 @@ def test_criterion_1_removal_threshold_reproduction():
 def test_criterion_2_systematic_anchor():
     with criterion(2, "systematic sampling picks the 1st, 5th, 9th, ... CR", 5):
         picked = systematic_sample(occurrence_stream(400), n=100, total=400, offset=0)
-        positions = {int(o.cr.raw.split(",")[0].split()[1]) for o in picked}
+        positions = {int(o.key.split(",")[0].split()[1]) for o in picked}
         assert positions == set(range(0, 400, 4))
 
 
@@ -95,8 +92,8 @@ def test_criterion_4_random_sampling_unbiasedness():
         hits: Counter = Counter()
         for seed in range(runs):
             for occ in random_sample(population, 25, rng_seed=seed):
-                hits[occ.cr.raw] += 1
-        freqs = [hits[occ.cr.raw] / runs for occ in population]
+                hits[occ.key] += 1
+        freqs = [hits[occ.key] / runs for occ in population]
         assert all(0.237 <= f <= 0.263 for f in freqs), (min(freqs), max(freqs))
 
 
@@ -143,7 +140,7 @@ def test_criterion_6_clustering_oracle_equivalence():
                 seed=seed, n_records=40, crs_per_record=5, n_works=50, misspell_rate=0.5
             )
             ds = aggregate(
-                Occurrence(parse_cr_line(raw), py) for raw, py in corpus.occurrences()
+                Occurrence(normalize_key(raw), py) for raw, py in corpus.occurrences()
             )
             assert len(ds.variants) <= 200
             clustered = cluster_crs(ds, config)

@@ -91,6 +91,20 @@ class TestRun:
         warned = "warning: 1 malformed records or CR lines skipped" in capsys.readouterr().err
         assert warned == verbose
 
+    @pytest.mark.parametrize("setting", ["n_pct_range", "median_range"])
+    def test_negative_setting_fails_at_the_set_statement(self, workdir, capsys, setting):
+        # Before a saveFile could write the sign into the CRE's #SETTINGS.
+        (workdir / "s.crs").write_text(
+            'importFile(file: "corpus.txt", type: "WOS", maxCR: 10)\n'
+            f"set({setting}: 0-1)\n"
+            'saveFile(file: "neg.cre")\n'
+        )
+        assert main(["run", "s.crs"]) == 1
+        assert capsys.readouterr().err.endswith(
+            f"error: s.crs: line 2, col 1: {setting} must be >= 0, got -1\n"
+        )
+        assert not (workdir / "neg.cre").exists()
+
     def test_script_not_utf8_exits_nonzero(self, workdir, capsys):
         (workdir / "latin1.crs").write_bytes(b"info()\xff\n")
         assert main(["run", "latin1.crs"]) == 1
@@ -410,14 +424,24 @@ class TestSpectro:
             (3, 3, None),  # #SUMMARY with two columns
             (4, 1, "KEY"),  # #TABLE column renamed
             (4, 10, "n_py_years\textra"),  # #TABLE with an extra column
+            (5, 1, "ZZ"),  # author that is not the key's
+            (5, 3, "K"),  # source that is not the key's
+            (5, 4, "5"),  # volume the key does not have
+            (6, 5, "9"),  # page the key does not have
+            (6, 6, "10.1/X"),  # DOI the key does not have
+            (5, (1, 2), ("ZZ", "2001")),  # author and rpy that are not the key's
         ],
     )
     def test_bad_cre_field_fails_with_location(self, tmp_path, capsys, line, column, value):
-        """``value`` None drops the column, and its tab with it."""
+        """``value`` None drops the column, and its tab with it; a tuple
+        of columns takes a tuple of values."""
         lines = two_row_cre_lines(tmp_path)
         cols = lines[line].split("\t")
         if value is None:
             del cols[column]
+        elif isinstance(column, tuple):
+            for c, v in zip(column, value):
+                cols[c] = v
         else:
             cols[column] = value
         lines[line] = "\t".join(cols)
@@ -429,9 +453,7 @@ class TestSpectro:
     def test_rows_out_of_canonical_order_fail_with_location(self, tmp_path, capsys, undate_first):
         lines = two_row_cre_lines(tmp_path)
         if undate_first:  # an undated row before a dated one
-            cols = lines[5].split("\t")
-            cols[2] = ""
-            lines[5] = "\t".join(cols)
+            lines[5] = lines[5].replace("A B, 2000, J\tA B\t2000\tJ", "A B, J\tA B\t\tJ")
         else:  # the two (2000, key) rows swapped
             lines[5], lines[6] = lines[6], lines[5]
         resign(tmp_path / "bad.cre", lines)

@@ -14,8 +14,7 @@ from rpyspect.clustering import (
     remove_cr,
     similarity,
 )
-from rpyspect.model import CitedReference, Occurrence, aggregate
-from rpyspect.wos import parse_cr_line
+from rpyspect.model import CitedReference, Occurrence, aggregate, normalize_key, parse_key
 
 from corpus import make_corpus
 
@@ -49,7 +48,7 @@ def ref(author: str, rpy=1990, source="J", volume=None, page=None, doi=None):
 
 class TestSimilarity:
     def test_identical_references(self):
-        a = parse_cr_line("STUIVER M, 1993, RADIOCARBON, V35, P215")
+        a = parse_key("STUIVER M, 1993, RADIOCARBON, V35, P215")
         assert similarity(a, a) == 1.0
 
     def test_disjoint_characters(self):
@@ -58,8 +57,8 @@ class TestSimilarity:
         assert similarity(a, b) == 0.0
 
     def test_matches_textbook_oracle(self):
-        a = parse_cr_line("ROPELEWSKI CF, 1987, MON WEATHER REV, V115, P1606")
-        b = parse_cr_line("ROPELEWSKI C, 1987, MON WEA REV, V115, P1606")
+        a = parse_key("ROPELEWSKI CF, 1987, MON WEATHER REV, V115, P1606")
+        b = parse_key("ROPELEWSKI C, 1987, MON WEA REV, V115, P1606")
         sa = f"{a.author}, {a.source}".lower()
         sb = f"{b.author}, {b.source}".lower()
         expected = 1.0 - textbook_levenshtein(sa, sb) / max(len(sa), len(sb))
@@ -149,9 +148,7 @@ def misspelled_dataset(seed=0, n_records=40, misspell_rate=0.5):
         n_works=50,
         misspell_rate=misspell_rate,
     )
-    occs = [
-        Occurrence(parse_cr_line(raw), py) for raw, py in corpus.occurrences()
-    ]
+    occs = [Occurrence(normalize_key(raw), py) for raw, py in corpus.occurrences()]
     return aggregate(occs)
 
 
@@ -222,10 +219,9 @@ class TestMergeClusters:
         }
 
     def test_ncr_sums_and_representative(self):
-        a = CitedReference(raw="SMITH J, 1990, NATURE", author="SMITH J", rpy=1990, source="NATURE")
-        b = CitedReference(raw="SMYTH J, 1990, NATURE", author="SMYTH J", rpy=1990, source="NATURE")
         ds = aggregate(
-            [Occurrence(a, 2000)] * 5 + [Occurrence(b, 2001)] * 3
+            [Occurrence("SMITH J, 1990, NATURE", 2000)] * 5
+            + [Occurrence("SMYTH J, 1990, NATURE", 2001)] * 3
         )
         clustered = cluster_crs(ds, ClusterConfig(threshold=0.75))
         merged = merge_clusters(clustered)
@@ -247,8 +243,7 @@ class TestRemoveCr:
     def dataset(self, counts=(50, 100, 150)):
         occs = []
         for i, n in enumerate(counts):
-            r = CitedReference(raw=f"WORK {i}, 1990, J", author=f"WORK {i}", rpy=1990, source="J")
-            occs.extend([Occurrence(r, 2000)] * n)
+            occs.extend([Occurrence(f"WORK {i}, 1990, J", 2000)] * n)
         return aggregate(occs)
 
     def test_drops_inclusive_range(self):

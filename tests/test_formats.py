@@ -27,7 +27,7 @@ from rpyspect.formats import (
 )
 from rpyspect.model import Dataset, Occurrence, Spectrogram, SpectroRow, aggregate
 from rpyspect.spectroscopy import compute_spectrogram, n_pct
-from rpyspect.wos import ImportFilter, import_file, parse_cr_line
+from rpyspect.wos import ImportFilter, import_file
 
 from conftest import dataset_fields
 
@@ -50,7 +50,7 @@ def random_dataset(seed: int) -> Dataset:
             bits.append(f"DOI 10.1000/{i}")
         raw = ", ".join(bits)
         for _ in range(rng.randint(1, 4)):
-            occs.append(Occurrence(parse_cr_line(raw), rng.randint(1980, 2014)))
+            occs.append(Occurrence(raw, rng.randint(1980, 2014)))
     ds = aggregate(occs, n_citing=rng.randint(0, 60), provenance=f"synthetic {seed}")
     if rng.random() < 0.5:
         clustered = [
@@ -85,7 +85,8 @@ class TestCreRoundTrip:
         assert dataset_fields(loaded) == dataset_fields(ds)
 
     def test_negative_setting_round_trips(self, tmp_path):
-        # A script can set one below 0 with arithmetic: set(n_pct_range: 0-1).
+        # save_cre takes any integer setting, and load_cre reads a negative
+        # one back; a script's set() stops one before a saveFile can write it.
         path = tmp_path / "neg.cre"
         settings_ = {"median_range": 2, "n_pct_range": -1}
         save_cre(random_dataset(3), path, settings=settings_)
@@ -202,9 +203,8 @@ class TestWosToCre:
 
 
 def tiny_dataset():
-    a = parse_cr_line("ALPHA A, 2000, NATURE, V5, P10")
-    b = parse_cr_line("BETA B, 2000, SCIENCE")
-    occs = [Occurrence(a, 2010)] * 3 + [Occurrence(b, 2011)] * 1
+    occs = [Occurrence("ALPHA A, 2000, NATURE, V5, P10", 2010)] * 3
+    occs += [Occurrence("BETA B, 2000, SCIENCE", 2011)]
     return aggregate(occs, n_citing=4)
 
 
@@ -230,7 +230,7 @@ class TestCsvCr:
         assert csv_cr_bytes(Dataset()).decode() == "ID,CR,RPY,N_CR,PCT_RPY,CID,CID_SIZE\n"
 
     def test_comma_key_is_quoted(self, tmp_path):
-        ds = aggregate([Occurrence(parse_cr_line("X Y, 1990, J"), 2000)])
+        ds = aggregate([Occurrence("X Y, 1990, J", 2000)])
         path = tmp_path / "q.csv"
         export_csv_cr(ds, path)
         assert '"X Y, 1990, J"' in path.read_text()
@@ -238,7 +238,7 @@ class TestCsvCr:
     def test_sorted_by_rpy_then_ncr_desc(self):
         occs = []
         for raw, n in (("B, 1990, J", 2), ("A, 1990, J", 2), ("C, 1980, J", 1)):
-            occs.extend([Occurrence(parse_cr_line(raw), 2000)] * n)
+            occs.extend([Occurrence(raw, 2000)] * n)
         content = csv_cr_bytes(aggregate(occs)).decode()
         names = [line.split(",")[1] for line in content.splitlines()[1:]]
         assert names == ['"C', '"A', '"B']
@@ -246,7 +246,7 @@ class TestCsvCr:
 
 class TestCsvGraph:
     def test_single_year_row(self):
-        ds_occs = [Occurrence(parse_cr_line("W, 2000, J"), 2005)] * 7
+        ds_occs = [Occurrence("W, 2000, J", 2005)] * 7
         spect = compute_spectrogram(aggregate(ds_occs), median_range=2)
         assert csv_graph_bytes(spect).decode() == "RPY,N_CR,MEDIAN_DEV\n2000,7,0\n"
 
@@ -255,7 +255,7 @@ class TestCsvGraph:
         occs = []
         for i in range(30):
             raw = f"W {i}, {rng.randint(1990, 1999)}, J"
-            occs.extend([Occurrence(parse_cr_line(raw), 2005)] * rng.randint(1, 4))
+            occs.extend([Occurrence(raw, 2005)] * rng.randint(1, 4))
         spect = compute_spectrogram(aggregate(occs), median_range=2)
         path = tmp_path / "g.csv"
         export_csv_graph(spect, path)
@@ -301,10 +301,10 @@ class TestUnionCre:
         }
 
     def test_union_sums_ncr_per_key(self, tmp_path):
-        base = aggregate([Occurrence(parse_cr_line("W A, 1990, J"), 2000)] * 3, n_citing=1)
+        base = aggregate([Occurrence("W A, 1990, J", 2000)] * 3, n_citing=1)
         other = aggregate(
-            [Occurrence(parse_cr_line("W A, 1990, J"), 2001)] * 2
-            + [Occurrence(parse_cr_line("W B, 1991, J"), 2001)],
+            [Occurrence("W A, 1990, J", 2001)] * 2
+            + [Occurrence("W B, 1991, J", 2001)],
             n_citing=2,
         )
         paths = self.save_datasets(tmp_path, [base, other])

@@ -12,11 +12,9 @@ from rpyspect.model import (
     Occurrence,
     aggregate,
     normalize_key,
+    parse_key,
+    parse_year,
 )
-
-
-def ref(raw: str) -> CitedReference:
-    return CitedReference(raw=raw)
 
 
 class TestNormalizeKey:
@@ -57,6 +55,17 @@ class TestNormalizeKey:
         assert normalize_key(once) == once
 
 
+class TestParseKey:
+    @pytest.mark.parametrize(
+        "token, year",
+        [("1000", 1000), ("3000", 3000), ("0999", None), ("3001", None),
+         ("199", None), ("19900", None), ("١٩٩٠", 1990), ("¹⁹⁹⁰", None)],
+    )
+    def test_year_rule(self, token, year):
+        assert parse_year(token) == year
+        assert parse_key(f"A, {token}, J").rpy == year
+
+
 class TestAggregate:
     def test_empty_stream(self):
         ds = aggregate([])
@@ -65,21 +74,22 @@ class TestAggregate:
 
     def test_counts_and_citing_years(self):
         raw = "STUIVER M, 1993, RADIOCARBON, V35, P215"
-        occs = [Occurrence(ref(raw), py) for py in (2011, 2011, 2012)]
+        occs = [Occurrence(raw, py) for py in (2011, 2011, 2012)]
         ds = aggregate(occs)
         assert len(ds.variants) == 1
-        v = ds.variants[normalize_key(raw)]
+        v = ds.variants[raw]
         assert v.ncr == 3
         assert v.n_py_years == 2
+        assert v.reference == parse_key(raw)
 
     def test_matches_hash_count_oracle(self):
         rng = random.Random(7)
         pool = [f"AUTHOR {chr(65 + i)}, {1970 + i}, SOURCE {i}" for i in range(40)]
         occs = [
-            Occurrence(ref(rng.choice(pool)), rng.randint(1980, 2014))
+            Occurrence(rng.choice(pool), rng.randint(1980, 2014))
             for _ in range(1000)
         ]
-        oracle = Counter(normalize_key(cr.raw) for cr, _ in occs)
+        oracle = Counter(key for key, _ in occs)
         ds = aggregate(occs)
         assert {k: v.ncr for k, v in ds.variants.items()} == dict(oracle)
         assert ds.n_cr_total == 1000
@@ -87,7 +97,7 @@ class TestAggregate:
     def test_order_insensitive_counts(self):
         rng = random.Random(3)
         pool = [f"A {i}, {1990 + i % 5}, J {i % 7}" for i in range(10)]
-        occs = [Occurrence(ref(rng.choice(pool)), 2000) for _ in range(200)]
+        occs = [Occurrence(rng.choice(pool), 2000) for _ in range(200)]
         shuffled = occs[:]
         rng.shuffle(shuffled)
         a = aggregate(occs)
@@ -99,7 +109,7 @@ class TestAggregate:
     def test_ncr_conservation(self):
         rng = random.Random(5)
         occs = [
-            Occurrence(ref(f"W {rng.randrange(30)}, 2000, J"), 2001) for _ in range(777)
+            Occurrence(f"W {rng.randrange(30)}, 2000, J", 2001) for _ in range(777)
         ]
         ds = aggregate(occs)
         assert ds.sum_ncr() == 777
@@ -123,9 +133,9 @@ class TestInvariants:
 
     def test_sorted_variants_orders_undated_last(self):
         occs = [
-            Occurrence(CitedReference(raw="B, 1990, X", rpy=1990), 2000),
-            Occurrence(CitedReference(raw="NO YEAR HERE"), 2000),
-            Occurrence(CitedReference(raw="A, 1980, Y", rpy=1980), 2000),
+            Occurrence("B, 1990, X", 2000),
+            Occurrence("NO YEAR HERE", 2000),
+            Occurrence("A, 1980, Y", 2000),
         ]
         ds = aggregate(occs)
         keys = [v.key for v in ds.sorted_variants()]

@@ -85,7 +85,7 @@ class TestComputeSpectrogram:
     def test_empty_dataset_raises(self):
         with pytest.raises(EmptyDatasetError):
             compute_spectrogram(Dataset())
-        undated = aggregate([Occurrence(CitedReference(raw="NO YEAR"), 2000)])
+        undated = aggregate([Occurrence("NO YEAR", 2000)])
         with pytest.raises(EmptyDatasetError):
             compute_spectrogram(undated)
 
@@ -123,8 +123,7 @@ class TestScaleFactor:
         for year in range(2000, 2010):
             m = 8 * (year - 1999)
             counts[year] = m
-            r = CitedReference(raw=f"W {year}, {year}, J", rpy=year)
-            occs.extend([Occurrence(r, 2011)] * m)
+            occs.extend([Occurrence(f"W {year}, {year}, J", 2011)] * m)
         total = sum(counts.values())
         sample = systematic_sample(occs, n=total // 4, total=total, offset=0)
         spect_pop = compute_spectrogram(aggregate(occs))
@@ -171,10 +170,8 @@ class TestSpectrogramDiff:
 
 def two_variant_dataset():
     occs = []
-    a = CitedReference(raw="ALPHA A, 2000, J", author="ALPHA A", rpy=2000, source="J")
-    b = CitedReference(raw="BETA B, 2000, J", author="BETA B", rpy=2000, source="J")
-    occs.extend([Occurrence(a, 2010)] * 5)
-    occs.extend([Occurrence(b, 2011)] * 3)
+    occs.extend([Occurrence("ALPHA A, 2000, J", 2010)] * 5)
+    occs.extend([Occurrence("BETA B, 2000, J", 2011)] * 3)
     return aggregate(occs)
 
 
@@ -196,8 +193,7 @@ class TestTopCrs:
         rng = random.Random(17)
         occs = []
         for i in range(30):
-            r = CitedReference(raw=f"W {i:02d}, 1995, J", author=f"W {i:02d}", rpy=1995, source="J")
-            occs.extend([Occurrence(r, 2000)] * rng.randint(1, 9))
+            occs.extend([Occurrence(f"W {i:02d}, 1995, J", 2000)] * rng.randint(1, 9))
         ds = aggregate(occs)
         expected = sorted(ds.variants.values(), key=lambda v: (-v.ncr, v.key))
         assert top_crs(ds, 1995, 30) == expected
@@ -209,7 +205,7 @@ class TestTopCrs:
 
 class TestNPct:
     def test_sole_variant_full_share(self):
-        occs = [Occurrence(CitedReference(raw="ONLY A, 1990, J", rpy=1990), 2000)]
+        occs = [Occurrence("ONLY A, 1990, J", 2000)]
         ds = aggregate(occs)
         v = next(iter(ds.variants.values()))
         assert n_pct(ds, v, 0) == 1.0
@@ -217,8 +213,7 @@ class TestNPct:
     def test_equal_split(self):
         occs = []
         for name in ("AAA", "BBB"):
-            r = CitedReference(raw=f"{name}, 1990, J", rpy=1990)
-            occs.extend([Occurrence(r, 2000)] * 4)
+            occs.extend([Occurrence(f"{name}, 1990, J", 2000)] * 4)
         ds = aggregate(occs)
         for v in ds.variants.values():
             assert n_pct(ds, v, 0) == 0.5
@@ -227,8 +222,7 @@ class TestNPct:
         rng = random.Random(23)
         occs = []
         for i in range(12):
-            r = CitedReference(raw=f"W {i}, 1990, J", rpy=1990)
-            occs.extend([Occurrence(r, 2000)] * rng.randint(1, 6))
+            occs.extend([Occurrence(f"W {i}, 1990, J", 2000)] * rng.randint(1, 6))
         ds = aggregate(occs)
         assert sum(n_pct(ds, v, 0) for v in ds.variants.values()) == pytest.approx(1.0)
 
@@ -237,8 +231,7 @@ class TestNPct:
         occs = []
         for i in range(40):
             year = rng.randint(1990, 1999)
-            r = CitedReference(raw=f"W {i:02d}, {year}, J", rpy=year)
-            occs.extend([Occurrence(r, 2005)] * rng.randint(1, 5))
+            occs.extend([Occurrence(f"W {i:02d}, {year}, J", 2005)] * rng.randint(1, 5))
         ds = aggregate(occs)
         for v in ds.variants.values():
             denom = sum(
