@@ -2,8 +2,9 @@
 and spectrogram rows.
 
 A "variant" is one distinct string form of a cited reference; identity is
-its key, the normalized line, not the parsed field tuple. The fields
-depend only on the key, so they are parsed once per distinct key
+its key, the normalized line, not the parsed field tuple. The key is
+computed once per distinct line of a retained sample (``aggregate``) and
+the fields, which depend only on the key, once per distinct key
 (``parse_key``), never once per occurrence. Fuzzy identity (several
 variants denoting the same work) is handled later by clustering, never
 here.
@@ -33,13 +34,29 @@ def normalize_key(raw: str) -> str:
     return " ".join(raw.split()).upper().rstrip(".,;: ")
 
 
+# The unrolled prefix cannot match past the line's first "," plus
+# whitespace run, so a match never skips to a later token.
+RAW_YEAR = re.compile(r"[^,]*(?:,(?!\s)[^,]*)*,\s+(\d{4})(?:,\s|[.,;:\s]*\Z)")
+r"""Finds the candidate year token of a raw cited-reference line, without
+normalizing it: the 4 decimal digits after the line's first ``,`` plus
+whitespace run, followed by ``,`` plus whitespace or by nothing but
+``[.,;:\s]*``. Those are ``normalize_key``'s rules read on the raw text
+(a whitespace run becomes one space, trailing ``.,;:`` and spaces are
+stripped, and upper-casing moves no digit, comma or space), so group 1
+is the key's second ``", "`` token exactly when that token is 4 decimal
+digits. ``parse_year`` then judges the token."""
+
+NO_KEY = re.compile(r"[\s.,;:]*")
+"""Fullmatches exactly the lines whose ``normalize_key`` is empty."""
+
+
 def parse_year(token: str) -> Optional[int]:
     """The reference publication year ``token`` spells, or None.
 
     A year is 4 decimal digits (ones ``int()`` reads, so not ``¹⁹⁹⁰``)
-    in [YEAR_MIN, YEAR_MAX]. This is the one year rule: the per-line
-    year test of the WoS reader and ``parse_key`` both apply it to the
-    second ``", "`` token of a key.
+    in [YEAR_MIN, YEAR_MAX]. This is the one year rule: the WoS reader
+    applies it to a raw line's ``RAW_YEAR`` token and to the ``PY``
+    value, and ``parse_key`` to the second ``", "`` token of a key.
     """
     # isdecimal(), not isdigit(): int() cannot read digits such as "¹".
     if len(token) == 4 and token.isdecimal():
@@ -134,18 +151,20 @@ def parse_key(key: str) -> CitedReference:
 class CitingRecord:
     """One citing publication: its year and its cited references in file
     order (systematic sampling depends on that order), each as a
-    (key, rpy) pair; the fields beyond the year are parsed later, once
-    per retained distinct key."""
+    (line, rpy) pair of the line as read and its reference publication
+    year. The key is computed later, once per distinct line of the
+    retained sample, and the other fields once per distinct key."""
 
     py: Optional[int]
     crs: tuple[tuple[str, Optional[int]], ...]
 
 
 class Occurrence(NamedTuple):
-    """One CR occurrence that passed the year filters: the reference's
-    key and the citing publication year."""
+    """One CR occurrence that a sampler kept: the cited-reference line as
+    read (not yet normalized, see ``aggregate``) and the citing
+    publication year."""
 
-    key: str
+    line: str
     py: Optional[int]
 
 
@@ -252,25 +271,37 @@ def aggregate(
 ) -> Dataset:
     """Fold an occurrence stream into the distinct-variant table.
 
-    One CRVariant per distinct key (occurrence keys are ``normalize_key``
-    results); ncr counts occurrences and n_py_years counts distinct
-    citing years. An empty stream yields an empty Dataset. Single pass,
-    then one ``parse_key`` per distinct key builds its CitedReference.
-    Callers filter the stream beforehand and note the filters in
-    ``provenance``.
+    One CRVariant per distinct key; ncr counts occurrences and
+    n_py_years counts distinct citing years. The stream is folded by
+    line first, then ``normalize_key`` runs once per distinct line and
+    the lines are folded into their keys, in the order in which each key
+    first occurs; one ``parse_key`` per distinct key builds its
+    CitedReference. Every line must have a key (a non-empty
+    ``normalize_key``). An empty stream yields an empty Dataset. Callers
+    filter the stream beforehand and note the filters in ``provenance``.
     """
+    line_counts: dict[str, int] = {}
+    line_years: dict[str, set[int]] = {}
+    total = 0
+    for line, py in occurrences:
+        total += 1
+        if line in line_counts:
+            line_counts[line] += 1
+        else:
+            line_counts[line] = 1
+            line_years[line] = set()
+        if py is not None:
+            line_years[line].add(py)
     counts: dict[str, int] = {}
     years: dict[str, set[int]] = {}
-    total = 0
-    for key, py in occurrences:
-        total += 1
+    for line, n in line_counts.items():
+        key = normalize_key(line)
         if key in counts:
-            counts[key] += 1
+            counts[key] += n
+            years[key] |= line_years[line]
         else:
-            counts[key] = 1
-            years[key] = set()
-        if py is not None:
-            years[key].add(py)
+            counts[key] = n
+            years[key] = line_years[line]
     variants = {
         key: CRVariant(
             key=key,

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import random
-from typing import Iterable
+from typing import Iterable, Optional
 
 from .errors import DomainError, EmptySampleError, OffsetTooLargeError
 from .model import CitingRecord, Occurrence
@@ -25,9 +25,10 @@ class Sampler:
     The base holds the selection in ``_kept``: ``retained`` reports how
     many occurrences it currently holds (the memory-contract
     instrumentation reads it) and ``result`` returns it. Each subclass
-    defines ``offer``, which feeds one occurrence and decides what
-    ``_kept`` holds; ``wants_more`` lets the reader stop early once the
-    sample cannot grow.
+    defines ``offer(line, py)``, which feeds one occurrence, a CR line
+    and its citing year, and decides what ``_kept`` holds; it builds the
+    ``Occurrence`` only for an occurrence it keeps. ``wants_more`` lets
+    the reader stop early once the sample cannot grow.
     """
 
     mode = "NONE"
@@ -35,7 +36,7 @@ class Sampler:
     def __init__(self):
         self._kept: list[Occurrence] = []
 
-    def offer(self, occ: Occurrence) -> None:
+    def offer(self, line: str, py: Optional[int]) -> None:
         raise NotImplementedError
 
     def wants_more(self) -> bool:
@@ -60,9 +61,9 @@ class NoneSampler(Sampler):
         super().__init__()
         self.limit = limit
 
-    def offer(self, occ: Occurrence) -> None:
+    def offer(self, line: str, py: Optional[int]) -> None:
         if self.wants_more():
-            self._kept.append(occ)
+            self._kept.append(Occurrence(line, py))
 
     def wants_more(self) -> bool:
         return self.limit == 0 or len(self._kept) < self.limit
@@ -82,16 +83,16 @@ class RandomSampler(Sampler):
         self._rng = random.Random(seed)
         self._seen = 0
 
-    def offer(self, occ: Occurrence) -> None:
+    def offer(self, line: str, py: Optional[int]) -> None:
         i = self._seen
         self._seen += 1
         if i < self.n:
-            self._kept.append(occ)
+            self._kept.append(Occurrence(line, py))
             return
         # Classic replacement rule: keep the newcomer with probability n/(i+1).
         j = self._rng.randrange(i + 1)
         if j < self.n:
-            self._kept[j] = occ
+            self._kept[j] = Occurrence(line, py)
 
 
 class SystematicSampler(Sampler):
@@ -123,13 +124,13 @@ class SystematicSampler(Sampler):
         self.offset = offset
         self._pos = 0
 
-    def offer(self, occ: Occurrence) -> None:
+    def offer(self, line: str, py: Optional[int]) -> None:
         pos = self._pos
         self._pos += 1
         if len(self._kept) >= self.n:
             return
         if pos >= self.offset and (pos - self.offset) % self.step == 0:
-            self._kept.append(occ)
+            self._kept.append(Occurrence(line, py))
 
     def wants_more(self) -> bool:
         return len(self._kept) < self.n
@@ -147,16 +148,16 @@ class ClusterSampler(Sampler):
         super().__init__()
         self.chosen_year = random.Random(seed).randint(py_lo, py_hi)
 
-    def offer(self, occ: Occurrence) -> None:
-        if occ.py == self.chosen_year:
-            self._kept.append(occ)
+    def offer(self, line: str, py: Optional[int]) -> None:
+        if py == self.chosen_year:
+            self._kept.append(Occurrence(line, py))
 
 
 def random_sample(stream: Iterable[Occurrence], n: int, rng_seed: int = 0) -> list[Occurrence]:
     """Simple random sample without replacement of size min(n, population)."""
     sampler = RandomSampler(n, rng_seed)
-    for occ in stream:
-        sampler.offer(occ)
+    for line, py in stream:
+        sampler.offer(line, py)
     return sampler.result()
 
 
@@ -165,10 +166,10 @@ def systematic_sample(
 ) -> list[Occurrence]:
     """Every step-th occurrence starting at ``offset`` (step = floor(total/n))."""
     sampler = SystematicSampler(n, total, offset)
-    for occ in stream:
+    for line, py in stream:
         if not sampler.wants_more():
             break
-        sampler.offer(occ)
+        sampler.offer(line, py)
     return sampler.result()
 
 
@@ -178,8 +179,8 @@ def cluster_sample(
     """All CR occurrences of one randomly chosen citing year in py_range."""
     sampler = ClusterSampler(py_range[0], py_range[1], rng_seed)
     for rec in records:
-        for key, _ in rec.crs:
-            sampler.offer(Occurrence(key, rec.py))
+        for line, _ in rec.crs:
+            sampler.offer(line, rec.py)
     out = sampler.result()
     if not out:
         raise EmptySampleError(

@@ -1,7 +1,8 @@
 """Streaming parser for Web-of-Science tagged export files.
 
-The reader is a generator that holds one record at a time, so peak memory
-is O(sample size + one record) regardless of file size. Field-tag layout
+The reader is a generator that holds one record and one 64 KiB block of
+input at a time, so peak memory is O(sample size + one record) regardless
+of file size. Field-tag layout
 (2-char tag, value from column 4, 3-space continuation indent) is
 documented byte-exactly in docs/wos-format.md.
 """
@@ -13,12 +14,14 @@ from typing import BinaryIO, Iterator, Optional
 
 from .errors import DomainError, EmptySampleError
 from .model import (
+    NO_KEY,
+    RAW_YEAR,
+    YEAR_MAX,
+    YEAR_MIN,
     CitingRecord,
     Dataset,
-    Occurrence,
     YearFilter,
     aggregate,
-    normalize_key,
     parse_year,
 )
 from .sampling import (
@@ -68,7 +71,7 @@ class ParseStats:
     """What one pass over a WoS file saw; problems are reported, never raised.
 
     ``malformed_records`` counts records left open at EF/EOF and CR lines
-    that normalize to the empty string; every pass given this object adds
+    that have no key (``parse_cr_line``); every pass given this object adds
     to it. ``n_citing`` and ``n_cr`` are the citing records and CRs that
     passed the year filters of the last ``analyze_file`` pass, which sets
     them; ``import_file`` leaves them alone.
@@ -89,8 +92,9 @@ class MemoryProbe:
     """Instrumentation hook for the streaming contract.
 
     The import pipeline reports the number of simultaneously live
-    occurrences (sampler-retained occurrences plus the current record's
-    (key, rpy) pairs) after each record; the probe keeps the peak.
+    occurrences after each record: the Occurrences the sampler retains
+    (it builds one only for an occurrence it keeps) plus the current
+    record's (line, rpy) pairs. The probe keeps the peak.
     """
 
     def __init__(self):
@@ -111,30 +115,70 @@ def _year_passes(year: Optional[int], rng: Optional[YearFilter]) -> bool:
     return rng[0] <= year <= rng[1]
 
 
-def parse_cr_line(line: str) -> Optional[tuple[str, Optional[int]]]:
-    """The key and reference publication year of one cited-reference line.
+_raw_year = RAW_YEAR.match
+_no_key = NO_KEY.fullmatch
 
-    The key is ``normalize_key(line)``; the year is ``parse_year`` of its
-    second ", " token, or None. A line that normalizes to the empty
-    string (e.g. only punctuation) has no key and yields None. The other
-    fields are left to ``model.parse_key``, which ``aggregate`` runs once
-    per retained distinct key, so this is the reader's only per-line
-    parsing work.
+
+def parse_cr_line(line: str) -> Optional[tuple[str, Optional[int]]]:
+    """The line as read and its reference publication year, or None.
+
+    The year is ``parse_year`` of the token ``model.RAW_YEAR`` finds in
+    the raw text, the same token as the second ", " token of
+    ``normalize_key(line)``, so no per-line normalization is needed. A
+    line whose key would be empty (only whitespace and ``.,;:``) yields
+    None. This is the reader's only per-line work: ``aggregate``
+    computes the key once per distinct line a sampler retains and the
+    other fields once per distinct key.
     """
-    key = normalize_key(line)
-    if not key:
+    found = _raw_year(line)
+    if found is not None:
+        return line, parse_year(found[1])
+    if _no_key(line):
         return None
-    tokens = key.split(", ", 2)
-    return key, (parse_year(tokens[1]) if len(tokens) > 1 else None)
+    return line, None
+
+
+# Large enough that decoding costs one call per block, small enough to
+# keep the reader's buffer small (1 MiB blocks were no faster).
+_BLOCK = 1 << 16
+
+
+def _block_lines(chunk: bytes) -> list[str]:
+    r"""The lines of ``chunk``, which ends with b"\n", without it."""
+    try:
+        lines = chunk.decode("utf-8").split("\n")
+    except UnicodeDecodeError:
+        # Real exports mix encodings; decode line-wise with Latin-1 fallback.
+        lines = []
+        for bline in chunk.split(b"\n"):
+            try:
+                lines.append(bline.decode("utf-8"))
+            except UnicodeDecodeError:
+                lines.append(bline.decode("latin-1"))
+    lines.pop()
+    return lines
 
 
 def _decoded_lines(stream: BinaryIO) -> Iterator[str]:
-    # Real exports mix encodings; decode line-wise with Latin-1 fallback.
-    for bline in stream:
-        try:
-            yield bline.decode("utf-8")
-        except UnicodeDecodeError:
-            yield bline.decode("latin-1")
+    r"""The lines of ``stream``, split at b"\n" only and without it.
+
+    Reads 64 KiB blocks and decodes each up to its last b"\n" in one
+    call; b"\n" never occurs inside a UTF-8 multi-byte sequence, so a
+    block decodes exactly when each of its lines does. A block that does
+    not is decoded line by line, each line as UTF-8 or else Latin-1.
+    """
+    tail = bytearray()
+    while block := stream.read(_BLOCK):
+        cut = block.rfind(b"\n") + 1
+        if cut:
+            tail += block[:cut]
+            yield from _block_lines(tail)
+            tail = bytearray(block[cut:])
+        else:
+            tail += block
+    if tail:
+        tail += b"\n"
+        yield from _block_lines(tail)
 
 
 def parse_wos(stream: BinaryIO, stats: Optional[ParseStats] = None) -> Iterator[CitingRecord]:
@@ -142,8 +186,9 @@ def parse_wos(stream: BinaryIO, stats: Optional[ParseStats] = None) -> Iterator[
 
     Record boundaries sit at the ER tag; a record still open at EF/EOF is
     malformed and skipped (counted in ``stats``), and so is a CR line that
-    normalizes to the empty string, which has no key. Unknown tags and
-    their continuation lines are ignored.
+    has no key (``parse_cr_line``). ``PY`` follows the reference-year rule
+    (``parse_year``), anything else is an unknown citing year. Unknown
+    tags and their continuation lines are ignored.
     """
     stats = stats if stats is not None else ParseStats()
     py: Optional[int] = None
@@ -151,54 +196,47 @@ def parse_wos(stream: BinaryIO, stats: Optional[ParseStats] = None) -> Iterator[
     open_record = False
     last_tag = ""
 
-    def add_cr(text: str) -> None:
-        pair = parse_cr_line(text)
-        if pair is None:
-            stats.malformed_records += 1
-        else:
-            crs.append(pair)
-
     for raw_line in _decoded_lines(stream):
-        line = raw_line.rstrip("\r\n")
-        if not line:
-            continue
+        line = raw_line.rstrip("\r")
         if line.startswith("   "):
-            if open_record and last_tag == "CR":
-                text = line[3:]
-                if text.strip():
-                    add_cr(text)
-            continue
-        tag = line[:2]
-        if not (tag.isalpha() and tag.isupper() and (len(line) == 2 or line[2:3] == " ")):
-            continue
-        value = line[3:] if len(line) > 3 else ""
-        if tag in ("FN", "VR"):
-            last_tag = tag
-            continue
-        if tag == "EF":
-            if open_record:
-                stats.malformed_records += 1
-                open_record = False
-            break
-        if tag == "ER":
-            if open_record:
-                yield CitingRecord(py=py, crs=tuple(crs))
-                open_record = False
-            last_tag = ""
-            continue
-        if not open_record:
-            open_record = True
-            py = None
-            crs = []
-        if tag == "PY":
-            try:
-                py = int(value.strip())
-            except ValueError:
+            if not (open_record and last_tag == "CR"):
+                continue
+            text = line[3:]
+        else:
+            tag = line[:2]
+            if not (tag.isalpha() and tag.isupper() and (len(line) == 2 or line[2:3] == " ")):
+                continue
+            if tag in ("FN", "VR"):
+                last_tag = tag
+                continue
+            if tag == "EF":
+                if open_record:
+                    stats.malformed_records += 1
+                    open_record = False
+                break
+            if tag == "ER":
+                if open_record:
+                    yield CitingRecord(py=py, crs=tuple(crs))
+                    open_record = False
+                last_tag = ""
+                continue
+            if not open_record:
+                open_record = True
                 py = None
-        elif tag == "CR":
-            if value.strip():
-                add_cr(value)
-        last_tag = tag
+                crs = []
+            last_tag = tag
+            if tag == "PY":
+                py = parse_year(line[3:].strip())
+            if tag != "CR":
+                continue
+            text = line[3:]
+        # One reference per CR line or continuation; blank ones are not CRs.
+        if text.strip():
+            pair = parse_cr_line(text)
+            if pair is None:
+                stats.malformed_records += 1
+            else:
+                crs.append(pair)
 
     if open_record:
         stats.malformed_records += 1
@@ -295,16 +333,25 @@ def import_file(
         total = analyze_file(path, filt).n_cr if filt.sampling_mode == "SYSTEMATIC" else None
         sampler = build_sampler(filt, total=total)
 
+    # parse_year only returns years in [YEAR_MIN, YEAR_MAX], so without a
+    # filter every reference year passes.
+    lo, hi, unknown = filt.rpy_range or (YEAR_MIN, YEAR_MAX, True)
+    offer = sampler.offer
+    wants_more = sampler.wants_more
     n_citing = 0
     scanning = True
     for rec in parse_wos_path(path, stats):
-        if _year_passes(rec.py, filt.py_range):
+        py = rec.py
+        if _year_passes(py, filt.py_range):
             n_citing += 1
-            for key, rpy in rec.crs:
-                if not _year_passes(rpy, filt.rpy_range):
+            for line, rpy in rec.crs:
+                if rpy is None:
+                    if not unknown:
+                        continue
+                elif not lo <= rpy <= hi:
                     continue
-                sampler.offer(Occurrence(key, rec.py))
-                if not sampler.wants_more():
+                offer(line, py)
+                if not wants_more():
                     scanning = False
                     break
         if probe is not None:

@@ -58,7 +58,7 @@ def test_criterion_1_removal_threshold_reproduction():
 def test_criterion_2_systematic_anchor():
     with criterion(2, "systematic sampling picks the 1st, 5th, 9th, ... CR", 5):
         picked = systematic_sample(occurrence_stream(400), n=100, total=400, offset=0)
-        positions = {int(o.key.split(",")[0].split()[1]) for o in picked}
+        positions = {int(o.line.split(",")[0].split()[1]) for o in picked}
         assert positions == set(range(0, 400, 4))
 
 
@@ -92,8 +92,8 @@ def test_criterion_4_random_sampling_unbiasedness():
         hits: Counter = Counter()
         for seed in range(runs):
             for occ in random_sample(population, 25, rng_seed=seed):
-                hits[occ.key] += 1
-        freqs = [hits[occ.key] / runs for occ in population]
+                hits[occ.line] += 1
+        freqs = [hits[occ.line] / runs for occ in population]
         assert all(0.237 <= f <= 0.263 for f in freqs), (min(freqs), max(freqs))
 
 

@@ -89,10 +89,30 @@ class TestAggregate:
             Occurrence(rng.choice(pool), rng.randint(1980, 2014))
             for _ in range(1000)
         ]
-        oracle = Counter(key for key, _ in occs)
+        oracle = Counter(normalize_key(line) for line, _ in occs)
         ds = aggregate(occs)
         assert {k: v.ncr for k, v in ds.variants.items()} == dict(oracle)
         assert ds.n_cr_total == 1000
+
+    # Lines that differ in case, whitespace and trailing punctuation but
+    # share keys, so folding by line first has lines to merge.
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from(
+                    ["a b, 1990, j", "A  B, 1990, J.", " A B,\t1990, J ", "c, 2000",
+                     "C, 2000;", "no year", "NO\u3000YEAR", "d, 1990,x"]
+                ),
+                st.one_of(st.none(), st.integers(1995, 1998)),
+            ),
+            max_size=40,
+        )
+    )
+    def test_raw_lines_aggregate_as_their_keys(self, pairs):
+        raw = aggregate([Occurrence(line, py) for line, py in pairs])
+        keyed = aggregate([Occurrence(normalize_key(line), py) for line, py in pairs])
+        assert list(raw.variants.items()) == list(keyed.variants.items())
+        assert raw.n_cr_total == keyed.n_cr_total == len(pairs)
 
     def test_order_insensitive_counts(self):
         rng = random.Random(3)

@@ -26,7 +26,7 @@ class TestRandomSample:
     def test_exhaustive_when_n_covers_population(self):
         pop = population(30)
         picked = random_sample(pop, 50, rng_seed=1)
-        assert Counter(o.key for o in picked) == Counter(o.key for o in pop)
+        assert Counter(o.line for o in picked) == Counter(o.line for o in pop)
 
     def test_deterministic_given_seed(self):
         pop = population(100)
@@ -45,8 +45,8 @@ class TestRandomSample:
         runs = 2000
         for seed in range(runs):
             for o in random_sample(pop, 25, rng_seed=seed):
-                hits[o.key] += 1
-        freqs = [hits[o.key] / runs for o in pop]
+                hits[o.line] += 1
+        freqs = [hits[o.line] / runs for o in pop]
         assert all(0.25 - 0.031 <= f <= 0.25 + 0.031 for f in freqs)
 
     def test_sample_size_bounded(self):
@@ -61,13 +61,13 @@ class TestSystematicSample:
     def test_first_fifth_ninth(self):
         pop = population(400)
         picked = systematic_sample(pop, n=100, total=400, offset=0)
-        positions = [int(o.key.split(",")[0].split()[1]) for o in picked]
+        positions = [int(o.line.split(",")[0].split()[1]) for o in picked]
         assert positions == list(range(0, 400, 4))
 
     def test_offset_shifts_selection(self):
         pop = population(400)
         picked = systematic_sample(pop, n=100, total=400, offset=1)
-        positions = [int(o.key.split(",")[0].split()[1]) for o in picked]
+        positions = [int(o.line.split(",")[0].split()[1]) for o in picked]
         assert positions == list(range(1, 400, 4))
 
     def test_step_one_takes_everything(self):
@@ -82,7 +82,7 @@ class TestSystematicSample:
     def test_truncates_at_n_picks(self):
         # total 10, n 3 -> step 3, positions 0, 3, 6 (not 9).
         picked = systematic_sample(population(10), n=3, total=10, offset=0)
-        positions = [int(o.key.split(",")[0].split()[1]) for o in picked]
+        positions = [int(o.line.split(",")[0].split()[1]) for o in picked]
         assert positions == [0, 3, 6]
 
     def test_partition_property(self):
@@ -92,8 +92,8 @@ class TestSystematicSample:
         seen = Counter()
         for offset in range(4):
             for o in systematic_sample(pop, n=100, total=400, offset=offset):
-                seen[o.key] += 1
-        assert seen == Counter(o.key for o in pop)
+                seen[o.line] += 1
+        assert seen == Counter(o.line for o in pop)
 
 
 class TestClusterSample:

@@ -2,12 +2,13 @@ from __future__ import annotations
 
 import io
 import re
-from typing import Optional
+from typing import BinaryIO, Iterator, Optional
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from rpyspect import model, wos
+from rpyspect import model, sampling, wos
 from rpyspect.errors import EmptySampleError, OffsetTooLargeError
 from rpyspect.model import CitedReference, Occurrence, aggregate, normalize_key, parse_key
 from rpyspect.wos import (
@@ -20,6 +21,7 @@ from rpyspect.wos import (
     parse_cr_line,
     parse_wos,
     parse_wos_path,
+    _decoded_lines,
 )
 
 from corpus import Corpus, make_corpus
@@ -108,6 +110,20 @@ CR_TEXT = st.one_of(
 )
 
 
+# Raw CR text as the year-first reader sees it: Unicode whitespace, the
+# separators and punctuation normalize_key acts on, ASCII letters, ASCII
+# and Arabic-Indic digits (decimal) and superscript ones (not), and
+# pieces that put a year-like token after the first "," plus whitespace.
+RAW_CR_TEXT = st.lists(
+    st.sampled_from(
+        list("aZß19,.;: \t\x1c\xa0\u2028\u3000١٩²¹")
+        + [", 1990, ", ", 1990", ",\t1990,", ", ١٩٩٠.", ", 0999, ", ", 19900, "]
+        + [", 1990 ;", ", 1990:"]
+    ),
+    max_size=20,
+).map("".join)
+
+
 def parse_text(text: str, stats=None):
     return list(parse_wos(io.BytesIO(text.encode("utf-8")), stats))
 
@@ -168,6 +184,11 @@ class TestParseWos:
         records = list(parse_wos(io.BytesIO(body)))
         assert records[0].crs == (("MÜLLER K, 1990, J PHYS", 1990),)
 
+    @pytest.mark.parametrize("value", ["2_011", "-7", "+2011"])
+    def test_py_follows_the_year_rule(self, value):
+        records = parse_text(f"PT J\nPY {value}\nCR A B, 2000, J\nER\nEF\n")
+        assert records[0].py is None
+
     def test_crlf_line_endings(self):
         records = parse_text(TWO_RECORDS.replace("\n", "\r\n"))
         assert [len(r.crs) for r in records] == [3, 0]
@@ -178,7 +199,7 @@ class TestParseWos:
         assert len(records) == corpus.n_records
         for parsed, (py, _, crs) in zip(records, corpus.records):
             assert parsed.py == py
-            assert [key for key, _ in parsed.crs] == [normalize_key(cr) for cr in crs]
+            assert [line for line, _ in parsed.crs] == crs
 
 
 def fields(line: str) -> CitedReference:
@@ -187,18 +208,22 @@ def fields(line: str) -> CitedReference:
 
 
 class TestParseCrLine:
-    @settings(max_examples=1000)
-    @given(st.one_of(CR_TEXT, st.text()))
+    @settings(max_examples=2000)
+    @given(st.one_of(RAW_CR_TEXT, CR_TEXT, st.text()))
     @example("Stuiver M, 1993,  Radiocarbon, V35, P215.")
     @example(" ., ;")  # no key
     @example("A, 1990")
     @example("A, 19900, J")
-    def test_pair_is_the_key_and_its_references_year(self, text):
+    @example("A,1990, B, 1991")  # the first "," is not followed by whitespace
+    @example("A, 1990 , J")  # the year token is "1990 "
+    @example("A, 1990\u3000.;")  # trailing whitespace and punctuation
+    @example("A, 1990:")
+    def test_pair_is_the_line_and_its_keys_year(self, text):
         key = normalize_key(text)
         if not key:
             assert parse_cr_line(text) is None
         else:
-            assert parse_cr_line(text) == (key, parse_key(key).rpy)
+            assert parse_cr_line(text) == (text, parse_key(key).rpy)
 
     # The other fields of a line come from its key, once per distinct key.
     def test_full_reference(self):
@@ -267,6 +292,70 @@ class TestReferenceEquivalence:
         corpus = make_corpus(seed=5, misspell_rate=0.2)
         for raw, _ in corpus.occurrences():
             assert fields(raw) == reference_parse_cr_line(raw)
+
+
+def reference_decoded_lines(stream: BinaryIO) -> Iterator[str]:
+    """The per-line decoder, kept as the reference for ``_decoded_lines``,
+    which yields the same lines without their "\\n"."""
+    for bline in stream:
+        try:
+            yield bline.decode("utf-8")
+        except UnicodeDecodeError:
+            yield bline.decode("latin-1")
+
+
+def assert_decodes_like_reference(data: bytes) -> None:
+    expected = [line.removesuffix("\n") for line in reference_decoded_lines(io.BytesIO(data))]
+    assert list(_decoded_lines(io.BytesIO(data))) == expected
+
+
+BLOCK = 1 << 16
+LATIN1_LINE = b"CR M\xdcLLER K, 1990, J PHYS\n"
+
+
+class TestDecodedLines:
+    # A Latin-1 line that ends right before, straddles, or starts right
+    # after the first 64 KiB boundary, among UTF-8 lines.
+    @pytest.mark.parametrize("shift", [-len(LATIN1_LINE) - 1, -len(LATIN1_LINE), -5, 0, 1])
+    def test_non_utf8_line_at_the_block_boundary(self, shift):
+        filler = "   A\u00e9, 1990, J\n".encode("utf-8")
+        head = filler * ((BLOCK + shift - 1) // len(filler))
+        head += b"x" * (BLOCK + shift - len(head) - 1) + b"\n"
+        assert len(head) == BLOCK + shift
+        assert_decodes_like_reference(head + LATIN1_LINE + filler * 3)
+
+    def test_crlf_endings(self):
+        assert_decodes_like_reference(TWO_RECORDS.replace("\n", "\r\n").encode("utf-8") * 3000)
+
+    def test_line_longer_than_a_block(self):
+        # The multi-byte characters put block boundaries inside them.
+        long_line = ("CR " + "\u00e9" * (BLOCK * 2) + ", 1990\n").encode("utf-8")
+        assert_decodes_like_reference(b"PT J\n" + long_line + LATIN1_LINE + long_line)
+
+    def test_missing_final_newline(self):
+        assert_decodes_like_reference(b"PT J\nCR A, 1990\nEF")
+        assert_decodes_like_reference(b"PT J\nCR M\xdcLLER")
+
+    def test_empty_file(self):
+        assert list(_decoded_lines(io.BytesIO(b""))) == []
+
+    # Tiny blocks put a boundary at every position of short inputs; the
+    # pieces mix UTF-8, invalid UTF-8, and "\r", "\x1c" and U+2028,
+    # which end lines for str.splitlines() but not here.
+    @settings(max_examples=300)
+    @given(
+        st.lists(
+            st.sampled_from(
+                [b"\n", b"\r\n", b"\r", b"ab", b"\xc3\xa9", b"\xc3", b"\xdc",
+                 b"\x1c", "\u2028".encode("utf-8"), b" , 1990"]
+            ),
+            max_size=30,
+        ).map(b"".join),
+        st.integers(1, 9),
+    )
+    def test_matches_reference_at_any_block_size(self, data, block):
+        with mock.patch.object(wos, "_BLOCK", block):
+            assert_decodes_like_reference(data)
 
 
 class TestAnalyzeFile:
@@ -399,8 +488,9 @@ class TestStreamingContract:
 
     def test_probe_accounting_is_honest(self, tmp_path, monkeypatch):
         # Cross-check the accounting hook against a census of the objects
-        # that hold an occurrence: the reader's (key, rpy) pairs and the
-        # Occurrences it offers, each counted from creation to collection.
+        # that hold an occurrence: the reader's (line, rpy) pairs and the
+        # Occurrences the sampler keeps, each counted from creation to
+        # collection.
         corpus = make_corpus(seed=3, n_records=60, crs_per_record=10, n_works=100)
         path = tmp_path / "census.txt"
         corpus.write(path)
@@ -416,13 +506,13 @@ class TestStreamingContract:
                 return super().__new__(cls, pair)
 
         class CountedOccurrence(Counted, Occurrence):
-            def __new__(cls, key, py):
+            def __new__(cls, line, py):
                 live[0] += 1
-                return super().__new__(cls, key, py)
+                return super().__new__(cls, line, py)
 
         parse = wos.parse_cr_line
         monkeypatch.setattr(wos, "parse_cr_line", lambda line: Pair(parse(line)))
-        monkeypatch.setattr(wos, "Occurrence", CountedOccurrence)
+        monkeypatch.setattr(sampling, "Occurrence", CountedOccurrence)
 
         class CensusProbe(MemoryProbe):
             def __init__(self):
