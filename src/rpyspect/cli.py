@@ -49,7 +49,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_sample.add_argument(
         "--mode", choices=["none", "random", "systematic", "cluster"], default="none"
     )
-    p_sample.add_argument("--n", type=int, default=0, help="sample size (maxCR; 0 = no limit)")
+    p_sample.add_argument(
+        "--n", type=int, default=0, help="sample size (maxCR; 0 = no limit; cluster ignores it)"
+    )
     p_sample.add_argument("--offset", type=int, default=0)
     p_sample.add_argument("--seed", type=int, default=0)
     p_sample.add_argument("--rpy", type=_year_range, default=None)

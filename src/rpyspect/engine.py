@@ -21,7 +21,7 @@ from typing import Callable, Optional
 from . import clustering, formats, spectroscopy, wos
 from .errors import DomainError, RpysError, ScriptError
 from .model import Dataset
-from .script import Call, Loop, ScriptProgram, Statement, eval_expr
+from .script import Loop, ScriptProgram, Statement, eval_expr
 
 DEFAULT_SETTINGS = {"median_range": 2, "n_pct_range": 0}
 
@@ -79,7 +79,7 @@ def _run_statements(statements: tuple[Statement, ...], env: Environment, binding
             if isinstance(stmt, Loop):
                 _run_loop(stmt, env, bindings)
             else:
-                _CALLS[stmt.name](stmt, env, bindings)
+                _CALLS[stmt.name](_args(stmt, bindings), env)
         except ScriptError:
             raise
         except (RpysError, NotImplementedError, OSError) as exc:
@@ -90,12 +90,7 @@ def _args(stmt, bindings: dict) -> dict:
     return {name: eval_expr(expr, bindings) for name, expr in stmt.args}
 
 
-def _triple(value) -> tuple[int, int, bool]:
-    return (value[0], value[1], value[2])
-
-
-def _call_set(stmt: Call, env: Environment, bindings: dict) -> None:
-    args = _args(stmt, bindings)
+def _call_set(args: dict, env: Environment) -> None:
     # Checked here, not where a setting is used: a saveFile in between
     # would write the bad value into a CRE's #SETTINGS.
     for name, value in args.items():
@@ -110,8 +105,8 @@ def _import_filter(args: dict, env: Environment) -> wos.ImportFilter:
     if seed is None:
         seed = env.base_seed + (env.iteration or 0)
     return wos.ImportFilter(
-        rpy_range=_triple(args["RPY"]) if "RPY" in args else None,
-        py_range=_triple(args["PY"]) if "PY" in args else None,
+        rpy_range=tuple(args["RPY"]) if "RPY" in args else None,
+        py_range=tuple(args["PY"]) if "PY" in args else None,
         max_cr=args.get("maxCR", 0),
         sampling_mode=mode,
         offset=args.get("offset", 0),
@@ -129,8 +124,7 @@ def _population_key(path, filt: wos.ImportFilter) -> tuple:
     return (st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns, filt.py_range, filt.rpy_range)
 
 
-def _call_import(stmt: Call, env: Environment, bindings: dict) -> None:
-    args = _args(stmt, bindings)
+def _call_import(args: dict, env: Environment) -> None:
     wos.check_format(args["type"])
     filt = _import_filter(args, env)
     sampler = None
@@ -145,8 +139,7 @@ def _call_import(stmt: Call, env: Environment, bindings: dict) -> None:
     _warn_skipped(stats, env)
 
 
-def _call_analyze(stmt: Call, env: Environment, bindings: dict) -> None:
-    args = _args(stmt, bindings)
+def _call_analyze(args: dict, env: Environment) -> None:
     wos.check_format(args["type"])
     filt = _import_filter(args, env)
     key = _population_key(args["file"], filt)
@@ -163,7 +156,7 @@ def _warn_skipped(stats: wos.ParseStats, env: Environment) -> None:
         env.sink(warning)
 
 
-def _call_info(stmt: Call, env: Environment, bindings: dict) -> None:
+def _call_info(args: dict, env: Environment) -> None:
     ds = env.dataset
     if ds is None:
         env.sink("no dataset loaded")
@@ -174,8 +167,7 @@ def _call_info(stmt: Call, env: Environment, bindings: dict) -> None:
     )
 
 
-def _call_cluster(stmt: Call, env: Environment, bindings: dict) -> None:
-    args = _args(stmt, bindings)
+def _call_cluster(args: dict, env: Environment) -> None:
     config = clustering.ClusterConfig(
         threshold=float(args["threshold"]),
         use_volume=args.get("volume", False),
@@ -185,22 +177,20 @@ def _call_cluster(stmt: Call, env: Environment, bindings: dict) -> None:
     env.dataset = clustering.cluster_crs(env.require_dataset(), config)
 
 
-def _call_merge(stmt: Call, env: Environment, bindings: dict) -> None:
+def _call_merge(args: dict, env: Environment) -> None:
     env.dataset = clustering.merge_clusters(env.require_dataset())
 
 
-def _call_remove(stmt: Call, env: Environment, bindings: dict) -> None:
-    lo, hi = _args(stmt, bindings)["N_CR"]
+def _call_remove(args: dict, env: Environment) -> None:
+    lo, hi = args["N_CR"]
     env.dataset = clustering.remove_cr(env.require_dataset(), lo, hi)
 
 
-def _call_save(stmt: Call, env: Environment, bindings: dict) -> None:
-    args = _args(stmt, bindings)
+def _call_save(args: dict, env: Environment) -> None:
     formats.save_cre(env.require_dataset(), args["file"], settings=env.settings)
 
 
-def _call_export(stmt: Call, env: Environment, bindings: dict) -> None:
-    args = _args(stmt, bindings)
+def _call_export(args: dict, env: Environment) -> None:
     kind = args["type"]
     ds = env.require_dataset()
     if kind == "CSV_CR":

@@ -100,9 +100,10 @@ class SystematicSampler(Sampler):
     step = max(1, floor(total / n)), truncated to at most n picks.
 
     ``total`` must be the exact occurrence count the stream will yield:
-    ``wos.import_file`` establishes it with a prior counting pass, and
-    the script engine reuses one count per file and year filters for the
-    whole run (``wos.build_sampler`` rejects a total of 0 first).
+    ``wos.analyze_file`` counts it over the same filtered record stream
+    ``wos.import_file`` offers from, and the script engine reuses one
+    count per file and year filters for the whole run
+    (``wos.build_sampler`` rejects a total of 0 first).
     """
 
     mode = "SYSTEMATIC"

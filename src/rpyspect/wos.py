@@ -42,9 +42,11 @@ class ImportFilter:
     """Year filters plus sampling parameters for one import.
 
     Ranges are (lo, hi, include_unknown) triples; include_unknown decides
-    whether records/CRs without a parseable year pass. max_cr 0 means no
-    limit. offset is only meaningful for SYSTEMATIC sampling; it is
-    accepted but ignored otherwise.
+    whether records/CRs without a parseable year pass. max_cr is the
+    sample size for NONE (0 means no limit), RANDOM and SYSTEMATIC;
+    CLUSTER ignores it and keeps every CR of its drawn citing year. offset
+    is only meaningful for SYSTEMATIC sampling; it is accepted but ignored
+    otherwise.
     """
 
     rpy_range: Optional[YearFilter] = None
@@ -72,9 +74,9 @@ class ParseStats:
 
     ``malformed_records`` counts records left open at EF/EOF and CR lines
     that have no key (``parse_cr_line``); every pass given this object adds
-    to it. ``n_citing`` and ``n_cr`` are the citing records and CRs that
-    passed the year filters of the last ``analyze_file`` pass, which sets
-    them; ``import_file`` leaves them alone.
+    to it. ``n_citing`` and ``n_cr`` are the passing records and CRs of the
+    records the last pass read: ``analyze_file`` reads the whole file, an
+    ``import_file`` that stops early only up to the record it stopped in.
     """
 
     malformed_records: int = 0
@@ -105,14 +107,6 @@ class MemoryProbe:
         self.records_seen += 1
         if live > self.peak:
             self.peak = live
-
-
-def _year_passes(year: Optional[int], rng: Optional[YearFilter]) -> bool:
-    if rng is None:
-        return True
-    if year is None:
-        return rng[2]
-    return rng[0] <= year <= rng[1]
 
 
 _raw_year = RAW_YEAR.match
@@ -204,7 +198,9 @@ def parse_wos(stream: BinaryIO, stats: Optional[ParseStats] = None) -> Iterator[
             text = line[3:]
         else:
             tag = line[:2]
-            if not (tag.isalpha() and tag.isupper() and (len(line) == 2 or line[2:3] == " ")):
+            if not (tag.isascii() and tag.isalpha() and tag.isupper()):
+                continue
+            if not (len(line) == 2 or line[2:3] == " "):
                 continue
             if tag in ("FN", "VR"):
                 last_tag = tag
@@ -256,26 +252,46 @@ def check_format(fmt: str) -> None:
     raise DomainError(f"unknown import format {fmt!r}")
 
 
+def _passing(
+    path, filt: ImportFilter, stats: ParseStats
+) -> Iterator[tuple[CitingRecord, Optional[list[tuple[str, Optional[int]]]]]]:
+    """Each record of ``path`` with its CR lines that pass both year filters.
+
+    A record whose citing year fails the PY filter comes with None in
+    place of the list. This is the one place that applies the filters and
+    counts what passes, so the count pass totals exactly the CRs an import
+    offers, in file order. ``stats.n_citing`` and ``stats.n_cr`` start at 0
+    and cover the records yielded so far.
+    """
+    # parse_year only returns years in [YEAR_MIN, YEAR_MAX], so without a
+    # filter every year passes.
+    py_lo, py_hi, py_unknown = filt.py_range or (YEAR_MIN, YEAR_MAX, True)
+    lo, hi, unknown = filt.rpy_range or (YEAR_MIN, YEAR_MAX, True)
+    stats.n_citing = stats.n_cr = 0
+    for rec in parse_wos_path(path, stats):
+        py = rec.py
+        if not (py_unknown if py is None else py_lo <= py <= py_hi):
+            yield rec, None
+            continue
+        crs = [cr for cr in rec.crs if (unknown if cr[1] is None else lo <= cr[1] <= hi)]
+        stats.n_citing += 1
+        stats.n_cr += len(crs)
+        yield rec, crs
+
+
 def analyze_file(path, filt: ImportFilter, stats: Optional[ParseStats] = None) -> ParseStats:
     """Count citing records and CRs passing the year filters, without
     retaining records. Sampling fields of ``filt`` are ignored: the CR
-    count is the population total the systematic sampler divides by.
+    count is the population total the systematic sampler divides by, and
+    it comes from the same filtered stream (``_passing``) that
+    ``import_file`` offers from.
 
     The counts are stored in ``stats`` (or a new ParseStats), replacing
     any earlier ones, and that object is returned.
     """
     stats = stats if stats is not None else ParseStats()
-    n_citing = 0
-    n_cr = 0
-    for rec in parse_wos_path(path, stats):
-        if not _year_passes(rec.py, filt.py_range):
-            continue
-        n_citing += 1
-        for _, rpy in rec.crs:
-            if _year_passes(rpy, filt.rpy_range):
-                n_cr += 1
-    stats.n_citing = n_citing
-    stats.n_cr = n_cr
+    for _ in _passing(path, filt, stats):
+        pass
     return stats
 
 
@@ -326,37 +342,28 @@ def import_file(
     population CR count, so the file is read twice rather than buffered.
     A caller that already knows the count passes a sampler built with
     ``build_sampler(filt, total=...)`` and saves that pass, as the script
-    engine does. Raises EmptySampleError when the population or the
-    selection is empty.
+    engine does. The sampler is offered the CRs of the same filtered
+    stream the count pass reads (``_passing``), and the import stops at
+    the first record after which it wants no more; ``stats`` (or a new
+    ParseStats) counts what was read up to there. Raises EmptySampleError
+    when the population or the selection is empty.
     """
     if sampler is None:
         total = analyze_file(path, filt).n_cr if filt.sampling_mode == "SYSTEMATIC" else None
         sampler = build_sampler(filt, total=total)
 
-    # parse_year only returns years in [YEAR_MIN, YEAR_MAX], so without a
-    # filter every reference year passes.
-    lo, hi, unknown = filt.rpy_range or (YEAR_MIN, YEAR_MAX, True)
+    stats = stats if stats is not None else ParseStats()
     offer = sampler.offer
     wants_more = sampler.wants_more
-    n_citing = 0
-    scanning = True
-    for rec in parse_wos_path(path, stats):
+    for rec, crs in _passing(path, filt, stats):
         py = rec.py
-        if _year_passes(py, filt.py_range):
-            n_citing += 1
-            for line, rpy in rec.crs:
-                if rpy is None:
-                    if not unknown:
-                        continue
-                elif not lo <= rpy <= hi:
-                    continue
-                offer(line, py)
-                if not wants_more():
-                    scanning = False
-                    break
+        for line, _ in crs or ():
+            offer(line, py)
+            if not wants_more():
+                break
         if probe is not None:
             probe.observe(sampler.retained() + len(rec.crs))
-        if not scanning:
+        if not wants_more():
             break
 
     selected = sampler.result()
@@ -367,4 +374,4 @@ def import_file(
         f" py={_format_range(filt.py_range)} sampling={sampler.mode}"
         f" maxCR={filt.max_cr} offset={filt.offset} seed={filt.seed}"
     )
-    return aggregate(selected, n_citing=n_citing, provenance=note)
+    return aggregate(selected, n_citing=stats.n_citing, provenance=note)

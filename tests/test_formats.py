@@ -12,6 +12,7 @@ from rpyspect.errors import (
     CreFormatError,
     DomainError,
     EmptyDatasetError,
+    EmptySampleError,
     FormatVersionError,
     RpysError,
 )
@@ -27,7 +28,7 @@ from rpyspect.formats import (
 )
 from rpyspect.model import Dataset, Occurrence, Spectrogram, SpectroRow, aggregate
 from rpyspect.spectroscopy import compute_spectrogram, n_pct
-from rpyspect.wos import ImportFilter, import_file
+from rpyspect.wos import ImportFilter, analyze_file, import_file
 
 from conftest import dataset_fields
 
@@ -178,6 +179,14 @@ IMPORT_FILTERS = [
     ImportFilter(max_cr=3),
     ImportFilter(max_cr=2, sampling_mode="RANDOM", seed=1),
     ImportFilter(max_cr=2, sampling_mode="SYSTEMATIC", offset=1),
+    # The only CR year the strategy writes is 1990, so only this filter's
+    # unknown-year rule makes the RPY filter reject CRs.
+    ImportFilter(
+        rpy_range=(1000, 1995, False),
+        py_range=(2011, 2013, True),
+        max_cr=2,
+        sampling_mode="SYSTEMATIC",
+    ),
     ImportFilter(py_range=(2011, 2013, True), sampling_mode="CLUSTER", seed=2),
 ]
 
@@ -200,6 +209,23 @@ class TestWosToCre:
         loaded = load_cre(base / "fuzz.cre")
         assert dataset_fields(loaded) == dataset_fields(ds)
         assert cre_bytes(loaded, settings=settings_) == (base / "fuzz.cre").read_bytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=wos_files, filt=st.sampled_from(IMPORT_FILTERS))
+    def test_count_pass_totals_what_an_import_offers(self, tmp_path_factory, data, filt):
+        """SYSTEMATIC's step is only right if analyze_file counts exactly
+        the citing records and CRs an unlimited import under the same year
+        filters offers."""
+        path = tmp_path_factory.getbasetemp() / "fuzz.txt"
+        path.write_bytes(data)
+        counted = analyze_file(path, filt)
+        everything = replace(filt, sampling_mode="NONE", max_cr=0, offset=0)
+        try:
+            ds = import_file(path, everything)
+        except EmptySampleError:
+            assert counted.n_cr == 0
+            return
+        assert (counted.n_citing, counted.n_cr) == (ds.n_citing, ds.n_cr_total)
 
 
 def tiny_dataset():

@@ -175,6 +175,10 @@ class TestParseWos:
         assert len(records) == 1
         assert records[0].crs == ()
 
+    def test_non_ascii_letters_are_not_a_tag(self):
+        records = parse_text("PT J\nPY 2011\nCR A B, 1990, J\nER\nÄB x\nER\nEF\n")
+        assert records == [model.CitingRecord(py=2011, crs=(("A B, 1990, J", 1990),))]
+
     def test_line_shorter_than_a_tag_is_ignored(self):
         records = parse_text("PT J\nPY 2011\nA\nCR A B, 2000, J\nER\nEF\n")
         assert records[0].crs == (("A B, 2000, J", 2000),)
@@ -405,6 +409,15 @@ class TestImportFile:
         }
         assert ds.n_cr_total == corpus.n_cr
         assert ds.n_citing == corpus.n_records
+
+    def test_stats_count_what_the_import_read(self, corpus_file):
+        years = {"rpy_range": (1980, 1995, False), "py_range": (1985, 2005, False)}
+        full, capped = ParseStats(), ParseStats()
+        ds = import_file(corpus_file, ImportFilter(**years), stats=full)
+        assert (full.n_citing, full.n_cr) == (ds.n_citing, ds.n_cr_total)
+        sample = import_file(corpus_file, ImportFilter(**years, max_cr=5), stats=capped)
+        assert capped.n_citing == sample.n_citing < full.n_citing
+        assert 5 <= capped.n_cr < full.n_cr
 
     def test_max_cr_zero_means_unlimited(self, corpus: Corpus, corpus_file):
         ds = import_file(corpus_file, ImportFilter(max_cr=0))
