@@ -6,7 +6,7 @@ spectrograms, and merges many samples into one result — drivable from a
 replayable script language or the command line.
 """
 
-from .clustering import ClusterConfig, cluster_crs, compatible, merge_clusters, remove_cr, similarity
+from .clustering import ClusterConfig, cluster_crs, compatible, merge_clusters, remove_cr
 from .engine import Environment, execute
 from .formats import export_csv_cr, export_csv_graph, load_cre, save_cre, union_cre
 from .model import (

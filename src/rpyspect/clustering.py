@@ -9,10 +9,22 @@ merging collapses each cluster onto its highest-NCR member.
 The edit distance is computed with the bit-parallel algorithm of Myers
 (JACM 1999) in Hyyrö's (2001) formulation for edit distance, which
 processes one whole DP column per character of the longer string.
+
+Before the edit distance, each pair is tested against its bag distance
+(Bartolini, Ciaccia & Patella, "String matching with metric trees using
+an approximate distance", SPIRE 2002): the larger of the two multiset
+differences of the names' characters. One edit shrinks each difference
+by at most one, so the bag distance never exceeds the edit distance, and
+it is at least the length gap. The similarity ``1 - d / longest`` cannot
+rise as ``d`` grows (float division and subtraction are monotone), so a
+pair whose similarity misses the threshold with the bag distance in
+place of ``d`` misses it with the edit distance too: the filter skips no
+pair that clusters.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, replace
 
 from .errors import DomainError
@@ -88,14 +100,6 @@ def _name_string(ref: CitedReference) -> str:
     if ref.source:
         return f"{ref.author}, {ref.source}".lower()
     return ref.author.lower()
-
-
-def similarity(a: CitedReference, b: CitedReference) -> float:
-    """Similarity in [0, 1]: 1 for equal normalized keys, otherwise
-    normalized Levenshtein over the lower-cased "author, source" string."""
-    if a.key == b.key:
-        return 1.0
-    return _name_similarity(_name_string(a), _name_string(b))
 
 
 def _name_similarity(sa: str, sb: str) -> float:
@@ -186,28 +190,65 @@ def cluster_crs(
     return dataset.with_variants(clustered, note)
 
 
+def _bags(names: list[str]) -> list[int]:
+    """Each name's character multiset as an int, for the bag distance.
+
+    Every character gets a run of bits, at its own offset, as long as its
+    largest count in any of ``names``; a name holding it ``k`` times sets
+    the first ``k`` bits of the run. For two bags ``a`` and ``b``,
+    ``(a & ~b).bit_count()`` is then the size of the multiset difference.
+    """
+    counts = [Counter(s) for s in names]
+    width: Counter[str] = Counter()
+    for count in counts:
+        width |= count  # per character, the largest count
+    offset: dict[str, int] = {}
+    end = 0
+    for c, w in width.items():
+        offset[c] = end
+        end += w
+    return [
+        sum(((1 << k) - 1) << offset[c] for c, k in count.items())
+        for count in counts
+    ]
+
+
 def _cluster_block(
     ordered: list[CRVariant], group: list[int], config: ClusterConfig, uf: _UnionFind
 ) -> None:
-    names = {idx: _name_string(ordered[idx].reference) for idx in group}
-    for pos, i in enumerate(group):
-        ref_i = ordered[i].reference
-        len_i = len(names[i])
-        for j in group[pos + 1 :]:
-            if uf.find(i) == uf.find(j):
+    # Keys are unique in a dataset, so no two variants here share one and
+    # their names alone decide. Per-position lists: no dict lookups.
+    refs = [ordered[idx].reference for idx in group]
+    names = [_name_string(r) for r in refs]
+    lens = [len(s) for s in names]
+    bags = _bags(names)
+    threshold = config.threshold
+    find = uf.find
+    n = len(group)
+    # Cheapest test first. Each test is pure or skips only a union that
+    # would change nothing, so the clusters do not depend on the order.
+    for p in range(n):
+        i, ref_i, name_i, len_i, bag_i = group[p], refs[p], names[p], lens[p], bags[p]
+        for q in range(p + 1, n):
+            # The bag distance bounds the edit distance from below, so the
+            # gate's own expression with it in place of the distance skips
+            # only pairs the edit distance would reject too. A bound of 0
+            # never fails the gate (threshold <= 1). Conditional
+            # expressions, not max(): this test runs on every pair.
+            bag_j = bags[q]
+            a = (bag_i & ~bag_j).bit_count()
+            b = (bag_j & ~bag_i).bit_count()
+            lower = a if a > b else b
+            if lower:
+                len_j = lens[q]
+                if 1.0 - lower / (len_i if len_i > len_j else len_j) < threshold:
+                    continue
+            j = group[q]
+            if find(i) == find(j):
                 continue
-            ref_j = ordered[j].reference
-            if not compatible(ref_i, ref_j, config):
+            if not compatible(ref_i, refs[q], config):
                 continue
-            # Length gap alone bounds similarity from above; skip the DP
-            # when even that bound misses the threshold.
-            longest = max(len_i, len(names[j]))
-            if longest and 1.0 - abs(len_i - len(names[j])) / longest < config.threshold:
-                continue
-            # A variant's key is its reference's key and keys are unique in
-            # a dataset, so similarity()'s equal-key shortcut never fires
-            # here: compare the names built once for the block.
-            if _name_similarity(names[i], names[j]) >= config.threshold:
+            if _name_similarity(name_i, names[q]) >= threshold:
                 uf.union(i, j)
 
 

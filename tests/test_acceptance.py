@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 
 from rpyspect.cli import main as cli_main
-from rpyspect.clustering import ClusterConfig, cluster_crs, compatible, merge_clusters, similarity
+from rpyspect.clustering import ClusterConfig, cluster_crs, compatible, merge_clusters
 from rpyspect.engine import Environment, execute
 from rpyspect.errors import RpysError
 from rpyspect.formats import load_cre, save_cre, union_cre
@@ -28,6 +28,7 @@ from rpyspect.wos import ImportFilter, MemoryProbe, import_file
 
 from conftest import dataset_fields
 from corpus import make_corpus
+from test_clustering import oracle_similarity
 from test_formats import random_dataset
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -157,7 +158,7 @@ def test_criterion_6_clustering_oracle_equivalence():
             for i in range(len(ordered)):
                 for j in range(i + 1, len(ordered)):
                     a, b = ordered[i].reference, ordered[j].reference
-                    if compatible(a, b, config) and similarity(a, b) >= config.threshold:
+                    if compatible(a, b, config) and oracle_similarity(a, b) >= config.threshold:
                         ri, rj = find(i), find(j)
                         if ri != rj:
                             parent[max(ri, rj)] = min(ri, rj)

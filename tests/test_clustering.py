@@ -1,20 +1,31 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from rpyspect.clustering import (
     ClusterConfig,
+    _bags,
+    _name_similarity,
+    _name_string,
     cluster_crs,
     compatible,
     levenshtein,
     merge_clusters,
     remove_cr,
-    similarity,
 )
-from rpyspect.model import CitedReference, Occurrence, aggregate, normalize_key, parse_key
+from rpyspect.model import (
+    CitedReference,
+    CRVariant,
+    Dataset,
+    Occurrence,
+    aggregate,
+    normalize_key,
+    parse_key,
+)
 
 from corpus import make_corpus
 
@@ -34,6 +45,18 @@ def textbook_levenshtein(a: str, b: str) -> int:
     return d[m][n]
 
 
+def oracle_similarity(a: CitedReference, b: CitedReference) -> float:
+    """The oracles' similarity rule: 1.0 for equal keys, otherwise 1 minus
+    the textbook edit distance of the names over the longer length."""
+    if a.key == b.key:
+        return 1.0
+    sa, sb = _name_string(a), _name_string(b)
+    longest = max(len(sa), len(sb))
+    if longest == 0:
+        return 1.0
+    return 1.0 - textbook_levenshtein(sa, sb) / longest
+
+
 def ref(author: str, rpy=1990, source="J", volume=None, page=None, doi=None):
     return CitedReference(
         raw=f"{author}, {rpy}, {source}",
@@ -49,12 +72,12 @@ def ref(author: str, rpy=1990, source="J", volume=None, page=None, doi=None):
 class TestSimilarity:
     def test_identical_references(self):
         a = parse_key("STUIVER M, 1993, RADIOCARBON, V35, P215")
-        assert similarity(a, a) == 1.0
+        assert _name_similarity(_name_string(a), _name_string(a)) == 1.0
 
     def test_disjoint_characters(self):
         a = ref("AAAA", source="")
         b = ref("BBBB", source="")
-        assert similarity(a, b) == 0.0
+        assert _name_similarity(_name_string(a), _name_string(b)) == 0.0
 
     def test_matches_textbook_oracle(self):
         a = parse_key("ROPELEWSKI CF, 1987, MON WEATHER REV, V115, P1606")
@@ -62,13 +85,13 @@ class TestSimilarity:
         sa = f"{a.author}, {a.source}".lower()
         sb = f"{b.author}, {b.source}".lower()
         expected = 1.0 - textbook_levenshtein(sa, sb) / max(len(sa), len(sb))
-        assert similarity(a, b) == pytest.approx(expected, abs=1e-12)
+        assert _name_similarity(_name_string(a), _name_string(b)) == pytest.approx(
+            expected, abs=1e-12
+        )
 
     @given(st.text(alphabet="abcd ", max_size=12), st.text(alphabet="abcd ", max_size=12))
     def test_symmetric(self, s, t):
-        a = ref(author=("X" + s).strip() or "X", source=s)
-        b = ref(author=("X" + t).strip() or "X", source=t)
-        assert similarity(a, b) == similarity(b, a)
+        assert _name_similarity(s, t) == _name_similarity(t, s)
 
 
 # Lengths drawn uniformly up to 150, so patterns longer than one 64-bit
@@ -83,6 +106,32 @@ class TestLevenshtein:
     def test_matches_textbook_and_is_symmetric(self, a, b):
         assert levenshtein(a, b) == textbook_levenshtein(a, b)
         assert levenshtein(a, b) == levenshtein(b, a)
+
+
+def bag_bound(a: str, b: str, *others: str) -> int:
+    """The block loop's bound for ``a`` and ``b``, on the bags built for a
+    block that also holds ``others``."""
+    x, y = _bags([a, b, *others])[:2]
+    return max((x & ~y).bit_count(), (y & ~x).bit_count())
+
+
+class TestBagBound:
+    @given(KERNEL_TEXT, KERNEL_TEXT, KERNEL_TEXT)
+    def test_is_the_multiset_bag_distance_and_bounds_levenshtein(self, a, b, other):
+        ca, cb = Counter(a), Counter(b)
+        bag_distance = max(sum((ca - cb).values()), sum((cb - ca).values()))
+        # A third name of the block widens the runs; the bound must not move.
+        assert bag_bound(a, b) == bag_bound(a, b, other) == bag_distance
+        assert bag_distance <= textbook_levenshtein(a, b)
+
+    def test_non_ascii_character(self):
+        # "é" and "e" are different characters: one substitution.
+        assert bag_bound("café", "cafe") == 1 == textbook_levenshtein("café", "cafe")
+
+    def test_character_repeated_more_in_one_name(self):
+        # "a" three times against once: two extra "a"s, one extra "b".
+        assert bag_bound("aaab", "abbc", "aaaaa") == 2
+        assert textbook_levenshtein("aaab", "abbc") == 3
 
 
 class TestCompatible:
@@ -123,7 +172,7 @@ def brute_force_partition(dataset, config):
     for i in range(len(variants)):
         for j in range(i + 1, len(variants)):
             a, b = variants[i].reference, variants[j].reference
-            if compatible(a, b, config) and similarity(a, b) >= config.threshold:
+            if compatible(a, b, config) and oracle_similarity(a, b) >= config.threshold:
                 ri, rj = find(i), find(j)
                 if ri != rj:
                     parent[max(ri, rj)] = min(ri, rj)
@@ -152,7 +201,41 @@ def misspelled_dataset(seed=0, n_records=40, misspell_rate=0.5):
     return aggregate(occs)
 
 
+NAME_TEXT = st.text(alphabet="abé ", max_size=8)
+
+
+@st.composite
+def small_blocks(draw):
+    """1-25 variants in one or two RPY blocks, with names over a small
+    alphabet so that many pairs sit near any threshold."""
+    rpys = draw(st.lists(st.integers(1990, 1991), min_size=1, max_size=2, unique=True))
+    variants = []
+    for idx in range(draw(st.integers(1, 25))):
+        author = draw(NAME_TEXT)
+        rpy = draw(st.sampled_from(rpys))
+        source = draw(NAME_TEXT)
+        key = f"{idx} {author}, {rpy}, {source}"
+        reference = CitedReference(
+            raw=key,
+            author=author,
+            rpy=rpy,
+            source=source,
+            volume=draw(st.sampled_from([None, "1", "2"])),
+        )
+        variants.append(CRVariant(key=reference.key, reference=reference, ncr=1))
+    return Dataset(variants={v.key: v for v in variants})
+
+
+THRESHOLDS = st.sampled_from([0.0, 0.5, 2 / 3, 0.75, 0.8, 1.0]) | st.floats(0.0, 1.0)
+
+
 class TestClusterCrs:
+    @settings(max_examples=200, deadline=None)
+    @given(small_blocks(), THRESHOLDS, st.booleans())
+    def test_block_loop_matches_all_pairs_oracle(self, ds, threshold, use_volume):
+        config = ClusterConfig(threshold=threshold, use_volume=use_volume)
+        assert clusters_of(cluster_crs(ds, config)) == brute_force_partition(ds, config)
+
     def test_threshold_one_with_distinct_keys_gives_singletons(self):
         ds = misspelled_dataset(seed=5, misspell_rate=0.0)
         out = cluster_crs(ds, ClusterConfig(threshold=1.0, use_volume=True, use_page=True))
