@@ -20,12 +20,7 @@ from .model import (
     normalize_key,
     parse_key,
 )
-from .sampling import (
-    cluster_sample,
-    random_sample,
-    removal_threshold,
-    systematic_sample,
-)
+from .sampling import removal_threshold
 from .script import parse_script, pretty
 from .spectroscopy import compute_spectrogram, n_pct, scale_factor, spectrogram_diff, top_crs
 from .wos import (

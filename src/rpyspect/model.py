@@ -250,11 +250,6 @@ class Spectrogram:
 
     rows: tuple[SpectroRow, ...]
 
-    def years(self) -> range:
-        if not self.rows:
-            return range(0)
-        return range(self.rows[0].rpy, self.rows[-1].rpy + 1)
-
     def ncr_by_year(self) -> dict[int, int]:
         return {r.rpy: r.ncr for r in self.rows}
 

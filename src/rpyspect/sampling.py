@@ -1,20 +1,21 @@
 """Sampling strategies over the filtered CR occurrence stream.
 
-Every sampler is single-pass and retains at most its sample (CLUSTER: at
-most the chosen year's occurrences), which is what keeps huge imports
-memory-bounded. Randomness comes from ``random.Random`` (MT19937), whose
-algorithm CPython freezes across versions, so a (seed, stream order) pair
-reproduces a sample bit-for-bit on any platform.
+The samplers are fed only by ``wos.import_file``, one ``offer(line, py)``
+at a time, in file order; it stops reading once ``wants_more()`` is
+false. Every sampler is single-pass and retains at most its sample
+(CLUSTER: at most the chosen year's occurrences), which is what keeps
+huge imports memory-bounded. Randomness comes from ``random.Random``
+(MT19937), whose algorithm CPython freezes across versions, so a (seed,
+stream order) pair reproduces a sample bit-for-bit on any platform.
 """
 
 from __future__ import annotations
 
-import math
 import random
-from typing import Iterable, Optional
+from typing import Optional
 
-from .errors import DomainError, EmptySampleError, OffsetTooLargeError
-from .model import CitingRecord, Occurrence
+from .errors import DomainError, OffsetTooLargeError
+from .model import Occurrence
 
 MODES = ("NONE", "RANDOM", "SYSTEMATIC", "CLUSTER")
 
@@ -154,42 +155,6 @@ class ClusterSampler(Sampler):
             self._kept.append(Occurrence(line, py))
 
 
-def random_sample(stream: Iterable[Occurrence], n: int, rng_seed: int = 0) -> list[Occurrence]:
-    """Simple random sample without replacement of size min(n, population)."""
-    sampler = RandomSampler(n, rng_seed)
-    for line, py in stream:
-        sampler.offer(line, py)
-    return sampler.result()
-
-
-def systematic_sample(
-    stream: Iterable[Occurrence], n: int, total: int, offset: int = 0
-) -> list[Occurrence]:
-    """Every step-th occurrence starting at ``offset`` (step = floor(total/n))."""
-    sampler = SystematicSampler(n, total, offset)
-    for line, py in stream:
-        if not sampler.wants_more():
-            break
-        sampler.offer(line, py)
-    return sampler.result()
-
-
-def cluster_sample(
-    records: Iterable[CitingRecord], py_range: tuple[int, int], rng_seed: int = 0
-) -> list[Occurrence]:
-    """All CR occurrences of one randomly chosen citing year in py_range."""
-    sampler = ClusterSampler(py_range[0], py_range[1], rng_seed)
-    for rec in records:
-        for line, _ in rec.crs:
-            sampler.offer(line, rec.py)
-    out = sampler.result()
-    if not out:
-        raise EmptySampleError(
-            f"cluster sample is empty: citing year {sampler.chosen_year} has no records"
-        )
-    return out
-
-
 def removal_threshold(threshold_full: int, ncr_full: int, ncr_sample: int) -> int:
     """Rule-of-thumb removal threshold for a sample, scaled down from the
     population threshold by the population/sample CR ratio.
@@ -202,5 +167,6 @@ def removal_threshold(threshold_full: int, ncr_full: int, ncr_sample: int) -> in
         )
     if threshold_full < 0:
         raise DomainError("threshold_full must be >= 0")
-    x = threshold_full / (ncr_full / ncr_sample)
-    return int(math.floor(x + 0.5))
+    # floor(t*s/f + 1/2) in integers: a float quotient can land just
+    # below an exact .5 (9 / (18 / 7) is 3.4999999999999996, not 3.5).
+    return (2 * threshold_full * ncr_sample + ncr_full) // (2 * ncr_full)

@@ -68,12 +68,6 @@ class Call:
     line: int = field(default=0, compare=False)
     col: int = field(default=0, compare=False)
 
-    def arg(self, name: str) -> Optional[Expr]:
-        for key, expr in self.args:
-            if key == name:
-                return expr
-        return None
-
 
 @dataclass(frozen=True)
 class Loop:

@@ -38,3 +38,14 @@ def dataset_fields(dataset):
         "n_cr_total": dataset.n_cr_total,
         "provenance": dataset.provenance,
     }
+
+
+def select(sampler, occurrences):
+    """What ``sampler`` keeps of ``occurrences``, offered as ``wos.import_file``
+    offers them: one ``(line, py)`` at a time, stopping once the sampler
+    wants no more."""
+    for line, py in occurrences:
+        sampler.offer(line, py)
+        if not sampler.wants_more():
+            break
+    return sampler.result()

@@ -21,13 +21,13 @@ from rpyspect.engine import Environment, execute
 from rpyspect.errors import RpysError
 from rpyspect.formats import load_cre, save_cre, union_cre
 from rpyspect.model import CitedReference, CRVariant, Dataset, Occurrence, aggregate, normalize_key
-from rpyspect.sampling import random_sample, removal_threshold, systematic_sample
+from rpyspect.sampling import RandomSampler, removal_threshold
 from rpyspect.script import parse_script
 from rpyspect.spectroscopy import compute_spectrogram, scale_factor, top_crs
 from rpyspect.wos import ImportFilter, MemoryProbe, import_file
 
-from conftest import dataset_fields
-from corpus import make_corpus
+from conftest import dataset_fields, select
+from corpus import Corpus, make_corpus
 from test_clustering import oracle_similarity
 from test_formats import random_dataset
 
@@ -56,10 +56,15 @@ def test_criterion_1_removal_threshold_reproduction():
         assert removal_threshold(100, 6_594_657, 50_000) == 1
 
 
-def test_criterion_2_systematic_anchor():
+def test_criterion_2_systematic_anchor(tmp_path):
     with criterion(2, "systematic sampling picks the 1st, 5th, 9th, ... CR", 5):
-        picked = systematic_sample(occurrence_stream(400), n=100, total=400, offset=0)
-        positions = {int(o.line.split(",")[0].split()[1]) for o in picked}
+        # 400 records of one distinct CR line each: the retained keys
+        # reveal the positions the import selected.
+        records = [(2000, "Article", [f"AUTHOR {i}, 1990, JOURNAL"]) for i in range(400)]
+        path = tmp_path / "anchor.txt"
+        Corpus(records=records, works=[]).write(path)
+        ds = import_file(path, ImportFilter(max_cr=100, sampling_mode="SYSTEMATIC", offset=0))
+        positions = {int(v.key.split(",")[0].split()[1]) for v in ds.variants.values()}
         assert positions == set(range(0, 400, 4))
 
 
@@ -92,7 +97,7 @@ def test_criterion_4_random_sampling_unbiasedness():
         runs = 10_000
         hits: Counter = Counter()
         for seed in range(runs):
-            for occ in random_sample(population, 25, rng_seed=seed):
+            for occ in select(RandomSampler(25, seed=seed), population):
                 hits[occ.line] += 1
         freqs = [hits[occ.line] / runs for occ in population]
         assert all(0.237 <= f <= 0.263 for f in freqs), (min(freqs), max(freqs))

@@ -1,17 +1,22 @@
 from __future__ import annotations
 
+import math
 from collections import Counter
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
-from rpyspect.errors import DomainError, EmptySampleError, OffsetTooLargeError
-from rpyspect.model import CitingRecord, Occurrence
+from rpyspect.errors import DomainError, OffsetTooLargeError
+from rpyspect.model import Occurrence
 from rpyspect.sampling import (
-    cluster_sample,
-    random_sample,
+    ClusterSampler,
+    RandomSampler,
+    SystematicSampler,
     removal_threshold,
-    systematic_sample,
 )
+
+from conftest import select
 
 
 def occ(i: int, py: int = 2000) -> Occurrence:
@@ -25,18 +30,18 @@ def population(n: int) -> list[Occurrence]:
 class TestRandomSample:
     def test_exhaustive_when_n_covers_population(self):
         pop = population(30)
-        picked = random_sample(pop, 50, rng_seed=1)
+        picked = select(RandomSampler(50, seed=1), pop)
         assert Counter(o.line for o in picked) == Counter(o.line for o in pop)
 
     def test_deterministic_given_seed(self):
         pop = population(100)
-        a = random_sample(pop, 25, rng_seed=99)
-        b = random_sample(pop, 25, rng_seed=99)
+        a = select(RandomSampler(25, seed=99), pop)
+        b = select(RandomSampler(25, seed=99), pop)
         assert a == b
 
     def test_different_seeds_differ(self):
         pop = population(100)
-        assert random_sample(pop, 25, rng_seed=1) != random_sample(pop, 25, rng_seed=2)
+        assert select(RandomSampler(25, seed=1), pop) != select(RandomSampler(25, seed=2), pop)
 
     def test_inclusion_frequency_is_roughly_uniform(self):
         # Small-scale version of the unbiasedness criterion: 2,000 seeds.
@@ -44,44 +49,44 @@ class TestRandomSample:
         hits = Counter()
         runs = 2000
         for seed in range(runs):
-            for o in random_sample(pop, 25, rng_seed=seed):
+            for o in select(RandomSampler(25, seed=seed), pop):
                 hits[o.line] += 1
         freqs = [hits[o.line] / runs for o in pop]
         assert all(0.25 - 0.031 <= f <= 0.25 + 0.031 for f in freqs)
 
     def test_sample_size_bounded(self):
-        assert len(random_sample(population(100), 25, rng_seed=0)) == 25
+        assert len(select(RandomSampler(25, seed=0), population(100))) == 25
 
     def test_rejects_nonpositive_n(self):
         with pytest.raises(DomainError):
-            random_sample(population(10), 0)
+            RandomSampler(0)
 
 
 class TestSystematicSample:
     def test_first_fifth_ninth(self):
         pop = population(400)
-        picked = systematic_sample(pop, n=100, total=400, offset=0)
+        picked = select(SystematicSampler(n=100, total=400, offset=0), pop)
         positions = [int(o.line.split(",")[0].split()[1]) for o in picked]
         assert positions == list(range(0, 400, 4))
 
     def test_offset_shifts_selection(self):
         pop = population(400)
-        picked = systematic_sample(pop, n=100, total=400, offset=1)
+        picked = select(SystematicSampler(n=100, total=400, offset=1), pop)
         positions = [int(o.line.split(",")[0].split()[1]) for o in picked]
         assert positions == list(range(1, 400, 4))
 
     def test_step_one_takes_everything(self):
         pop = population(40)
-        picked = systematic_sample(pop, n=100, total=40, offset=0)
+        picked = select(SystematicSampler(n=100, total=40, offset=0), pop)
         assert len(picked) == 40
 
     def test_offset_must_be_below_step(self):
         with pytest.raises(OffsetTooLargeError):
-            systematic_sample(population(400), n=100, total=400, offset=4)
+            SystematicSampler(n=100, total=400, offset=4)
 
     def test_truncates_at_n_picks(self):
         # total 10, n 3 -> step 3, positions 0, 3, 6 (not 9).
-        picked = systematic_sample(population(10), n=3, total=10, offset=0)
+        picked = select(SystematicSampler(n=3, total=10, offset=0), population(10))
         positions = [int(o.line.split(",")[0].split()[1]) for o in picked]
         assert positions == [0, 3, 6]
 
@@ -91,42 +96,40 @@ class TestSystematicSample:
         pop = population(400)
         seen = Counter()
         for offset in range(4):
-            for o in systematic_sample(pop, n=100, total=400, offset=offset):
+            for o in select(SystematicSampler(n=100, total=400, offset=offset), pop):
                 seen[o.line] += 1
         assert seen == Counter(o.line for o in pop)
 
 
 class TestClusterSample:
-    def records(self, years=((2011, 4), (2012, 1), (2013, 2), (2014, 3))):
-        recs = []
-        for py, n in years:
-            crs = tuple((f"WORK {py} {i}, 1990, J", 1990) for i in range(n))
-            recs.append(CitingRecord(py=py, crs=crs))
-        return recs
+    def occurrences(self, years=((2011, 4), (2012, 1), (2013, 2), (2014, 3))):
+        return [Occurrence(f"WORK {py} {i}, 1990, J", py) for py, n in years for i in range(n)]
 
     def test_fixed_year_selects_that_year(self):
-        picked = cluster_sample(self.records(), (2011, 2011), rng_seed=5)
+        picked = select(ClusterSampler(2011, 2011, seed=5), self.occurrences())
         assert len(picked) == 4
         assert all(o.py == 2011 for o in picked)
 
     def test_seeded_choice_is_one_per_year_set(self):
         sizes = {2011: 4, 2012: 1, 2013: 2, 2014: 3}
-        picked = cluster_sample(self.records(), (2011, 2014), rng_seed=8)
+        picked = select(ClusterSampler(2011, 2014, seed=8), self.occurrences())
         years = {o.py for o in picked}
         assert len(years) == 1
         year = years.pop()
         assert len(picked) == sizes[year]
 
     def test_deterministic_given_seed(self):
-        a = cluster_sample(self.records(), (2011, 2014), rng_seed=8)
-        b = cluster_sample(self.records(), (2011, 2014), rng_seed=8)
+        a = select(ClusterSampler(2011, 2014, seed=8), self.occurrences())
+        b = select(ClusterSampler(2011, 2014, seed=8), self.occurrences())
         assert a == b
 
     def test_empty_year_reports_the_choice(self):
-        # 2012 has no records; [2012, 2012] forces its choice.
-        gappy = self.records(years=((2011, 4), (2013, 2)))
-        with pytest.raises(EmptySampleError, match="2012"):
-            cluster_sample(gappy, (2012, 2012), rng_seed=1)
+        # 2012 has no records; [2012, 2012] forces its choice. import_file
+        # turns the empty selection into an EmptySampleError (test_wos).
+        gappy = self.occurrences(years=((2011, 4), (2013, 2)))
+        sampler = ClusterSampler(2012, 2012, seed=1)
+        assert sampler.chosen_year == 2012
+        assert select(sampler, gappy) == []
 
 
 class TestRemovalThreshold:
@@ -142,6 +145,17 @@ class TestRemovalThreshold:
     def test_rounds_half_away_from_zero(self):
         # 3 / (1000/500) = 1.5 -> 2.
         assert removal_threshold(3, 1000, 500) == 2
+        # 9 / (18/7) = 3.5 -> 4, though the float quotient is 3.4999999999999996.
+        assert removal_threshold(9, 18, 7) == 4
+
+    @given(
+        t=st.integers(0, 10**6),
+        sizes=st.tuples(st.integers(1, 10**7), st.integers(1, 10**7)).map(sorted),
+    )
+    def test_rounds_the_exact_quotient(self, t, sizes):
+        sample, full = sizes
+        exact = Fraction(t) / Fraction(full, sample)
+        assert removal_threshold(t, full, sample) == math.floor(exact + Fraction(1, 2))
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):

@@ -94,7 +94,7 @@ class TestParse:
         loop = prog.statements[0]
         assert isinstance(loop, Loop)
         assert loop.kind == "forEach"
-        offset = loop.body[0].arg("offset")
+        offset = dict(loop.body[0].args)["offset"]
         assert eval_expr(offset, {"index": 4}) == 5
 
     def test_use_wrapper_unwraps(self):

@@ -6,7 +6,7 @@ import pytest
 
 from rpyspect.errors import DomainError, EmptyDatasetError
 from rpyspect.model import CitedReference, CRVariant, Dataset, Occurrence, aggregate
-from rpyspect.sampling import systematic_sample
+from rpyspect.sampling import SystematicSampler
 from rpyspect.spectroscopy import (
     compute_spectrogram,
     n_pct,
@@ -14,6 +14,8 @@ from rpyspect.spectroscopy import (
     spectrogram_diff,
     top_crs,
 )
+
+from conftest import select
 
 
 def dataset_from_counts(counts: dict[int, int]) -> Dataset:
@@ -60,7 +62,7 @@ class TestComputeSpectrogram:
         counts[1993] = 400  # planted spike
         ds = dataset_from_counts({y: c for y, c in counts.items() if c > 0})
         spect = compute_spectrogram(ds, median_range=2)
-        series = [counts.get(y, 0) for y in spect.years()]
+        series = [counts.get(y, 0) for y in range(spect.rows[0].rpy, spect.rows[-1].rpy + 1)]
         for i, row in enumerate(spect.rows):
             assert row.ncr == series[i]
             expected = series[i] - window_median_oracle(series, i, 2)
@@ -125,7 +127,7 @@ class TestScaleFactor:
             counts[year] = m
             occs.extend([Occurrence(f"W {year}, {year}, J", 2011)] * m)
         total = sum(counts.values())
-        sample = systematic_sample(occs, n=total // 4, total=total, offset=0)
+        sample = select(SystematicSampler(n=total // 4, total=total, offset=0), occs)
         spect_pop = compute_spectrogram(aggregate(occs))
         spect_sample = compute_spectrogram(aggregate(sample))
         f = scale_factor(spect_sample, spect_pop)

@@ -9,13 +9,14 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from rpyspect import model, sampling, wos
-from rpyspect.errors import EmptySampleError, OffsetTooLargeError
+from rpyspect.errors import EmptySampleError, OffsetTooLargeError, RpysError
 from rpyspect.model import CitedReference, Occurrence, aggregate, normalize_key, parse_key
 from rpyspect.wos import (
     ImportFilter,
     MemoryProbe,
     ParseStats,
     analyze_file,
+    build_sampler,
     check_format,
     import_file,
     parse_cr_line,
@@ -24,7 +25,9 @@ from rpyspect.wos import (
     _decoded_lines,
 )
 
+from conftest import select
 from corpus import Corpus, make_corpus
+from test_formats import wos_files
 
 
 def reference_normalize_key(raw: str) -> str:
@@ -445,6 +448,17 @@ class TestImportFile:
         with pytest.raises(EmptySampleError, match="NONE"):
             import_file(path, ImportFilter())
 
+    def test_empty_cluster_selection_names_the_mode(self, tmp_path):
+        # random.Random(0).randint(2011, 2013) draws 2012, which has no records.
+        records = [(py, "Article", [f"AUTHOR X, 2000, JOURNAL {py}"]) for py in (2011, 2013)]
+        path = tmp_path / "gappy.txt"
+        Corpus(records=records, works=[]).write(path)
+        with pytest.raises(EmptySampleError, match="CLUSTER"):
+            import_file(
+                path,
+                ImportFilter(py_range=(2011, 2013, False), sampling_mode="CLUSTER", seed=0),
+            )
+
     def test_systematic_offset_too_large(self, corpus_file):
         with pytest.raises(OffsetTooLargeError):
             import_file(
@@ -487,6 +501,48 @@ class TestImportFile:
         assert sorted(calls) == sorted(ds.variants)
         assert len(calls) == len({normalize_key(raw) for raw, _ in corpus.occurrences()})
         assert len(calls) < corpus.n_cr
+
+
+class TestSelectMatchesImport:
+    """The sampler tests drive each Sampler through ``conftest.select``;
+    this pins that ``select`` keeps what ``import_file`` keeps."""
+
+    FILTERS = [
+        ImportFilter(max_cr=3),
+        ImportFilter(max_cr=2, sampling_mode="RANDOM", seed=1),
+        ImportFilter(py_range=(1990, 2011, False), max_cr=2, sampling_mode="SYSTEMATIC", offset=1),
+        ImportFilter(py_range=(2011, 2013, True), sampling_mode="CLUSTER", seed=2),
+    ]
+
+    @staticmethod
+    def occurrences(path, py_range):
+        lo, hi, unknown = py_range or (0, 9999, True)
+        for rec in parse_wos_path(path):
+            if unknown if rec.py is None else lo <= rec.py <= hi:
+                for line, _ in rec.crs:
+                    yield line, rec.py
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=wos_files, filt=st.sampled_from(FILTERS))
+    def test_select_keeps_what_import_file_keeps(self, tmp_path_factory, data, filt):
+        path = tmp_path_factory.getbasetemp() / "select.txt"
+        path.write_bytes(data)
+        total = analyze_file(path, filt).n_cr
+        try:
+            sampler = build_sampler(filt, total)
+        except RpysError as err:
+            with pytest.raises(type(err)):
+                import_file(path, filt)
+            return
+        selected = select(sampler, self.occurrences(path, filt.py_range))
+        if not selected:
+            with pytest.raises(EmptySampleError):
+                import_file(path, filt)
+            return
+        ds = import_file(path, filt)
+        assert {k: v.ncr for k, v in aggregate(selected).variants.items()} == {
+            k: v.ncr for k, v in ds.variants.items()
+        }
 
 
 class TestStreamingContract:
