@@ -16,11 +16,19 @@ import io
 import os
 import re
 import tempfile
-from typing import Mapping, Optional, Sequence
+from typing import Iterator, Mapping, Optional, Sequence
 
 from . import model, spectroscopy
 from .errors import ChecksumError, CreFormatError, DomainError, EmptyDatasetError, FormatVersionError
-from .model import CitedReference, CRVariant, Dataset, Spectrogram, canonical_order, parse_key
+from .model import (
+    CitedReference,
+    CRVariant,
+    Dataset,
+    Spectrogram,
+    check_counts,
+    order_key,
+    parse_key,
+)
 
 CRE_MAGIC = "#CRE"
 CRE_VERSION = 1
@@ -75,15 +83,15 @@ def _opt(value) -> str:
 _FIELD_COLUMNS = _TABLE_COLUMNS[1:7]
 
 
-def _fields(ref: CitedReference) -> tuple[str, ...]:
-    return (
+def _fields(ref: CitedReference) -> list[str]:
+    return [
         ref.author,
         _opt(ref.rpy),
         ref.source,
         _opt(ref.volume),
         _opt(ref.page),
         _opt(ref.doi),
-    )
+    ]
 
 
 def _atomic_write(path, data: bytes) -> None:
@@ -139,11 +147,28 @@ def load_cre(path) -> Dataset:
     ``cre_bytes`` would not write (no tab after its tag, a tab or CR in
     the provenance, settings that are not sorted name=integer pairs,
     other table columns), a bad field (an integer not spelled as
-    ``cre_bytes`` writes it, an ncr below 1, an empty or unnormalized
-    key, a reference field that differs from its key's, an n_cr_total
-    below the table's sum of ncr) or a row out of canonical order raises
-    CreFormatError naming the file and the 1-based line.
+    ``cre_bytes`` writes it, an ncr below 1, an n_py_years above the
+    ncr, an empty or unnormalized key, a reference field that differs
+    from its key's, an n_cr_total below the table's sum of ncr) or a row
+    out of canonical order raises CreFormatError naming the file and the
+    1-based line.
     """
+    provenance, n_citing, n_cr_total, rows = _read_header(path)
+    variants = {
+        key: CRVariant(key=key, reference=ref, ncr=ncr, cluster_id=cluster_id, n_py_years=n_py)
+        for key, ref, ncr, cluster_id, n_py in _rows(path, rows, n_cr_total, {})
+    }
+    return Dataset(
+        variants=variants,
+        n_citing=n_citing,
+        n_cr_total=n_cr_total,
+        provenance=provenance,
+    )
+
+
+def _read_header(path) -> tuple[str, int, int, list[str]]:
+    """Check a CRE file's encoding, checksum, header lines and row count;
+    return its provenance, n_citing, n_cr_total and (unchecked) rows."""
     with open(path, "rb") as fh:
         data = fh.read()
     try:
@@ -190,57 +215,74 @@ def load_cre(path) -> Dataset:
         raise CreFormatError(
             f"{path}: summary declares {n_variants} variants, table has {len(rows)}"
         )
-    variants: dict[str, CRVariant] = {}
+    return provenance, n_citing, n_cr_total, rows
+
+
+def _rows(
+    path,
+    rows: list[str],
+    n_cr_total: int,
+    known: dict[str, tuple[CitedReference, list[str]]],
+) -> Iterator[tuple[str, CitedReference, int, Optional[int], int]]:
+    """Check each table row of one CRE file (from line 6 on) and yield it
+    as (key, reference, ncr, cluster_id, n_py_years); after the last row,
+    check ``n_cr_total`` against the table's ncr sum.
+
+    ``known`` maps each key already read in this call to its reference
+    and rendered field columns, and gains each new key: a known key skips
+    ``normalize_key``, ``parse_key`` and the rendering, and every other
+    check still runs on its row.
+    """
+    seen: set[str] = set()
     previous = None
+    table_ncr = 0
     for lineno, row in enumerate(rows, start=6):
         where = f"{path}: line {lineno}"
         cols = row.split("\t")
         if len(cols) != len(_TABLE_COLUMNS):
             raise CreFormatError(f"{where}: malformed variant row {row!r}")
-        key, author, rpy, source, volume, page, doi, ncr, cluster_id, n_py = cols
-        if key in variants:
+        key = cols[0]
+        if key in seen:
             raise CreFormatError(f"{where}: duplicate variant key {key!r}")
-        if not key:
-            raise CreFormatError(f"{where}: empty key")
-        # Looked up on the module so that rebinding model.normalize_key
-        # (bench/tracer.py counts its calls) reaches this call too.
-        if model.normalize_key(key) != key:
-            raise CreFormatError(f"{where}: key {key!r} is not normalized")
-        # The fields are the key's, so rpy is canonical and in range too.
-        ref = parse_key(key)
-        for name, stored, derived in zip(
-            _FIELD_COLUMNS, (author, rpy, source, volume, page, doi), _fields(ref)
-        ):
-            if stored != derived:
-                raise CreFormatError(
-                    f"{where}: {name} {stored!r} differs from {derived!r}, its key's"
-                )
+        seen.add(key)
+        entry = known.get(key)
+        if entry is None:
+            if not key:
+                raise CreFormatError(f"{where}: empty key")
+            # Looked up on the module so that rebinding model.normalize_key
+            # (bench/tracer.py counts its calls) reaches this call too.
+            if model.normalize_key(key) != key:
+                raise CreFormatError(f"{where}: key {key!r} is not normalized")
+            # The fields are the key's, so rpy is canonical and in range too.
+            ref = parse_key(key)
+            fields = _fields(ref)
+            known[key] = (ref, fields)
+        else:
+            ref, fields = entry
+        stored = cols[1:7]
+        if stored != fields:
+            for name, got, derived in zip(_FIELD_COLUMNS, stored, fields):
+                if got != derived:
+                    raise CreFormatError(
+                        f"{where}: {name} {got!r} differs from {derived!r}, its key's"
+                    )
+        ncr = _int(cols[7], "ncr", where)
+        cluster_id = _int(cols[8], "cluster_id", where) if cols[8] else None
+        n_py = _int(cols[9], "n_py_years", where)
         try:
-            variant = CRVariant(
-                key=key,
-                reference=ref,
-                ncr=_int(ncr, "ncr", where),
-                cluster_id=_int(cluster_id, "cluster_id", where) if cluster_id else None,
-                n_py_years=_int(n_py, "n_py_years", where),
-            )
+            check_counts(ncr, n_py)
         except ValueError as exc:
             raise CreFormatError(f"{where}: {exc}") from None
-        order = canonical_order(variant)
+        order = order_key(ref.rpy, key)
         if previous is not None and order < previous:
             raise CreFormatError(f"{where}: row is out of (rpy, key) order")
         previous = order
-        variants[key] = variant
-    table_ncr = sum(v.ncr for v in variants.values())
+        table_ncr += ncr
+        yield key, ref, ncr, cluster_id, n_py
     if n_cr_total < table_ncr:
         raise CreFormatError(
             f"{path}: line 4: n_cr_total {n_cr_total} is below the table's ncr sum {table_ncr}"
         )
-    return Dataset(
-        variants=variants,
-        n_citing=n_citing,
-        n_cr_total=n_cr_total,
-        provenance=provenance,
-    )
 
 
 def _header(lines: list[str], index: int, tag: str, path) -> str:
@@ -326,34 +368,34 @@ def union_cre(paths: Sequence) -> Dataset:
     max-combined, summaries summed, cluster ids cleared (re-cluster
     explicitly afterwards). Order-independent: any permutation of paths
     yields the identical Dataset.
+
+    Each file passes ``load_cre``'s checks, with the same errors, but
+    each distinct key is normalized and parsed once per call, and one
+    variant is built per key, in first-seen order.
     """
     if not paths:
         raise DomainError("union_cre needs at least one file")
-    merged: dict[str, CRVariant] = {}
+    known: dict[str, tuple[CitedReference, list[str]]] = {}
+    ncr_of: dict[str, int] = {}
+    years_of: dict[str, int] = {}
     n_citing = 0
     n_cr_total = 0
     for path in paths:
-        ds = load_cre(path)
-        n_citing += ds.n_citing
-        n_cr_total += ds.n_cr_total
-        for key, v in ds.variants.items():
-            prev = merged.get(key)
-            if prev is None:
-                merged[key] = CRVariant(
-                    key=key,
-                    reference=v.reference,
-                    ncr=v.ncr,
-                    cluster_id=None,
-                    n_py_years=v.n_py_years,
-                )
+        _, file_citing, file_total, rows = _read_header(path)
+        n_citing += file_citing
+        n_cr_total += file_total
+        for key, _, ncr, _, n_py in _rows(path, rows, file_total, known):
+            if key in ncr_of:
+                ncr_of[key] += ncr
+                if n_py > years_of[key]:
+                    years_of[key] = n_py
             else:
-                merged[key] = CRVariant(
-                    key=key,
-                    reference=prev.reference,
-                    ncr=prev.ncr + v.ncr,
-                    cluster_id=None,
-                    n_py_years=max(prev.n_py_years, v.n_py_years),
-                )
+                ncr_of[key] = ncr
+                years_of[key] = n_py
+    merged = {
+        key: CRVariant(key=key, reference=known[key][0], ncr=ncr, n_py_years=years_of[key])
+        for key, ncr in ncr_of.items()
+    }
     names = ", ".join(sorted(os.path.basename(os.fspath(p)) for p in paths))
     return Dataset(
         variants=merged,

@@ -185,14 +185,23 @@ class CRVariant:
     py_years: Optional[frozenset[int]] = None
 
     def __post_init__(self):
-        if self.ncr < 1:
-            raise ValueError("variant ncr must be >= 1")
-        if self.n_py_years < 0:
-            raise ValueError("variant n_py_years must be >= 0")
+        check_counts(self.ncr, self.n_py_years)
 
     @property
     def rpy(self) -> Optional[int]:
         return self.reference.rpy
+
+
+def check_counts(ncr: int, n_py_years: int) -> None:
+    """Raise ValueError unless one variant can have ``ncr`` occurrences and
+    ``n_py_years`` distinct citing years: at least one occurrence, and no
+    more citing years than occurrences."""
+    if ncr < 1:
+        raise ValueError("variant ncr must be >= 1")
+    if n_py_years < 0:
+        raise ValueError("variant n_py_years must be >= 0")
+    if n_py_years > ncr:
+        raise ValueError("variant n_py_years must be <= its ncr")
 
 
 YearFilter = tuple[int, int, bool]  # (lo, hi, include_unknown)
@@ -201,7 +210,12 @@ YearFilter = tuple[int, int, bool]  # (lo, hi, include_unknown)
 def canonical_order(v: CRVariant):
     """Sort key of the canonical variant order: dated variants by
     (rpy, key), undated ones last."""
-    return (v.rpy is None, v.rpy if v.rpy is not None else 0, v.key)
+    return order_key(v.rpy, v.key)
+
+
+def order_key(rpy: Optional[int], key: str):
+    """``canonical_order`` of a variant with this rpy and key."""
+    return (rpy is None, rpy if rpy is not None else 0, key)
 
 
 @dataclass(frozen=True)

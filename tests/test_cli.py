@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from rpyspect import wos
 from rpyspect.cli import main
 from rpyspect.engine import DEFAULT_SETTINGS, Environment, execute
-from rpyspect.errors import EmptySampleError
+from rpyspect.errors import CreFormatError, EmptySampleError
 from rpyspect.formats import cre_bytes, load_cre, save_cre, union_cre
 from rpyspect.script import parse_script
 from rpyspect.spectroscopy import compute_spectrogram
@@ -359,6 +359,46 @@ class TestSample:
         assert ds.sum_ncr() > 0
 
 
+# Corruptions of one field of two_row_cre_lines: (0-based line, column,
+# new value). Lines 5 and 6 are the table rows.
+BAD_CRE_FIELDS = [
+    (5, 7, "abc"),  # ncr not an integer
+    (5, 7, "0"),  # ncr below 1
+    (5, 2, "5"),  # rpy outside [YEAR_MIN, YEAR_MAX]
+    (5, 0, ""),  # empty key
+    (3, 1, "x"),  # #SUMMARY n_citing not an integer
+    (5, 9, "-4"),  # n_py_years negative
+    (3, 1, "-1"),  # #SUMMARY n_citing negative
+    (3, 2, "0"),  # #SUMMARY n_cr_total below the table's sum(ncr)
+    (5, 0, "a  b, 2000, j"),  # key that normalize_key would change
+    (3, 1, "+3"),  # #SUMMARY n_citing with a sign
+    (5, 7, " 1"),  # ncr with a leading space
+    (5, 2, "١٩٩٠"),  # rpy in Arabic-Indic digits
+    (5, 8, "-0"),  # cluster_id with a sign
+    (6, 2, "1999"),  # second row's rpy sorts before the first row's
+    (0, 1, "01"),  # version with a leading zero
+    (1, 1, "a\tb"),  # #PROVENANCE holding a tab
+    (1, 1, "a\rb"),  # #PROVENANCE holding a CR
+    (1, 1, None),  # bare #PROVENANCE, no tab
+    (2, 1, "zzz garbage ==="),  # #SETTINGS not name=integer pairs
+    (2, 1, None),  # bare #SETTINGS, no tab
+    (2, 1, "n_pct_range=0 median_range=2"),  # #SETTINGS names out of order
+    (2, 1, "median_range=2 median_range=2"),  # #SETTINGS name repeated
+    (2, 1, "median_range=02"),  # #SETTINGS value with a leading zero
+    (2, 1, "median_range=2 "),  # #SETTINGS with a trailing space
+    (3, 3, None),  # #SUMMARY with two columns
+    (4, 1, "KEY"),  # #TABLE column renamed
+    (4, 10, "n_py_years\textra"),  # #TABLE with an extra column
+    (5, 1, "ZZ"),  # author that is not the key's
+    (5, 3, "K"),  # source that is not the key's
+    (5, 4, "5"),  # volume the key does not have
+    (6, 5, "9"),  # page the key does not have
+    (6, 6, "10.1/X"),  # DOI the key does not have
+    (5, (1, 2), ("ZZ", "2001")),  # author and rpy that are not the key's
+    (5, 9, "2"),  # n_py_years above the row's ncr of 1
+]
+
+
 class TestSpectro:
     def test_matches_scripted_export(self, workdir):
         ds = import_file("corpus.txt", ImportFilter(seed=0))
@@ -394,57 +434,10 @@ class TestSpectro:
         assert main(["spectro", "dots.cre", "--out", "g.csv"]) == 0
         assert (tmp_path / "g.csv").read_text() == "RPY,N_CR,MEDIAN_DEV\n2000,1,0\n2001,1,0\n"
 
-    @pytest.mark.parametrize(
-        "line, column, value",
-        [
-            (5, 7, "abc"),  # ncr not an integer
-            (5, 7, "0"),  # ncr below 1
-            (5, 2, "5"),  # rpy outside [YEAR_MIN, YEAR_MAX]
-            (5, 0, ""),  # empty key
-            (3, 1, "x"),  # #SUMMARY n_citing not an integer
-            (5, 9, "-4"),  # n_py_years negative
-            (3, 1, "-1"),  # #SUMMARY n_citing negative
-            (3, 2, "0"),  # #SUMMARY n_cr_total below the table's sum(ncr)
-            (5, 0, "a  b, 2000, j"),  # key that normalize_key would change
-            (3, 1, "+3"),  # #SUMMARY n_citing with a sign
-            (5, 7, " 1"),  # ncr with a leading space
-            (5, 2, "١٩٩٠"),  # rpy in Arabic-Indic digits
-            (5, 8, "-0"),  # cluster_id with a sign
-            (6, 2, "1999"),  # second row's rpy sorts before the first row's
-            (0, 1, "01"),  # version with a leading zero
-            (1, 1, "a\tb"),  # #PROVENANCE holding a tab
-            (1, 1, "a\rb"),  # #PROVENANCE holding a CR
-            (1, 1, None),  # bare #PROVENANCE, no tab
-            (2, 1, "zzz garbage ==="),  # #SETTINGS not name=integer pairs
-            (2, 1, None),  # bare #SETTINGS, no tab
-            (2, 1, "n_pct_range=0 median_range=2"),  # #SETTINGS names out of order
-            (2, 1, "median_range=2 median_range=2"),  # #SETTINGS name repeated
-            (2, 1, "median_range=02"),  # #SETTINGS value with a leading zero
-            (2, 1, "median_range=2 "),  # #SETTINGS with a trailing space
-            (3, 3, None),  # #SUMMARY with two columns
-            (4, 1, "KEY"),  # #TABLE column renamed
-            (4, 10, "n_py_years\textra"),  # #TABLE with an extra column
-            (5, 1, "ZZ"),  # author that is not the key's
-            (5, 3, "K"),  # source that is not the key's
-            (5, 4, "5"),  # volume the key does not have
-            (6, 5, "9"),  # page the key does not have
-            (6, 6, "10.1/X"),  # DOI the key does not have
-            (5, (1, 2), ("ZZ", "2001")),  # author and rpy that are not the key's
-        ],
-    )
+    @pytest.mark.parametrize("line, column, value", BAD_CRE_FIELDS)
     def test_bad_cre_field_fails_with_location(self, tmp_path, capsys, line, column, value):
-        """``value`` None drops the column, and its tab with it; a tuple
-        of columns takes a tuple of values."""
         lines = two_row_cre_lines(tmp_path)
-        cols = lines[line].split("\t")
-        if value is None:
-            del cols[column]
-        elif isinstance(column, tuple):
-            for c, v in zip(column, value):
-                cols[c] = v
-        else:
-            cols[column] = value
-        lines[line] = "\t".join(cols)
+        set_field(lines, line, column, value)
         resign(tmp_path / "bad.cre", lines)
         assert main(["spectro", str(tmp_path / "bad.cre"), "--out", str(tmp_path / "g.csv")]) == 1
         assert f"bad.cre: line {line + 1}:" in capsys.readouterr().err
@@ -468,6 +461,39 @@ def two_row_cre_lines(tmp_path) -> list[str]:
     path = tmp_path / "good.cre"
     save_cre(import_file(tmp_path / "in.txt", ImportFilter()), path)
     return path.read_text(encoding="utf-8").split("\n")
+
+
+def set_field(lines: list[str], line: int, column, value) -> None:
+    """Set one tab-separated field of ``lines[line]``: ``value`` None drops
+    the column, and its tab with it; a tuple of columns takes a tuple of
+    values."""
+    cols = lines[line].split("\t")
+    if value is None:
+        del cols[column]
+    elif isinstance(column, tuple):
+        for c, v in zip(column, value):
+            cols[c] = v
+    else:
+        cols[column] = value
+    lines[line] = "\t".join(cols)
+
+
+class TestUnionBadRows:
+    @pytest.mark.parametrize(
+        "line, column, value", [case for case in BAD_CRE_FIELDS if case[0] >= 5]
+    )
+    def test_bad_row_after_a_file_with_its_keys(self, tmp_path, line, column, value):
+        """A row whose key an earlier file of the union already holds gets
+        every row check, and fails at its line as it does in load_cre."""
+        lines = two_row_cre_lines(tmp_path)
+        set_field(lines, line, column, value)
+        resign(tmp_path / "bad.cre", lines)
+        with pytest.raises(CreFormatError) as alone:
+            load_cre(tmp_path / "bad.cre")
+        with pytest.raises(CreFormatError) as union:
+            union_cre([tmp_path / "good.cre", tmp_path / "bad.cre"])
+        assert f"bad.cre: line {line + 1}:" in str(union.value)
+        assert str(union.value) == str(alone.value)
 
 
 def resign(path, lines: list[str]) -> None:

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import csv
 import io
+import os
 import random
 from dataclasses import replace
 
@@ -26,7 +27,7 @@ from rpyspect.formats import (
     save_cre,
     union_cre,
 )
-from rpyspect.model import Dataset, Occurrence, Spectrogram, SpectroRow, aggregate
+from rpyspect.model import CRVariant, Dataset, Occurrence, Spectrogram, SpectroRow, aggregate
 from rpyspect.spectroscopy import compute_spectrogram, n_pct
 from rpyspect.wos import ImportFilter, analyze_file, import_file
 
@@ -306,6 +307,68 @@ class TestCsvGraph:
         assert "2000,3,0.5" in body and "2001,4,-1.5" in body
 
 
+# Lines shared by the datasets of one union: several normalize to one key,
+# and the keys have and lack each optional field.
+POOL_LINES = (
+    "W A, 1990, J",
+    "w a, 1990, j.",
+    "W B, 1991, J, V3, P12",
+    "W B,  1991, J, V3, P12",
+    "W C, J",
+    "W D, 1990, K, DOI 10.1/A",
+    "X, 2001, WEIRD, SRC, P1-9",
+)
+
+
+@st.composite
+def pooled_datasets(draw) -> Dataset:
+    """A dataset of occurrences of POOL_LINES, at times with cluster ids
+    and with variants removed after the import."""
+    occurrence = st.builds(
+        Occurrence, st.sampled_from(POOL_LINES), st.sampled_from([None, 2000, 2001, 2002])
+    )
+    occurrences = draw(st.lists(occurrence, max_size=12))
+    ds = aggregate(occurrences, n_citing=draw(st.integers(0, 5)), provenance="pooled")
+    kept = [
+        replace(v, cluster_id=draw(st.sampled_from([None, 0, 1])))
+        for v in ds.variants.values()
+        if draw(st.integers(0, 3))  # drop about one variant in four
+    ]
+    return ds.with_variants(kept, "removed some")
+
+
+POOLED_EXAMPLE = aggregate(
+    [Occurrence(line, 2000 + i % 2) for i, line in enumerate(POOL_LINES)], n_citing=3
+)
+
+
+def reference_union(paths) -> Dataset:
+    """The union as a fold of load_cre over the files: ncr summed,
+    n_py_years max-combined, cluster ids cleared, each key's first
+    reference kept."""
+    merged: dict[str, CRVariant] = {}
+    n_citing = n_cr_total = 0
+    for path in paths:
+        ds = load_cre(path)
+        n_citing += ds.n_citing
+        n_cr_total += ds.n_cr_total
+        for key, v in ds.variants.items():
+            prev = merged.get(key)
+            merged[key] = CRVariant(
+                key=key,
+                reference=v.reference if prev is None else prev.reference,
+                ncr=v.ncr if prev is None else prev.ncr + v.ncr,
+                n_py_years=v.n_py_years if prev is None else max(prev.n_py_years, v.n_py_years),
+            )
+    names = ", ".join(sorted(os.path.basename(os.fspath(p)) for p in paths))
+    return Dataset(
+        variants=merged,
+        n_citing=n_citing,
+        n_cr_total=n_cr_total,
+        provenance=f"union of {len(paths)} files: {names}",
+    )
+
+
 class TestUnionCre:
     def save_datasets(self, tmp_path, datasets):
         paths = []
@@ -356,3 +419,18 @@ class TestUnionCre:
     def test_empty_path_list_rejected(self):
         with pytest.raises(DomainError):
             union_cre([])
+
+    @settings(max_examples=150, deadline=None)
+    @given(datasets=st.lists(pooled_datasets(), min_size=1, max_size=4), twice=st.booleans())
+    @example(datasets=[POOLED_EXAMPLE, POOLED_EXAMPLE], twice=True)
+    def test_matches_a_fold_of_loaded_files(self, tmp_path_factory, datasets, twice):
+        """union_cre equals folding load_cre over the files, with the keys
+        in first-seen order; ``twice`` lists the first path again."""
+        paths = self.save_datasets(tmp_path_factory.mktemp("union"), datasets)
+        if twice:
+            paths.append(paths[0])
+        out = union_cre(paths)
+        expected = reference_union(paths)
+        assert out == expected
+        assert list(out.variants) == list(expected.variants)
+        assert cre_bytes(out) == cre_bytes(expected)
