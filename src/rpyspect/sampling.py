@@ -5,8 +5,13 @@ at a time, in file order; it stops reading once ``wants_more()`` is
 false. Every sampler is single-pass and retains at most its sample
 (CLUSTER: at most the chosen year's occurrences), which is what keeps
 huge imports memory-bounded. Randomness comes from ``random.Random``
-(MT19937), whose algorithm CPython freezes across versions, so a (seed,
-stream order) pair reproduces a sample bit-for-bit on any platform.
+(MT19937). The reservoir draws its slots from ``getrandbits``, whose
+output for a seed CPython keeps stable across versions, and maps the
+bits to a slot itself, the way ``randrange`` does: so a RANDOM sample's
+reproducibility rests on the MT19937 output, not on ``randrange``'s
+mapping, which CPython does not promise to keep. A (seed, stream order)
+pair reproduces a sample bit-for-bit on any platform. CLUSTER's citing
+year is still drawn with ``randint``.
 """
 
 from __future__ import annotations
@@ -81,17 +86,22 @@ class RandomSampler(Sampler):
             raise DomainError("random sample size must be >= 1")
         super().__init__()
         self.n = n
-        self._rng = random.Random(seed)
+        self._getrandbits = random.Random(seed).getrandbits
         self._seen = 0
 
     def offer(self, line: str, py: Optional[int]) -> None:
         i = self._seen
-        self._seen += 1
+        self._seen = i + 1
         if i < self.n:
             self._kept.append(Occurrence(line, py))
             return
         # Classic replacement rule: keep the newcomer with probability n/(i+1).
-        j = self._rng.randrange(i + 1)
+        # j is randrange(i + 1) drawn as CPython draws it: (i + 1).bit_length()
+        # random bits, drawn again while they exceed i.
+        k = (i + 1).bit_length()
+        j = self._getrandbits(k)
+        while j > i:
+            j = self._getrandbits(k)
         if j < self.n:
             self._kept[j] = Occurrence(line, py)
 

@@ -109,24 +109,39 @@ class MemoryProbe:
             self.peak = live
 
 
+class _YearMemo(dict):
+    """``parse_year`` of each token looked up, filled on first sight.
+
+    Only ASCII tokens are stored: ``RAW_YEAR`` tokens are 4 decimal
+    digits, so it never holds more than 10,000 entries.
+    """
+
+    def __missing__(self, token: str) -> Optional[int]:
+        year = parse_year(token)
+        if token.isascii():
+            self[token] = year
+        return year
+
+
 _raw_year = RAW_YEAR.match
 _no_key = NO_KEY.fullmatch
+_years = _YearMemo()
 
 
 def parse_cr_line(line: str) -> Optional[tuple[str, Optional[int]]]:
     """The line as read and its reference publication year, or None.
 
     The year is ``parse_year`` of the token ``model.RAW_YEAR`` finds in
-    the raw text, the same token as the second ", " token of
-    ``normalize_key(line)``, so no per-line normalization is needed. A
-    line whose key would be empty (only whitespace and ``.,;:``) yields
-    None. This is the reader's only per-line work: ``aggregate``
-    computes the key once per distinct line a sampler retains and the
-    other fields once per distinct key.
+    the raw text (looked up in a memo), the same token as the second
+    ", " token of ``normalize_key(line)``, so no per-line normalization
+    is needed. A line whose key would be empty (only whitespace and
+    ``.,;:``) yields None. This is the reader's only per-line work:
+    ``aggregate`` computes the key once per distinct line a sampler
+    retains and the other fields once per distinct key.
     """
     found = _raw_year(line)
     if found is not None:
-        return line, parse_year(found[1])
+        return line, _years[found[1]]
     if _no_key(line):
         return None
     return line, None
@@ -182,28 +197,30 @@ def parse_wos(stream: BinaryIO, stats: Optional[ParseStats] = None) -> Iterator[
     malformed and skipped (counted in ``stats``), and so is a CR line that
     has no key (``parse_cr_line``). ``PY`` follows the reference-year rule
     (``parse_year``), anything else is an unknown citing year. Unknown
-    tags and their continuation lines are ignored.
+    tags and their continuation lines are ignored. A tag line ends before
+    its trailing carriage returns; a continuation keeps them, and
+    ``normalize_key`` drops them with the other trailing whitespace.
     """
     stats = stats if stats is not None else ParseStats()
     py: Optional[int] = None
     crs: list[tuple[str, Optional[int]]] = []
+    add = crs.append
     open_record = False
-    last_tag = ""
+    in_cr = False  # the last tag line was a CR line
 
-    for raw_line in _decoded_lines(stream):
-        line = raw_line.rstrip("\r")
+    for line in _decoded_lines(stream):
         if line.startswith("   "):
-            if not (open_record and last_tag == "CR"):
+            if not in_cr:
                 continue
-            text = line[3:]
         else:
+            line = line.rstrip("\r")
             tag = line[:2]
             if not (tag.isascii() and tag.isalpha() and tag.isupper()):
                 continue
             if not (len(line) == 2 or line[2:3] == " "):
                 continue
+            in_cr = tag == "CR"
             if tag in ("FN", "VR"):
-                last_tag = tag
                 continue
             if tag == "EF":
                 if open_record:
@@ -214,25 +231,24 @@ def parse_wos(stream: BinaryIO, stats: Optional[ParseStats] = None) -> Iterator[
                 if open_record:
                     yield CitingRecord(py=py, crs=tuple(crs))
                     open_record = False
-                last_tag = ""
                 continue
             if not open_record:
                 open_record = True
                 py = None
                 crs = []
-            last_tag = tag
+                add = crs.append
             if tag == "PY":
                 py = parse_year(line[3:].strip())
-            if tag != "CR":
+            if not in_cr:
                 continue
-            text = line[3:]
         # One reference per CR line or continuation; blank ones are not CRs.
-        if text.strip():
+        text = line[3:]
+        if text and not text.isspace():
             pair = parse_cr_line(text)
             if pair is None:
                 stats.malformed_records += 1
             else:
-                crs.append(pair)
+                add(pair)
 
     if open_record:
         stats.malformed_records += 1

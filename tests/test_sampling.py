@@ -1,11 +1,12 @@
 from __future__ import annotations
 
 import math
+import random
 from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from rpyspect.errors import DomainError, OffsetTooLargeError
 from rpyspect.model import Occurrence
@@ -56,6 +57,23 @@ class TestRandomSample:
 
     def test_sample_size_bounded(self):
         assert len(select(RandomSampler(25, seed=0), population(100))) == 25
+
+    # Streams of up to 300 occurrences, so that i + 1 crosses 32 ... 256.
+    @settings(max_examples=300)
+    @given(seed=st.integers(0, 2**64), n=st.integers(1, 20), size=st.integers(0, 300))
+    @example(seed=0, n=1, size=300)
+    def test_is_textbook_algorithm_r_over_randrange(self, seed, n, size):
+        pop = population(size)
+        rng = random.Random(seed)
+        reservoir: list[Occurrence] = []
+        for i, o in enumerate(pop):
+            if i < n:
+                reservoir.append(o)
+            else:
+                j = rng.randrange(i + 1)
+                if j < n:
+                    reservoir[j] = o
+        assert select(RandomSampler(n, seed=seed), pop) == reservoir
 
     def test_rejects_nonpositive_n(self):
         with pytest.raises(DomainError):

@@ -232,6 +232,17 @@ class TestParseCrLine:
         else:
             assert parse_cr_line(text) == (text, parse_key(key).rpy)
 
+    @pytest.mark.parametrize(
+        "token",
+        ["1990", "1000", "3000", "0999", "3001", "١٩٩٠", "٠٩٩٩", "٣٠٠١", "1٩9٠"],
+    )
+    def test_year_memo_gives_the_year_rule(self, token, monkeypatch):
+        monkeypatch.setattr(wos, "_years", wos._YearMemo())
+        line = f"A B, {token}, J"
+        assert parse_cr_line(line) == (line, model.parse_year(token))  # first sight
+        assert parse_cr_line(line) == (line, model.parse_year(token))  # a repeat
+        assert list(wos._years) == ([token] if token.isascii() else [])
+
     # The other fields of a line come from its key, once per distinct key.
     def test_full_reference(self):
         cr = fields("STUIVER M, 1993, RADIOCARBON, V35, P215")
