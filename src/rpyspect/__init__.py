@@ -11,10 +11,8 @@ from .engine import Environment, execute
 from .formats import export_csv_cr, export_csv_graph, load_cre, save_cre, union_cre
 from .model import (
     CitedReference,
-    CitingRecord,
     CRVariant,
     Dataset,
-    Occurrence,
     Spectrogram,
     aggregate,
     normalize_key,

@@ -16,6 +16,7 @@ from typing import Optional
 from . import engine, formats, script, spectroscopy, wos
 from .errors import RpysError, ScriptError
 from .model import YearFilter
+from .sampling import MODES
 
 
 def _year_range(text: str) -> YearFilter:
@@ -46,9 +47,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sample = sub.add_parser("sample", help="import one sample and save it as a CRE file")
     p_sample.add_argument("input")
-    p_sample.add_argument(
-        "--mode", choices=["none", "random", "systematic", "cluster"], default="none"
-    )
+    p_sample.add_argument("--mode", choices=[m.lower() for m in MODES], default="none")
     p_sample.add_argument(
         "--n", type=int, default=0, help="sample size (maxCR; 0 = no limit; cluster ignores it)"
     )

@@ -148,9 +148,7 @@ class _UnionFind:
             self.parent[rb] = ra
 
 
-def cluster_crs(
-    dataset: Dataset, config: ClusterConfig, block_cap: int = DEFAULT_BLOCK_CAP
-) -> Dataset:
+def cluster_crs(dataset: Dataset, config: ClusterConfig) -> Dataset:
     """Assign cluster ids: union-find within each RPY block over pairs
     that pass the field gate and reach the similarity threshold.
 
@@ -168,7 +166,7 @@ def cluster_crs(
 
     for rpy in sorted(blocks):
         members = blocks[rpy]
-        if len(members) > block_cap:
+        if len(members) > DEFAULT_BLOCK_CAP:
             sub: dict[str, list[int]] = {}
             for idx in members:
                 sub.setdefault(ordered[idx].reference.author[:1], []).append(idx)

@@ -1,5 +1,5 @@
-"""Core domain types: cited references, citing records, the variant table,
-and spectrogram rows.
+"""Core domain types: cited references, the variant table, and
+spectrogram rows.
 
 A "variant" is one distinct string form of a cited reference; identity is
 its key, the normalized line, not the parsed field tuple. The key is
@@ -148,27 +148,6 @@ def parse_key(key: str) -> CitedReference:
 
 
 @dataclass(frozen=True)
-class CitingRecord:
-    """One citing publication: its year and its cited references in file
-    order (systematic sampling depends on that order), each as a
-    (line, rpy) pair of the line as read and its reference publication
-    year. The key is computed later, once per distinct line of the
-    retained sample, and the other fields once per distinct key."""
-
-    py: Optional[int]
-    crs: tuple[tuple[str, Optional[int]], ...]
-
-
-class Occurrence(NamedTuple):
-    """One CR occurrence that a sampler kept: the cited-reference line as
-    read (not yet normalized, see ``aggregate``) and the citing
-    publication year."""
-
-    line: str
-    py: Optional[int]
-
-
-@dataclass(frozen=True)
 class CRVariant:
     """One distinct normalized CR string with its occurrence count (NCR).
 
@@ -274,11 +253,12 @@ class Spectrogram:
 
 
 def aggregate(
-    occurrences: Iterable[Occurrence],
+    occurrences: Iterable[tuple[str, Optional[int]]],
     n_citing: int = 0,
     provenance: str = "",
 ) -> Dataset:
-    """Fold an occurrence stream into the distinct-variant table.
+    """Fold (line, py) occurrences, each a CR line as read (not yet
+    normalized) and its citing year, into the distinct-variant table.
 
     One CRVariant per distinct key; ncr counts occurrences and
     n_py_years counts distinct citing years. The stream is folded by

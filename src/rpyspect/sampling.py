@@ -20,7 +20,6 @@ import random
 from typing import Optional
 
 from .errors import DomainError, OffsetTooLargeError
-from .model import Occurrence
 
 MODES = ("NONE", "RANDOM", "SYSTEMATIC", "CLUSTER")
 
@@ -28,19 +27,19 @@ MODES = ("NONE", "RANDOM", "SYSTEMATIC", "CLUSTER")
 class Sampler:
     """Streaming selection interface used by the import pipeline.
 
-    The base holds the selection in ``_kept``: ``retained`` reports how
-    many occurrences it currently holds (the memory-contract
-    instrumentation reads it) and ``result`` returns it. Each subclass
-    defines ``offer(line, py)``, which feeds one occurrence, a CR line
-    and its citing year, and decides what ``_kept`` holds; it builds the
-    ``Occurrence`` only for an occurrence it keeps. ``wants_more`` lets
-    the reader stop early once the sample cannot grow.
+    The base holds the selection in ``_kept``, a list of (line, py)
+    pairs: ``retained`` reports how many it currently holds (the
+    memory-contract instrumentation reads it) and ``result`` returns it.
+    Each subclass defines ``offer(line, py)``, which feeds one
+    occurrence, a CR line and its citing year, and decides what ``_kept``
+    holds; it builds the pair only for an occurrence it keeps.
+    ``wants_more`` lets the reader stop early once the sample cannot grow.
     """
 
     mode = "NONE"
 
     def __init__(self):
-        self._kept: list[Occurrence] = []
+        self._kept: list[tuple[str, Optional[int]]] = []
 
     def offer(self, line: str, py: Optional[int]) -> None:
         raise NotImplementedError
@@ -51,7 +50,7 @@ class Sampler:
     def retained(self) -> int:
         return len(self._kept)
 
-    def result(self) -> list[Occurrence]:
+    def result(self) -> list[tuple[str, Optional[int]]]:
         return self._kept
 
 
@@ -69,7 +68,7 @@ class NoneSampler(Sampler):
 
     def offer(self, line: str, py: Optional[int]) -> None:
         if self.wants_more():
-            self._kept.append(Occurrence(line, py))
+            self._kept.append((line, py))
 
     def wants_more(self) -> bool:
         return self.limit == 0 or len(self._kept) < self.limit
@@ -93,7 +92,7 @@ class RandomSampler(Sampler):
         i = self._seen
         self._seen = i + 1
         if i < self.n:
-            self._kept.append(Occurrence(line, py))
+            self._kept.append((line, py))
             return
         # Classic replacement rule: keep the newcomer with probability n/(i+1).
         # j is randrange(i + 1) drawn as CPython draws it: (i + 1).bit_length()
@@ -103,7 +102,7 @@ class RandomSampler(Sampler):
         while j > i:
             j = self._getrandbits(k)
         if j < self.n:
-            self._kept[j] = Occurrence(line, py)
+            self._kept[j] = (line, py)
 
 
 class SystematicSampler(Sampler):
@@ -142,7 +141,7 @@ class SystematicSampler(Sampler):
         if len(self._kept) >= self.n:
             return
         if pos >= self.offset and (pos - self.offset) % self.step == 0:
-            self._kept.append(Occurrence(line, py))
+            self._kept.append((line, py))
 
     def wants_more(self) -> bool:
         return len(self._kept) < self.n
@@ -162,7 +161,7 @@ class ClusterSampler(Sampler):
 
     def offer(self, line: str, py: Optional[int]) -> None:
         if py == self.chosen_year:
-            self._kept.append(Occurrence(line, py))
+            self._kept.append((line, py))
 
 
 def removal_threshold(threshold_full: int, ncr_full: int, ncr_sample: int) -> int:

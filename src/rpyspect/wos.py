@@ -10,7 +10,7 @@ documented byte-exactly in docs/wos-format.md.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import BinaryIO, Iterator, Optional
+from typing import BinaryIO, Iterator, Optional, Sequence
 
 from .errors import DomainError, EmptySampleError
 from .model import (
@@ -18,7 +18,6 @@ from .model import (
     RAW_YEAR,
     YEAR_MAX,
     YEAR_MIN,
-    CitingRecord,
     Dataset,
     YearFilter,
     aggregate,
@@ -32,6 +31,9 @@ from .sampling import (
     Sampler,
     SystematicSampler,
 )
+
+Pairs = Sequence[tuple[str, Optional[int]]]  # (line, rpy) per CR line, in file order
+Record = tuple[Optional[int], Pairs]  # (py, crs) of one citing record
 
 SUPPORTED_FORMATS = ("WOS",)
 RESERVED_FORMATS = ("SCOPUS", "CROSSREF")
@@ -94,9 +96,10 @@ class MemoryProbe:
     """Instrumentation hook for the streaming contract.
 
     The import pipeline reports the number of simultaneously live
-    occurrences after each record: the Occurrences the sampler retains
-    (it builds one only for an occurrence it keeps) plus the current
-    record's (line, rpy) pairs. The probe keeps the peak.
+    occurrences after each record: the (line, py) pairs the sampler
+    retains (it builds one only for an occurrence it keeps) plus all of
+    the current record's (line, rpy) pairs, filtered out or not. The
+    probe keeps the peak.
     """
 
     def __init__(self):
@@ -190,8 +193,10 @@ def _decoded_lines(stream: BinaryIO) -> Iterator[str]:
         yield from _block_lines(tail)
 
 
-def parse_wos(stream: BinaryIO, stats: Optional[ParseStats] = None) -> Iterator[CitingRecord]:
-    """Yield CitingRecords from a WoS tagged export, in file order.
+def parse_wos(stream: BinaryIO, stats: Optional[ParseStats] = None) -> Iterator[Record]:
+    """Yield each record of a WoS tagged export as (py, crs), in file order:
+    its citing year and its own list of (line, rpy) pairs, one per CR line
+    as read, in file order (systematic sampling depends on that order).
 
     Record boundaries sit at the ER tag; a record still open at EF/EOF is
     malformed and skipped (counted in ``stats``), and so is a CR line that
@@ -229,7 +234,7 @@ def parse_wos(stream: BinaryIO, stats: Optional[ParseStats] = None) -> Iterator[
                 break
             if tag == "ER":
                 if open_record:
-                    yield CitingRecord(py=py, crs=tuple(crs))
+                    yield py, crs
                     open_record = False
                 continue
             if not open_record:
@@ -254,7 +259,8 @@ def parse_wos(stream: BinaryIO, stats: Optional[ParseStats] = None) -> Iterator[
         stats.malformed_records += 1
 
 
-def parse_wos_path(path, stats: Optional[ParseStats] = None) -> Iterator[CitingRecord]:
+def parse_wos_path(path, stats: Optional[ParseStats] = None) -> Iterator[Record]:
+    """``parse_wos`` of the file at ``path``."""
     with open(path, "rb") as fh:
         yield from parse_wos(fh, stats)
 
@@ -270,11 +276,12 @@ def check_format(fmt: str) -> None:
 
 def _passing(
     path, filt: ImportFilter, stats: ParseStats
-) -> Iterator[tuple[CitingRecord, Optional[list[tuple[str, Optional[int]]]]]]:
-    """Each record of ``path`` with its CR lines that pass both year filters.
+) -> Iterator[tuple[Optional[int], Pairs, Pairs]]:
+    """Each (py, crs) record of ``path`` with the (line, rpy) pairs of
+    ``crs`` that pass both year filters, as (py, crs, passing).
 
-    A record whose citing year fails the PY filter comes with None in
-    place of the list. This is the one place that applies the filters and
+    A record whose citing year fails the PY filter has an empty
+    ``passing``. This is the one place that applies the filters and
     counts what passes, so the count pass totals exactly the CRs an import
     offers, in file order. ``stats.n_citing`` and ``stats.n_cr`` start at 0
     and cover the records yielded so far.
@@ -284,15 +291,14 @@ def _passing(
     py_lo, py_hi, py_unknown = filt.py_range or (YEAR_MIN, YEAR_MAX, True)
     lo, hi, unknown = filt.rpy_range or (YEAR_MIN, YEAR_MAX, True)
     stats.n_citing = stats.n_cr = 0
-    for rec in parse_wos_path(path, stats):
-        py = rec.py
+    for py, crs in parse_wos_path(path, stats):
         if not (py_unknown if py is None else py_lo <= py <= py_hi):
-            yield rec, None
+            yield py, crs, ()
             continue
-        crs = [cr for cr in rec.crs if (unknown if cr[1] is None else lo <= cr[1] <= hi)]
+        passing = [cr for cr in crs if (unknown if cr[1] is None else lo <= cr[1] <= hi)]
         stats.n_citing += 1
-        stats.n_cr += len(crs)
-        yield rec, crs
+        stats.n_cr += len(passing)
+        yield py, crs, passing
 
 
 def analyze_file(path, filt: ImportFilter, stats: Optional[ParseStats] = None) -> ParseStats:
@@ -371,14 +377,13 @@ def import_file(
     stats = stats if stats is not None else ParseStats()
     offer = sampler.offer
     wants_more = sampler.wants_more
-    for rec, crs in _passing(path, filt, stats):
-        py = rec.py
-        for line, _ in crs or ():
+    for py, crs, passing in _passing(path, filt, stats):
+        for line, _ in passing:
             offer(line, py)
             if not wants_more():
                 break
         if probe is not None:
-            probe.observe(sampler.retained() + len(rec.crs))
+            probe.observe(sampler.retained() + len(crs))
         if not wants_more():
             break
 

@@ -20,7 +20,7 @@ from rpyspect.clustering import ClusterConfig, cluster_crs, compatible, merge_cl
 from rpyspect.engine import Environment, execute
 from rpyspect.errors import RpysError
 from rpyspect.formats import load_cre, save_cre, union_cre
-from rpyspect.model import CitedReference, CRVariant, Dataset, Occurrence, aggregate, normalize_key
+from rpyspect.model import CitedReference, CRVariant, Dataset, aggregate, normalize_key
 from rpyspect.sampling import RandomSampler, removal_threshold
 from rpyspect.script import parse_script
 from rpyspect.spectroscopy import compute_spectrogram, scale_factor, top_crs
@@ -47,8 +47,8 @@ def criterion(number: int, name: str, budget_s: float):
     assert elapsed < budget_s, f"criterion {number} exceeded its {budget_s}s budget"
 
 
-def occurrence_stream(n: int) -> list[Occurrence]:
-    return [Occurrence(f"AUTHOR {i}, 1990, JOURNAL", 2000) for i in range(n)]
+def occurrence_stream(n: int) -> list[tuple[str, int]]:
+    return [(f"AUTHOR {i}, 1990, JOURNAL", 2000) for i in range(n)]
 
 
 def test_criterion_1_removal_threshold_reproduction():
@@ -97,9 +97,9 @@ def test_criterion_4_random_sampling_unbiasedness():
         runs = 10_000
         hits: Counter = Counter()
         for seed in range(runs):
-            for occ in select(RandomSampler(25, seed=seed), population):
-                hits[occ.line] += 1
-        freqs = [hits[occ.line] / runs for occ in population]
+            for line, _ in select(RandomSampler(25, seed=seed), population):
+                hits[line] += 1
+        freqs = [hits[line] / runs for line, _ in population]
         assert all(0.237 <= f <= 0.263 for f in freqs), (min(freqs), max(freqs))
 
 
@@ -146,7 +146,7 @@ def test_criterion_6_clustering_oracle_equivalence():
                 seed=seed, n_records=40, crs_per_record=5, n_works=50, misspell_rate=0.5
             )
             ds = aggregate(
-                Occurrence(normalize_key(raw), py) for raw, py in corpus.occurrences()
+                (normalize_key(raw), py) for raw, py in corpus.occurrences()
             )
             assert len(ds.variants) <= 200
             clustered = cluster_crs(ds, config)

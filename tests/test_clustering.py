@@ -6,6 +6,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from rpyspect import clustering
 from rpyspect.clustering import (
     ClusterConfig,
     _bags,
@@ -21,7 +22,6 @@ from rpyspect.model import (
     CitedReference,
     CRVariant,
     Dataset,
-    Occurrence,
     aggregate,
     normalize_key,
     parse_key,
@@ -197,7 +197,7 @@ def misspelled_dataset(seed=0, n_records=40, misspell_rate=0.5):
         n_works=50,
         misspell_rate=misspell_rate,
     )
-    occs = [Occurrence(normalize_key(raw), py) for raw, py in corpus.occurrences()]
+    occs = [(normalize_key(raw), py) for raw, py in corpus.occurrences()]
     return aggregate(occs)
 
 
@@ -277,16 +277,17 @@ class TestClusterCrs:
             by_cluster.setdefault(v.cluster_id, set()).add(v.rpy)
         assert all(len(years) == 1 for years in by_cluster.values())
 
-    def test_oversize_blocks_fall_back_to_author_subblocks(self):
+    def test_oversize_blocks_fall_back_to_author_subblocks(self, monkeypatch):
         # With the cap forced below the block size, only same-first-letter
         # pairs may cluster; the result stays deterministic.
+        monkeypatch.setattr(clustering, "DEFAULT_BLOCK_CAP", 2)
         config = ClusterConfig(threshold=0.75, use_volume=True, use_page=True)
         ds = misspelled_dataset(seed=12)
-        capped = cluster_crs(ds, config, block_cap=2)
+        capped = cluster_crs(ds, config)
         for group in clusters_of(capped):
             initials = {ds.variants[k].reference.author[:1] for k in group}
             assert len(initials) == 1
-        again = cluster_crs(ds, config, block_cap=2)
+        again = cluster_crs(ds, config)
         assert {k: v.cluster_id for k, v in capped.variants.items()} == {
             k: v.cluster_id for k, v in again.variants.items()
         }
@@ -303,8 +304,8 @@ class TestMergeClusters:
 
     def test_ncr_sums_and_representative(self):
         ds = aggregate(
-            [Occurrence("SMITH J, 1990, NATURE", 2000)] * 5
-            + [Occurrence("SMYTH J, 1990, NATURE", 2001)] * 3
+            [("SMITH J, 1990, NATURE", 2000)] * 5
+            + [("SMYTH J, 1990, NATURE", 2001)] * 3
         )
         clustered = cluster_crs(ds, ClusterConfig(threshold=0.75))
         merged = merge_clusters(clustered)
@@ -326,7 +327,7 @@ class TestRemoveCr:
     def dataset(self, counts=(50, 100, 150)):
         occs = []
         for i, n in enumerate(counts):
-            occs.extend([Occurrence(f"WORK {i}, 1990, J", 2000)] * n)
+            occs.extend([(f"WORK {i}, 1990, J", 2000)] * n)
         return aggregate(occs)
 
     def test_drops_inclusive_range(self):

@@ -27,7 +27,7 @@ from rpyspect.formats import (
     save_cre,
     union_cre,
 )
-from rpyspect.model import CRVariant, Dataset, Occurrence, Spectrogram, SpectroRow, aggregate
+from rpyspect.model import CRVariant, Dataset, Spectrogram, SpectroRow, aggregate
 from rpyspect.spectroscopy import compute_spectrogram, n_pct
 from rpyspect.wos import ImportFilter, analyze_file, import_file
 
@@ -52,7 +52,7 @@ def random_dataset(seed: int) -> Dataset:
             bits.append(f"DOI 10.1000/{i}")
         raw = ", ".join(bits)
         for _ in range(rng.randint(1, 4)):
-            occs.append(Occurrence(raw, rng.randint(1980, 2014)))
+            occs.append((raw, rng.randint(1980, 2014)))
     ds = aggregate(occs, n_citing=rng.randint(0, 60), provenance=f"synthetic {seed}")
     if rng.random() < 0.5:
         clustered = [
@@ -230,8 +230,8 @@ class TestWosToCre:
 
 
 def tiny_dataset():
-    occs = [Occurrence("ALPHA A, 2000, NATURE, V5, P10", 2010)] * 3
-    occs += [Occurrence("BETA B, 2000, SCIENCE", 2011)]
+    occs = [("ALPHA A, 2000, NATURE, V5, P10", 2010)] * 3
+    occs += [("BETA B, 2000, SCIENCE", 2011)]
     return aggregate(occs, n_citing=4)
 
 
@@ -257,7 +257,7 @@ class TestCsvCr:
         assert csv_cr_bytes(Dataset()).decode() == "ID,CR,RPY,N_CR,PCT_RPY,CID,CID_SIZE\n"
 
     def test_comma_key_is_quoted(self, tmp_path):
-        ds = aggregate([Occurrence("X Y, 1990, J", 2000)])
+        ds = aggregate([("X Y, 1990, J", 2000)])
         path = tmp_path / "q.csv"
         export_csv_cr(ds, path)
         assert '"X Y, 1990, J"' in path.read_text()
@@ -265,7 +265,7 @@ class TestCsvCr:
     def test_sorted_by_rpy_then_ncr_desc(self):
         occs = []
         for raw, n in (("B, 1990, J", 2), ("A, 1990, J", 2), ("C, 1980, J", 1)):
-            occs.extend([Occurrence(raw, 2000)] * n)
+            occs.extend([(raw, 2000)] * n)
         content = csv_cr_bytes(aggregate(occs)).decode()
         names = [line.split(",")[1] for line in content.splitlines()[1:]]
         assert names == ['"C', '"A', '"B']
@@ -273,7 +273,7 @@ class TestCsvCr:
 
 class TestCsvGraph:
     def test_single_year_row(self):
-        ds_occs = [Occurrence("W, 2000, J", 2005)] * 7
+        ds_occs = [("W, 2000, J", 2005)] * 7
         spect = compute_spectrogram(aggregate(ds_occs), median_range=2)
         assert csv_graph_bytes(spect).decode() == "RPY,N_CR,MEDIAN_DEV\n2000,7,0\n"
 
@@ -282,7 +282,7 @@ class TestCsvGraph:
         occs = []
         for i in range(30):
             raw = f"W {i}, {rng.randint(1990, 1999)}, J"
-            occs.extend([Occurrence(raw, 2005)] * rng.randint(1, 4))
+            occs.extend([(raw, 2005)] * rng.randint(1, 4))
         spect = compute_spectrogram(aggregate(occs), median_range=2)
         path = tmp_path / "g.csv"
         export_csv_graph(spect, path)
@@ -324,8 +324,8 @@ POOL_LINES = (
 def pooled_datasets(draw) -> Dataset:
     """A dataset of occurrences of POOL_LINES, at times with cluster ids
     and with variants removed after the import."""
-    occurrence = st.builds(
-        Occurrence, st.sampled_from(POOL_LINES), st.sampled_from([None, 2000, 2001, 2002])
+    occurrence = st.tuples(
+        st.sampled_from(POOL_LINES), st.sampled_from([None, 2000, 2001, 2002])
     )
     occurrences = draw(st.lists(occurrence, max_size=12))
     ds = aggregate(occurrences, n_citing=draw(st.integers(0, 5)), provenance="pooled")
@@ -338,7 +338,7 @@ def pooled_datasets(draw) -> Dataset:
 
 
 POOLED_EXAMPLE = aggregate(
-    [Occurrence(line, 2000 + i % 2) for i, line in enumerate(POOL_LINES)], n_citing=3
+    [(line, 2000 + i % 2) for i, line in enumerate(POOL_LINES)], n_citing=3
 )
 
 
@@ -390,10 +390,10 @@ class TestUnionCre:
         }
 
     def test_union_sums_ncr_per_key(self, tmp_path):
-        base = aggregate([Occurrence("W A, 1990, J", 2000)] * 3, n_citing=1)
+        base = aggregate([("W A, 1990, J", 2000)] * 3, n_citing=1)
         other = aggregate(
-            [Occurrence("W A, 1990, J", 2001)] * 2
-            + [Occurrence("W B, 1991, J", 2001)],
+            [("W A, 1990, J", 2001)] * 2
+            + [("W B, 1991, J", 2001)],
             n_citing=2,
         )
         paths = self.save_datasets(tmp_path, [base, other])

@@ -9,7 +9,6 @@ from hypothesis import given, strategies as st
 from rpyspect.model import (
     CitedReference,
     Dataset,
-    Occurrence,
     aggregate,
     normalize_key,
     parse_key,
@@ -74,7 +73,7 @@ class TestAggregate:
 
     def test_counts_and_citing_years(self):
         raw = "STUIVER M, 1993, RADIOCARBON, V35, P215"
-        occs = [Occurrence(raw, py) for py in (2011, 2011, 2012)]
+        occs = [(raw, py) for py in (2011, 2011, 2012)]
         ds = aggregate(occs)
         assert len(ds.variants) == 1
         v = ds.variants[raw]
@@ -86,7 +85,7 @@ class TestAggregate:
         rng = random.Random(7)
         pool = [f"AUTHOR {chr(65 + i)}, {1970 + i}, SOURCE {i}" for i in range(40)]
         occs = [
-            Occurrence(rng.choice(pool), rng.randint(1980, 2014))
+            (rng.choice(pool), rng.randint(1980, 2014))
             for _ in range(1000)
         ]
         oracle = Counter(normalize_key(line) for line, _ in occs)
@@ -109,15 +108,15 @@ class TestAggregate:
         )
     )
     def test_raw_lines_aggregate_as_their_keys(self, pairs):
-        raw = aggregate([Occurrence(line, py) for line, py in pairs])
-        keyed = aggregate([Occurrence(normalize_key(line), py) for line, py in pairs])
+        raw = aggregate([(line, py) for line, py in pairs])
+        keyed = aggregate([(normalize_key(line), py) for line, py in pairs])
         assert list(raw.variants.items()) == list(keyed.variants.items())
         assert raw.n_cr_total == keyed.n_cr_total == len(pairs)
 
     def test_order_insensitive_counts(self):
         rng = random.Random(3)
         pool = [f"A {i}, {1990 + i % 5}, J {i % 7}" for i in range(10)]
-        occs = [Occurrence(rng.choice(pool), 2000) for _ in range(200)]
+        occs = [(rng.choice(pool), 2000) for _ in range(200)]
         shuffled = occs[:]
         rng.shuffle(shuffled)
         a = aggregate(occs)
@@ -129,7 +128,7 @@ class TestAggregate:
     def test_ncr_conservation(self):
         rng = random.Random(5)
         occs = [
-            Occurrence(f"W {rng.randrange(30)}, 2000, J", 2001) for _ in range(777)
+            (f"W {rng.randrange(30)}, 2000, J", 2001) for _ in range(777)
         ]
         ds = aggregate(occs)
         assert ds.sum_ncr() == 777
@@ -153,9 +152,9 @@ class TestInvariants:
 
     def test_sorted_variants_orders_undated_last(self):
         occs = [
-            Occurrence("B, 1990, X", 2000),
-            Occurrence("NO YEAR HERE", 2000),
-            Occurrence("A, 1980, Y", 2000),
+            ("B, 1990, X", 2000),
+            ("NO YEAR HERE", 2000),
+            ("A, 1980, Y", 2000),
         ]
         ds = aggregate(occs)
         keys = [v.key for v in ds.sorted_variants()]

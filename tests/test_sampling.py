@@ -9,7 +9,6 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from rpyspect.errors import DomainError, OffsetTooLargeError
-from rpyspect.model import Occurrence
 from rpyspect.sampling import (
     ClusterSampler,
     RandomSampler,
@@ -20,11 +19,11 @@ from rpyspect.sampling import (
 from conftest import select
 
 
-def occ(i: int, py: int = 2000) -> Occurrence:
-    return Occurrence(f"AUTHOR {i}, 1990, JOURNAL", py)
+def occ(i: int, py: int = 2000) -> tuple[str, int]:
+    return (f"AUTHOR {i}, 1990, JOURNAL", py)
 
 
-def population(n: int) -> list[Occurrence]:
+def population(n: int) -> list[tuple[str, int]]:
     return [occ(i) for i in range(n)]
 
 
@@ -32,7 +31,7 @@ class TestRandomSample:
     def test_exhaustive_when_n_covers_population(self):
         pop = population(30)
         picked = select(RandomSampler(50, seed=1), pop)
-        assert Counter(o.line for o in picked) == Counter(o.line for o in pop)
+        assert Counter(line for line, _ in picked) == Counter(line for line, _ in pop)
 
     def test_deterministic_given_seed(self):
         pop = population(100)
@@ -50,9 +49,9 @@ class TestRandomSample:
         hits = Counter()
         runs = 2000
         for seed in range(runs):
-            for o in select(RandomSampler(25, seed=seed), pop):
-                hits[o.line] += 1
-        freqs = [hits[o.line] / runs for o in pop]
+            for line, _ in select(RandomSampler(25, seed=seed), pop):
+                hits[line] += 1
+        freqs = [hits[line] / runs for line, _ in pop]
         assert all(0.25 - 0.031 <= f <= 0.25 + 0.031 for f in freqs)
 
     def test_sample_size_bounded(self):
@@ -65,7 +64,7 @@ class TestRandomSample:
     def test_is_textbook_algorithm_r_over_randrange(self, seed, n, size):
         pop = population(size)
         rng = random.Random(seed)
-        reservoir: list[Occurrence] = []
+        reservoir: list[tuple[str, int]] = []
         for i, o in enumerate(pop):
             if i < n:
                 reservoir.append(o)
@@ -84,13 +83,13 @@ class TestSystematicSample:
     def test_first_fifth_ninth(self):
         pop = population(400)
         picked = select(SystematicSampler(n=100, total=400, offset=0), pop)
-        positions = [int(o.line.split(",")[0].split()[1]) for o in picked]
+        positions = [int(line.split(",")[0].split()[1]) for line, _ in picked]
         assert positions == list(range(0, 400, 4))
 
     def test_offset_shifts_selection(self):
         pop = population(400)
         picked = select(SystematicSampler(n=100, total=400, offset=1), pop)
-        positions = [int(o.line.split(",")[0].split()[1]) for o in picked]
+        positions = [int(line.split(",")[0].split()[1]) for line, _ in picked]
         assert positions == list(range(1, 400, 4))
 
     def test_step_one_takes_everything(self):
@@ -105,7 +104,7 @@ class TestSystematicSample:
     def test_truncates_at_n_picks(self):
         # total 10, n 3 -> step 3, positions 0, 3, 6 (not 9).
         picked = select(SystematicSampler(n=3, total=10, offset=0), population(10))
-        positions = [int(o.line.split(",")[0].split()[1]) for o in picked]
+        positions = [int(line.split(",")[0].split()[1]) for line, _ in picked]
         assert positions == [0, 3, 6]
 
     def test_partition_property(self):
@@ -114,24 +113,24 @@ class TestSystematicSample:
         pop = population(400)
         seen = Counter()
         for offset in range(4):
-            for o in select(SystematicSampler(n=100, total=400, offset=offset), pop):
-                seen[o.line] += 1
-        assert seen == Counter(o.line for o in pop)
+            for line, _ in select(SystematicSampler(n=100, total=400, offset=offset), pop):
+                seen[line] += 1
+        assert seen == Counter(line for line, _ in pop)
 
 
 class TestClusterSample:
     def occurrences(self, years=((2011, 4), (2012, 1), (2013, 2), (2014, 3))):
-        return [Occurrence(f"WORK {py} {i}, 1990, J", py) for py, n in years for i in range(n)]
+        return [(f"WORK {py} {i}, 1990, J", py) for py, n in years for i in range(n)]
 
     def test_fixed_year_selects_that_year(self):
         picked = select(ClusterSampler(2011, 2011, seed=5), self.occurrences())
         assert len(picked) == 4
-        assert all(o.py == 2011 for o in picked)
+        assert all(py == 2011 for _, py in picked)
 
     def test_seeded_choice_is_one_per_year_set(self):
         sizes = {2011: 4, 2012: 1, 2013: 2, 2014: 3}
         picked = select(ClusterSampler(2011, 2014, seed=8), self.occurrences())
-        years = {o.py for o in picked}
+        years = {py for _, py in picked}
         assert len(years) == 1
         year = years.pop()
         assert len(picked) == sizes[year]

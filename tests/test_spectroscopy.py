@@ -5,7 +5,7 @@ import random
 import pytest
 
 from rpyspect.errors import DomainError, EmptyDatasetError
-from rpyspect.model import CitedReference, CRVariant, Dataset, Occurrence, aggregate
+from rpyspect.model import CitedReference, CRVariant, Dataset, aggregate
 from rpyspect.sampling import SystematicSampler
 from rpyspect.spectroscopy import (
     compute_spectrogram,
@@ -87,7 +87,7 @@ class TestComputeSpectrogram:
     def test_empty_dataset_raises(self):
         with pytest.raises(EmptyDatasetError):
             compute_spectrogram(Dataset())
-        undated = aggregate([Occurrence("NO YEAR", 2000)])
+        undated = aggregate([("NO YEAR", 2000)])
         with pytest.raises(EmptyDatasetError):
             compute_spectrogram(undated)
 
@@ -125,7 +125,7 @@ class TestScaleFactor:
         for year in range(2000, 2010):
             m = 8 * (year - 1999)
             counts[year] = m
-            occs.extend([Occurrence(f"W {year}, {year}, J", 2011)] * m)
+            occs.extend([(f"W {year}, {year}, J", 2011)] * m)
         total = sum(counts.values())
         sample = select(SystematicSampler(n=total // 4, total=total, offset=0), occs)
         spect_pop = compute_spectrogram(aggregate(occs))
@@ -172,8 +172,8 @@ class TestSpectrogramDiff:
 
 def two_variant_dataset():
     occs = []
-    occs.extend([Occurrence("ALPHA A, 2000, J", 2010)] * 5)
-    occs.extend([Occurrence("BETA B, 2000, J", 2011)] * 3)
+    occs.extend([("ALPHA A, 2000, J", 2010)] * 5)
+    occs.extend([("BETA B, 2000, J", 2011)] * 3)
     return aggregate(occs)
 
 
@@ -195,7 +195,7 @@ class TestTopCrs:
         rng = random.Random(17)
         occs = []
         for i in range(30):
-            occs.extend([Occurrence(f"W {i:02d}, 1995, J", 2000)] * rng.randint(1, 9))
+            occs.extend([(f"W {i:02d}, 1995, J", 2000)] * rng.randint(1, 9))
         ds = aggregate(occs)
         expected = sorted(ds.variants.values(), key=lambda v: (-v.ncr, v.key))
         assert top_crs(ds, 1995, 30) == expected
@@ -207,7 +207,7 @@ class TestTopCrs:
 
 class TestNPct:
     def test_sole_variant_full_share(self):
-        occs = [Occurrence("ONLY A, 1990, J", 2000)]
+        occs = [("ONLY A, 1990, J", 2000)]
         ds = aggregate(occs)
         v = next(iter(ds.variants.values()))
         assert n_pct(ds, v, 0) == 1.0
@@ -215,7 +215,7 @@ class TestNPct:
     def test_equal_split(self):
         occs = []
         for name in ("AAA", "BBB"):
-            occs.extend([Occurrence(f"{name}, 1990, J", 2000)] * 4)
+            occs.extend([(f"{name}, 1990, J", 2000)] * 4)
         ds = aggregate(occs)
         for v in ds.variants.values():
             assert n_pct(ds, v, 0) == 0.5
@@ -224,7 +224,7 @@ class TestNPct:
         rng = random.Random(23)
         occs = []
         for i in range(12):
-            occs.extend([Occurrence(f"W {i}, 1990, J", 2000)] * rng.randint(1, 6))
+            occs.extend([(f"W {i}, 1990, J", 2000)] * rng.randint(1, 6))
         ds = aggregate(occs)
         assert sum(n_pct(ds, v, 0) for v in ds.variants.values()) == pytest.approx(1.0)
 
@@ -233,7 +233,7 @@ class TestNPct:
         occs = []
         for i in range(40):
             year = rng.randint(1990, 1999)
-            occs.extend([Occurrence(f"W {i:02d}, {year}, J", 2005)] * rng.randint(1, 5))
+            occs.extend([(f"W {i:02d}, {year}, J", 2005)] * rng.randint(1, 5))
         ds = aggregate(occs)
         for v in ds.variants.values():
             denom = sum(

@@ -8,9 +8,9 @@ from unittest import mock
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from rpyspect import model, sampling, wos
+from rpyspect import model, wos
 from rpyspect.errors import EmptySampleError, OffsetTooLargeError, RpysError
-from rpyspect.model import CitedReference, Occurrence, aggregate, normalize_key, parse_key
+from rpyspect.model import CitedReference, aggregate, normalize_key, parse_key
 from rpyspect.wos import (
     ImportFilter,
     MemoryProbe,
@@ -152,8 +152,8 @@ EF
 class TestParseWos:
     def test_two_record_structure(self):
         records = parse_text(TWO_RECORDS)
-        assert [len(r.crs) for r in records] == [3, 0]
-        assert [r.py for r in records] == [2011, 2012]
+        assert [len(crs) for _, crs in records] == [3, 0]
+        assert [py for py, _ in records] == [2011, 2012]
 
     def test_header_only_file_is_empty(self):
         assert parse_text("FN Synthetic export\nVR 1.0\nEF\n") == []
@@ -169,44 +169,44 @@ class TestParseWos:
         text = "PT J\nPY 2011\nCR ...\n   A B, 2000, J\n   , ;\nER\nEF\n"
         stats = ParseStats()
         records = parse_text(text, stats)
-        assert records[0].crs == (("A B, 2000, J", 2000),)
+        assert records[0][1] == [("A B, 2000, J", 2000)]
         assert stats.malformed_records == 2
 
     def test_unknown_tags_ignored(self):
         text = "PT J\nPY 2011\nZZ mystery\n   mystery continuation\nER\nEF\n"
         records = parse_text(text)
         assert len(records) == 1
-        assert records[0].crs == ()
+        assert records[0][1] == []
 
     def test_non_ascii_letters_are_not_a_tag(self):
         records = parse_text("PT J\nPY 2011\nCR A B, 1990, J\nER\nÄB x\nER\nEF\n")
-        assert records == [model.CitingRecord(py=2011, crs=(("A B, 1990, J", 1990),))]
+        assert records == [(2011, [("A B, 1990, J", 1990)])]
 
     def test_line_shorter_than_a_tag_is_ignored(self):
         records = parse_text("PT J\nPY 2011\nA\nCR A B, 2000, J\nER\nEF\n")
-        assert records[0].crs == (("A B, 2000, J", 2000),)
+        assert records[0][1] == [("A B, 2000, J", 2000)]
 
     def test_latin1_fallback(self):
         body = b"PT J\nPY 2011\nCR M\xdcLLER K, 1990, J PHYS\nER\nEF\n"
         records = list(parse_wos(io.BytesIO(body)))
-        assert records[0].crs == (("MÜLLER K, 1990, J PHYS", 1990),)
+        assert records[0][1] == [("MÜLLER K, 1990, J PHYS", 1990)]
 
     @pytest.mark.parametrize("value", ["2_011", "-7", "+2011"])
     def test_py_follows_the_year_rule(self, value):
         records = parse_text(f"PT J\nPY {value}\nCR A B, 2000, J\nER\nEF\n")
-        assert records[0].py is None
+        assert records[0][0] is None
 
     def test_crlf_line_endings(self):
         records = parse_text(TWO_RECORDS.replace("\n", "\r\n"))
-        assert [len(r.crs) for r in records] == [3, 0]
-        assert records[0].crs[0] == ("STUIVER M, 1993, RADIOCARBON, V35, P215", 1993)
+        assert [len(crs) for _, crs in records] == [3, 0]
+        assert records[0][1][0] == ("STUIVER M, 1993, RADIOCARBON, V35, P215", 1993)
 
     def test_roundtrip_against_generator(self, corpus: Corpus, corpus_file):
         records = list(parse_wos_path(corpus_file))
         assert len(records) == corpus.n_records
-        for parsed, (py, _, crs) in zip(records, corpus.records):
-            assert parsed.py == py
-            assert [line for line, _ in parsed.crs] == crs
+        for (parsed_py, parsed_crs), (py, _, crs) in zip(records, corpus.records):
+            assert parsed_py == py
+            assert [line for line, _ in parsed_crs] == crs
 
 
 def fields(line: str) -> CitedReference:
@@ -416,7 +416,7 @@ class TestImportFile:
     def test_none_sampling_equals_manual_composition(self, corpus: Corpus, corpus_file):
         ds = import_file(corpus_file, ImportFilter())
         manual = aggregate(
-            Occurrence(key, rec.py) for rec in parse_wos_path(corpus_file) for key, _ in rec.crs
+            (key, py) for py, crs in parse_wos_path(corpus_file) for key, _ in crs
         )
         assert {k: v.ncr for k, v in ds.variants.items()} == {
             k: v.ncr for k, v in manual.variants.items()
@@ -528,10 +528,10 @@ class TestSelectMatchesImport:
     @staticmethod
     def occurrences(path, py_range):
         lo, hi, unknown = py_range or (0, 9999, True)
-        for rec in parse_wos_path(path):
-            if unknown if rec.py is None else lo <= rec.py <= hi:
-                for line, _ in rec.crs:
-                    yield line, rec.py
+        for py, crs in parse_wos_path(path):
+            if unknown if py is None else lo <= py <= hi:
+                for line, _ in crs:
+                    yield line, py
 
     @settings(max_examples=300, deadline=None)
     @given(data=wos_files, filt=st.sampled_from(FILTERS))
@@ -566,33 +566,50 @@ class TestStreamingContract:
         assert probe.records_seen == 80
         assert probe.peak <= 50 + 20
 
+    def test_probe_counts_every_pair_of_a_filtered_record(self, tmp_path):
+        # The probe counts the sampler's pairs plus all of the current
+        # record's pairs, filtered out or not: the filters shrink what is
+        # offered, not what the reader holds. The PY-1970 record fails the
+        # citing-year filter with 3 pairs on top of the 1 kept, so the
+        # peak is 4; counting only the passing pairs would give 3.
+        path = tmp_path / "filtered.txt"
+        path.write_text(
+            "FN X\nVR 1.0\n"
+            "PT J\nPY 2000\nCR A B, 1990, J\n   C D, 1850, K\nER\n"
+            "PT J\nPY 1970\nCR E F, 1991, L\n   G H, 1992, M\n   I J, 1993, N\nER\n"
+            "PT J\nPY 2001\nCR K L, 1995, O\nER\nEF\n"
+        )
+        filt = ImportFilter(rpy_range=(1900, 2010, False), py_range=(1980, 2014, False))
+        probe = MemoryProbe()
+        ds = import_file(path, filt, probe=probe)
+        assert (probe.peak, probe.records_seen) == (4, 3)
+        assert (ds.n_cr_total, ds.n_citing) == (2, 2)
+
     def test_probe_accounting_is_honest(self, tmp_path, monkeypatch):
-        # Cross-check the accounting hook against a census of the objects
-        # that hold an occurrence: the reader's (line, rpy) pairs and the
-        # Occurrences the sampler keeps, each counted from creation to
-        # collection.
+        # Cross-check the accounting hook against a census of the CR lines
+        # still alive, each counted from creation to collection: the
+        # reader's (line, rpy) pairs and the (line, py) pairs the sampler
+        # keeps both hold the line object that parse_cr_line returns.
         corpus = make_corpus(seed=3, n_records=60, crs_per_record=10, n_works=100)
         path = tmp_path / "census.txt"
         corpus.write(path)
         live = [0]
 
-        class Counted:
+        class Line(str):
+            def __new__(cls, line):
+                live[0] += 1
+                return super().__new__(cls, line)
+
             def __del__(self):
                 live[0] -= 1
 
-        class Pair(Counted, tuple):
-            def __new__(cls, pair):
-                live[0] += 1
-                return super().__new__(cls, pair)
-
-        class CountedOccurrence(Counted, Occurrence):
-            def __new__(cls, line, py):
-                live[0] += 1
-                return super().__new__(cls, line, py)
-
         parse = wos.parse_cr_line
-        monkeypatch.setattr(wos, "parse_cr_line", lambda line: Pair(parse(line)))
-        monkeypatch.setattr(sampling, "Occurrence", CountedOccurrence)
+
+        def counted_parse(line):
+            line, rpy = parse(line)
+            return Line(line), rpy
+
+        monkeypatch.setattr(wos, "parse_cr_line", counted_parse)
 
         class CensusProbe(MemoryProbe):
             def __init__(self):
