@@ -25,7 +25,7 @@ pair that clusters.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .errors import DomainError
 from .model import CitedReference, CRVariant, Dataset
@@ -177,7 +177,8 @@ def cluster_crs(dataset: Dataset, config: ClusterConfig) -> Dataset:
             _cluster_block(ordered, group, config, uf)
 
     clustered = [
-        replace(v, cluster_id=uf.find(idx)) for idx, v in enumerate(ordered)
+        CRVariant(v.key, v.reference, v.ncr, uf.find(idx), v.n_py_years, v.py_years)
+        for idx, v in enumerate(ordered)
     ]
     note = (
         f"cluster threshold={config.threshold}"
@@ -253,8 +254,9 @@ def _cluster_block(
 def merge_clusters(dataset: Dataset) -> Dataset:
     """Collapse each cluster onto one variant: NCR summed, representative
     = highest-NCR member (ties: lexicographically smallest key), citing
-    years pooled when tracked (else the members' max count). Variants
-    without a cluster id pass through as singletons."""
+    years pooled when tracked (the OR of the members' masks, else the
+    members' max count). Variants without a cluster id pass through as
+    singletons."""
     groups: dict[object, list[CRVariant]] = {}
     for v in dataset.sorted_variants():
         gid = v.cluster_id if v.cluster_id is not None else ("solo", v.key)
@@ -268,13 +270,15 @@ def merge_clusters(dataset: Dataset) -> Dataset:
         rep = min(members, key=lambda v: (-v.ncr, v.key))
         total = sum(v.ncr for v in members)
         if all(v.py_years is not None for v in members):
-            years = frozenset().union(*(v.py_years for v in members))
-            n_years = len(years)
+            years = 0
+            for v in members:
+                years |= v.py_years
+            n_years = years.bit_count()
         else:
             years = None
             n_years = max(v.n_py_years for v in members)
         merged.append(
-            replace(rep, ncr=total, n_py_years=n_years, py_years=years)
+            CRVariant(rep.key, rep.reference, total, rep.cluster_id, n_years, years)
         )
     return dataset.with_variants(merged, "merge")
 

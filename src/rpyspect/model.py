@@ -2,12 +2,12 @@
 spectrogram rows.
 
 A "variant" is one distinct string form of a cited reference; identity is
-its key, the normalized line, not the parsed field tuple. The key is
-computed once per distinct line of a retained sample (``aggregate``) and
-the fields, which depend only on the key, once per distinct key
-(``parse_key``), never once per occurrence. Fuzzy identity (several
-variants denoting the same work) is handled later by clustering, never
-here.
+its key, the normalized line, not the parsed field tuple. A sample is
+held folded by line as read (``LineTables``); the key is computed once
+per distinct line of it (``aggregate``) and the fields, which depend
+only on the key, once per distinct key (``parse_key``), never once per
+occurrence. Fuzzy identity (several variants denoting the same work) is
+handled later by clustering, never here.
 
 All types are frozen: a Dataset is immutable after construction and safe to
 share across parallel workers. Pipeline steps return new Dataset instances.
@@ -48,6 +48,48 @@ digits. ``parse_year`` then judges the token."""
 
 NO_KEY = re.compile(r"[\s.,;:]*")
 """Fullmatches exactly the lines whose ``normalize_key`` is empty."""
+
+
+class _YearBits(dict):
+    """The mask bit of each citing year looked up, filled on first sight."""
+
+    def __missing__(self, py: Optional[int]) -> int:
+        bit = 0 if py is None else 1 << (py - YEAR_MIN)
+        self[py] = bit
+        return bit
+
+
+YEAR_BITS = _YearBits()
+"""A citing year's bit in a citing-year mask: ``1 << (py - YEAR_MIN)``,
+and 0 for an unknown year (None). A mask is the OR of its years' bits, so
+``mask.bit_count()`` is its number of distinct known years."""
+
+
+class LineTables(NamedTuple):
+    """A sample folded by CR line as read (not yet normalized).
+
+    ``counts[line]`` is the line's number of occurrences and
+    ``masks[line]`` the OR of their citing years' ``YEAR_BITS``. Both
+    dicts hold the lines in the order of their first occurrence.
+    """
+
+    counts: dict[str, int]
+    masks: dict[str, int]
+
+
+def fold(occurrences: Iterable[tuple[str, Optional[int]]]) -> LineTables:
+    """The ``LineTables`` of (line, py) occurrences, folded in order."""
+    counts: dict[str, int] = {}
+    masks: dict[str, int] = {}
+    bits = YEAR_BITS
+    for line, py in occurrences:
+        if line in counts:
+            counts[line] += 1
+            masks[line] |= bits[py]
+        else:
+            counts[line] = 1
+            masks[line] = bits[py]
+    return LineTables(counts, masks)
 
 
 def parse_year(token: str) -> Optional[int]:
@@ -151,9 +193,10 @@ def parse_key(key: str) -> CitedReference:
 class CRVariant:
     """One distinct normalized CR string with its occurrence count (NCR).
 
-    ``py_years`` carries the set of distinct citing years while the variant
-    lives in memory; it is dropped by the CRE file format, in which case
-    only the ``n_py_years`` count survives.
+    ``py_years`` carries the distinct citing years as a mask (see
+    ``YEAR_BITS``) while the variant lives in memory, and then
+    ``n_py_years`` is ``py_years.bit_count()``. The CRE file format drops
+    the mask, in which case only the ``n_py_years`` count survives.
     """
 
     key: str
@@ -161,7 +204,7 @@ class CRVariant:
     ncr: int
     cluster_id: Optional[int] = None
     n_py_years: int = 0
-    py_years: Optional[frozenset[int]] = None
+    py_years: Optional[int] = None
 
     def __post_init__(self):
         check_counts(self.ncr, self.n_py_years)
@@ -253,57 +296,43 @@ class Spectrogram:
 
 
 def aggregate(
-    occurrences: Iterable[tuple[str, Optional[int]]],
+    occurrences: LineTables | Iterable[tuple[str, Optional[int]]],
     n_citing: int = 0,
     provenance: str = "",
 ) -> Dataset:
-    """Fold (line, py) occurrences, each a CR line as read (not yet
-    normalized) and its citing year, into the distinct-variant table.
+    """Fold a sample into the distinct-variant table.
 
-    One CRVariant per distinct key; ncr counts occurrences and
-    n_py_years counts distinct citing years. The stream is folded by
-    line first, then ``normalize_key`` runs once per distinct line and
-    the lines are folded into their keys, in the order in which each key
-    first occurs; one ``parse_key`` per distinct key builds its
+    ``occurrences`` is a sampler's ``LineTables``, or (line, py) pairs,
+    each a CR line as read (not yet normalized) and its citing year,
+    which are folded into those tables first (``fold``). One CRVariant
+    per distinct key; ncr counts occurrences and n_py_years counts
+    distinct citing years. ``normalize_key`` runs once per distinct line
+    and the lines are folded into their keys, in the order in which each
+    key first occurs; one ``parse_key`` per distinct key builds its
     CitedReference. Every line must have a key (a non-empty
-    ``normalize_key``). An empty stream yields an empty Dataset. Callers
-    filter the stream beforehand and note the filters in ``provenance``.
+    ``normalize_key``). An empty sample yields an empty Dataset. Callers
+    filter the sample beforehand and note the filters in ``provenance``.
     """
-    line_counts: dict[str, int] = {}
-    line_years: dict[str, set[int]] = {}
-    total = 0
-    for line, py in occurrences:
-        total += 1
-        if line in line_counts:
-            line_counts[line] += 1
-        else:
-            line_counts[line] = 1
-            line_years[line] = set()
-        if py is not None:
-            line_years[line].add(py)
+    if not isinstance(occurrences, LineTables):
+        occurrences = fold(occurrences)
+    line_counts, line_masks = occurrences
     counts: dict[str, int] = {}
-    years: dict[str, set[int]] = {}
+    masks: dict[str, int] = {}
     for line, n in line_counts.items():
         key = normalize_key(line)
         if key in counts:
             counts[key] += n
-            years[key] |= line_years[line]
+            masks[key] |= line_masks[line]
         else:
             counts[key] = n
-            years[key] = line_years[line]
+            masks[key] = line_masks[line]
     variants = {
-        key: CRVariant(
-            key=key,
-            reference=parse_key(key),
-            ncr=n,
-            n_py_years=len(years[key]),
-            py_years=frozenset(years[key]),
-        )
+        key: CRVariant(key, parse_key(key), n, None, masks[key].bit_count(), masks[key])
         for key, n in counts.items()
     }
     return Dataset(
         variants=variants,
         n_citing=n_citing,
-        n_cr_total=total,
+        n_cr_total=sum(line_counts.values()),
         provenance=provenance,
     )

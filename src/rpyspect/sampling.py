@@ -1,17 +1,24 @@
 """Sampling strategies over the filtered CR occurrence stream.
 
 The samplers are fed only by ``wos.import_file``, one ``offer(line, py)``
-at a time, in file order; it stops reading once ``wants_more()`` is
-false. Every sampler is single-pass and retains at most its sample
-(CLUSTER: at most the chosen year's occurrences), which is what keeps
-huge imports memory-bounded. Randomness comes from ``random.Random``
-(MT19937). The reservoir draws its slots from ``getrandbits``, whose
-output for a seed CPython keeps stable across versions, and maps the
-bits to a slot itself, the way ``randrange`` does: so a RANDOM sample's
-reproducibility rests on the MT19937 output, not on ``randrange``'s
-mapping, which CPython does not promise to keep. A (seed, stream order)
-pair reproduces a sample bit-for-bit on any platform. CLUSTER's citing
-year is still drawn with ``randint``.
+at a time, in file order; after each record it stops reading once
+``wants_more()`` is false. Every sampler is single-pass and holds at most
+its sample, folded by line as it is offered: NONE, SYSTEMATIC and CLUSTER
+keep one count and one citing-year mask per distinct line they kept
+(``model.LineTables``), and RANDOM, whose reservoir evicts, keeps its
+reservoir of (line, py) pairs and folds it at the end. That is what keeps
+huge imports memory-bounded. A per-record ``offer``, one call per record
+instead of one per occurrence, waits until the benchmark's tracer counts
+the offered pairs from the data rather than from ``offer`` calls.
+
+Randomness comes from ``random.Random`` (MT19937). The reservoir draws
+its slots from ``getrandbits``, whose output for a seed CPython keeps
+stable across versions, and maps the bits to a slot itself, the way
+``randrange`` does: so a RANDOM sample's reproducibility rests on the
+MT19937 output, not on ``randrange``'s mapping, which CPython does not
+promise to keep. A (seed, stream order) pair reproduces a sample
+bit-for-bit on any platform. CLUSTER's citing year is still drawn with
+``randint``.
 """
 
 from __future__ import annotations
@@ -20,6 +27,7 @@ import random
 from typing import Optional
 
 from .errors import DomainError, OffsetTooLargeError
+from .model import YEAR_BITS, LineTables, fold
 
 MODES = ("NONE", "RANDOM", "SYSTEMATIC", "CLUSTER")
 
@@ -27,31 +35,48 @@ MODES = ("NONE", "RANDOM", "SYSTEMATIC", "CLUSTER")
 class Sampler:
     """Streaming selection interface used by the import pipeline.
 
-    The base holds the selection in ``_kept``, a list of (line, py)
-    pairs: ``retained`` reports how many it currently holds (the
-    memory-contract instrumentation reads it) and ``result`` returns it.
     Each subclass defines ``offer(line, py)``, which feeds one
-    occurrence, a CR line and its citing year, and decides what ``_kept``
-    holds; it builds the pair only for an occurrence it keeps.
-    ``wants_more`` lets the reader stop early once the sample cannot grow.
+    occurrence, a CR line and its citing year, and decides whether to
+    keep it. The base folds each kept occurrence into its tables as it
+    comes (``_take``): ``result`` returns them as ``model.LineTables``,
+    ``retained`` reports how many occurrences it kept (the benchmark
+    tracer reads it) and ``held`` how many entries it holds, one per
+    distinct line (the memory probe reads it). ``wants_more`` lets the
+    reader stop early once the sample cannot grow.
     """
 
     mode = "NONE"
 
     def __init__(self):
-        self._kept: list[tuple[str, Optional[int]]] = []
+        self._counts: dict[str, int] = {}
+        self._masks: dict[str, int] = {}
+        self._kept = 0
 
     def offer(self, line: str, py: Optional[int]) -> None:
         raise NotImplementedError
+
+    def _take(self, line: str, py: Optional[int]) -> None:
+        # The rule of model.fold, one occurrence at a time.
+        self._kept += 1
+        counts = self._counts
+        if line in counts:
+            counts[line] += 1
+            self._masks[line] |= YEAR_BITS[py]
+        else:
+            counts[line] = 1
+            self._masks[line] = YEAR_BITS[py]
 
     def wants_more(self) -> bool:
         return True
 
     def retained(self) -> int:
-        return len(self._kept)
-
-    def result(self) -> list[tuple[str, Optional[int]]]:
         return self._kept
+
+    def held(self) -> int:
+        return len(self._counts)
+
+    def result(self) -> LineTables:
+        return LineTables(self._counts, self._masks)
 
 
 class NoneSampler(Sampler):
@@ -67,16 +92,17 @@ class NoneSampler(Sampler):
         self.limit = limit
 
     def offer(self, line: str, py: Optional[int]) -> None:
-        if self.wants_more():
-            self._kept.append((line, py))
+        if not self.limit or self._kept < self.limit:
+            self._take(line, py)
 
     def wants_more(self) -> bool:
-        return self.limit == 0 or len(self._kept) < self.limit
+        return not self.limit or self._kept < self.limit
 
 
 class RandomSampler(Sampler):
     """Reservoir sampling (algorithm R): a simple random sample without
-    replacement of size min(n, population), in one pass."""
+    replacement of size min(n, population), in one pass. The reservoir
+    holds (line, py) pairs and is folded in slot order by ``result``."""
 
     mode = "RANDOM"
 
@@ -87,12 +113,13 @@ class RandomSampler(Sampler):
         self.n = n
         self._getrandbits = random.Random(seed).getrandbits
         self._seen = 0
+        self._reservoir: list[tuple[str, Optional[int]]] = []
 
     def offer(self, line: str, py: Optional[int]) -> None:
         i = self._seen
         self._seen = i + 1
         if i < self.n:
-            self._kept.append((line, py))
+            self._reservoir.append((line, py))
             return
         # Classic replacement rule: keep the newcomer with probability n/(i+1).
         # j is randrange(i + 1) drawn as CPython draws it: (i + 1).bit_length()
@@ -102,7 +129,15 @@ class RandomSampler(Sampler):
         while j > i:
             j = self._getrandbits(k)
         if j < self.n:
-            self._kept[j] = (line, py)
+            self._reservoir[j] = (line, py)
+
+    def retained(self) -> int:
+        return len(self._reservoir)
+
+    held = retained
+
+    def result(self) -> LineTables:
+        return fold(self._reservoir)
 
 
 class SystematicSampler(Sampler):
@@ -138,13 +173,13 @@ class SystematicSampler(Sampler):
     def offer(self, line: str, py: Optional[int]) -> None:
         pos = self._pos
         self._pos += 1
-        if len(self._kept) >= self.n:
+        if self._kept >= self.n:
             return
         if pos >= self.offset and (pos - self.offset) % self.step == 0:
-            self._kept.append((line, py))
+            self._take(line, py)
 
     def wants_more(self) -> bool:
-        return len(self._kept) < self.n
+        return self._kept < self.n
 
 
 class ClusterSampler(Sampler):
@@ -161,7 +196,7 @@ class ClusterSampler(Sampler):
 
     def offer(self, line: str, py: Optional[int]) -> None:
         if py == self.chosen_year:
-            self._kept.append((line, py))
+            self._take(line, py)
 
 
 def removal_threshold(threshold_full: int, ncr_full: int, ncr_sample: int) -> int:

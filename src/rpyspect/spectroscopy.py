@@ -8,7 +8,6 @@ median is the mean of its two central values.
 
 from __future__ import annotations
 
-import statistics
 from typing import Optional
 
 from .errors import DomainError, EmptyDatasetError
@@ -42,8 +41,10 @@ def compute_spectrogram(dataset: Dataset, median_range: int = 2) -> Spectrogram:
     series = [counts.get(y, 0) for y in years]
     rows = []
     for i, y in enumerate(years):
-        window = series[max(0, i - median_range) : i + median_range + 1]
-        dev = series[i] - statistics.median(window)
+        window = sorted(series[max(0, i - median_range) : i + median_range + 1])
+        mid = len(window) // 2
+        median = window[mid] if len(window) % 2 else (window[mid - 1] + window[mid]) / 2
+        dev = series[i] - median
         rows.append(SpectroRow(rpy=y, ncr=series[i], median_dev=float(dev)))
     return Spectrogram(rows=tuple(rows))
 

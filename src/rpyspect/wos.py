@@ -1,10 +1,10 @@
 """Streaming parser for Web-of-Science tagged export files.
 
 The reader is a generator that holds one record and one 64 KiB block of
-input at a time, so peak memory is O(sample size + one record) regardless
-of file size. Field-tag layout
-(2-char tag, value from column 4, 3-space continuation indent) is
-documented byte-exactly in docs/wos-format.md.
+input at a time, so an import's peak memory is O(distinct lines of the
+sample + one record) regardless of file size (a RANDOM import holds its
+reservoir). Field-tag layout (2-char tag, value from column 4, 3-space
+continuation indent) is documented byte-exactly in docs/wos-format.md.
 """
 
 from __future__ import annotations
@@ -96,10 +96,10 @@ class MemoryProbe:
     """Instrumentation hook for the streaming contract.
 
     The import pipeline reports the number of simultaneously live
-    occurrences after each record: the (line, py) pairs the sampler
-    retains (it builds one only for an occurrence it keeps) plus all of
-    the current record's (line, rpy) pairs, filtered out or not. The
-    probe keeps the peak.
+    entries after each record: the entries the sampler holds
+    (``Sampler.held``: one per distinct kept line, or one per reservoir
+    slot for RANDOM) plus all of the current record's (line, rpy) pairs,
+    filtered out or not. The probe keeps the peak.
     """
 
     def __init__(self):
@@ -365,10 +365,11 @@ def import_file(
     A caller that already knows the count passes a sampler built with
     ``build_sampler(filt, total=...)`` and saves that pass, as the script
     engine does. The sampler is offered the CRs of the same filtered
-    stream the count pass reads (``_passing``), and the import stops at
-    the first record after which it wants no more; ``stats`` (or a new
-    ParseStats) counts what was read up to there. Raises EmptySampleError
-    when the population or the selection is empty.
+    stream the count pass reads (``_passing``), a whole record at a time,
+    and the import stops at the first record after which it wants no
+    more (a full sampler ignores the rest of that record); ``stats`` (or
+    a new ParseStats) counts what was read up to there. Raises
+    EmptySampleError when the population or the selection is empty.
     """
     if sampler is None:
         total = analyze_file(path, filt).n_cr if filt.sampling_mode == "SYSTEMATIC" else None
@@ -376,19 +377,16 @@ def import_file(
 
     stats = stats if stats is not None else ParseStats()
     offer = sampler.offer
-    wants_more = sampler.wants_more
     for py, crs, passing in _passing(path, filt, stats):
         for line, _ in passing:
             offer(line, py)
-            if not wants_more():
-                break
         if probe is not None:
-            probe.observe(sampler.retained() + len(crs))
-        if not wants_more():
+            probe.observe(sampler.held() + len(crs))
+        if not sampler.wants_more():
             break
 
     selected = sampler.result()
-    if not selected:
+    if not selected.counts:
         raise EmptySampleError(f"{sampler.mode} sampling selected no CRs from {path}")
     note = (
         f"import file={path} rpy={_format_range(filt.rpy_range)}"

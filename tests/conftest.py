@@ -8,6 +8,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from corpus import Corpus, make_corpus  # noqa: E402
+from rpyspect.model import fold  # noqa: E402
 
 
 @pytest.fixture(scope="session")
@@ -40,12 +41,25 @@ def dataset_fields(dataset):
     }
 
 
+def rows(tables):
+    """A sampler's ``LineTables`` as (line, count, mask) rows, in table
+    order, so that a comparison pins the order of first occurrence too."""
+    counts, masks = tables
+    return [(line, n, masks[line]) for line, n in counts.items()]
+
+
 def select(sampler, occurrences):
-    """What ``sampler`` keeps of ``occurrences``, offered as ``wos.import_file``
-    offers them: one ``(line, py)`` at a time, stopping once the sampler
-    wants no more."""
+    """What ``sampler`` keeps of ``occurrences``, as ``rows``, offered as
+    ``wos.import_file`` offers them: one ``(line, py)`` at a time. It stops
+    once the sampler wants no more; a full sampler ignores further offers,
+    so this keeps what the import keeps, which stops after the record."""
     for line, py in occurrences:
         sampler.offer(line, py)
         if not sampler.wants_more():
             break
-    return sampler.result()
+    return rows(sampler.result())
+
+
+def folded(occurrences):
+    """The ``rows`` of a sampler that kept exactly ``occurrences``."""
+    return rows(fold(occurrences))

@@ -97,8 +97,8 @@ def test_criterion_4_random_sampling_unbiasedness():
         runs = 10_000
         hits: Counter = Counter()
         for seed in range(runs):
-            for line, _ in select(RandomSampler(25, seed=seed), population):
-                hits[line] += 1
+            for line, n, _ in select(RandomSampler(25, seed=seed), population):
+                hits[line] += n
         freqs = [hits[line] / runs for line, _ in population]
         assert all(0.237 <= f <= 0.263 for f in freqs), (min(freqs), max(freqs))
 

@@ -19,6 +19,7 @@ from rpyspect.clustering import (
     remove_cr,
 )
 from rpyspect.model import (
+    YEAR_BITS,
     CitedReference,
     CRVariant,
     Dataset,
@@ -314,6 +315,17 @@ class TestMergeClusters:
         assert v.ncr == 8
         assert v.key == "SMITH J, 1990, NATURE"
         assert v.n_py_years == 2  # pooled citing years across members
+
+    def test_citing_year_masks_are_ored(self):
+        ds = aggregate(
+            [("SMITH J, 1990, NATURE", py) for py in (2000, 2001, 2001, None)]
+            + [("SMYTH J, 1990, NATURE", py) for py in (2001, 2003)]
+        )
+        merged = merge_clusters(cluster_crs(ds, ClusterConfig(threshold=0.75)))
+        (v,) = merged.variants.values()
+        assert v.py_years == YEAR_BITS[2000] | YEAR_BITS[2001] | YEAR_BITS[2003]
+        assert v.n_py_years == v.py_years.bit_count() == 3
+        assert (v.key, v.ncr) == ("SMITH J, 1990, NATURE", 6)
 
     def test_total_ncr_conserved(self):
         ds = misspelled_dataset(seed=8)

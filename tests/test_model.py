@@ -7,9 +7,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 from rpyspect.model import (
+    YEAR_BITS,
+    YEAR_MIN,
     CitedReference,
     Dataset,
+    LineTables,
     aggregate,
+    fold,
     normalize_key,
     parse_key,
     parse_year,
@@ -80,6 +84,37 @@ class TestAggregate:
         assert v.ncr == 3
         assert v.n_py_years == 2
         assert v.reference == parse_key(raw)
+
+    def test_citing_years_are_a_bitmask(self):
+        occs = [("A, 1990, J", 2011), ("a,  1990, J.", 1000), ("A, 1990, J", None),
+                ("B, 1991, K", None)]
+        ds = aggregate(occs)
+        a, b = ds.variants["A, 1990, J"], ds.variants["B, 1991, K"]
+        assert YEAR_BITS[2011] == 1 << (2011 - YEAR_MIN) and YEAR_BITS[None] == 0
+        assert a.py_years == YEAR_BITS[2011] | YEAR_BITS[1000]
+        assert (a.ncr, a.n_py_years) == (3, 2) == (a.ncr, a.py_years.bit_count())
+        # An unknown citing year counts as an occurrence, not as a year.
+        assert (b.ncr, b.n_py_years, b.py_years) == (1, 0, 0)
+
+    def test_fold_keeps_first_occurrence_order(self):
+        occs = [("B", 2001), ("A", 2000), ("B", 2003), ("A", 2000), ("C", None)]
+        counts, masks = fold(occs)
+        assert list(counts.items()) == [("B", 2), ("A", 2), ("C", 1)]
+        assert list(masks.items()) == [
+            ("B", YEAR_BITS[2001] | YEAR_BITS[2003]), ("A", YEAR_BITS[2000]), ("C", 0)
+        ]
+
+    def test_tables_aggregate_like_their_pairs(self):
+        rng = random.Random(9)
+        pool = [f"W {i}, {1990 + i % 3}, J" for i in range(12)] + ["w 0,  1990, j."]
+        occs = [(rng.choice(pool), rng.choice([None, 1999, 2000, 2005])) for _ in range(300)]
+        tables = fold(occs)
+        assert isinstance(tables, LineTables)
+        from_tables = aggregate(tables, n_citing=7, provenance="p")
+        from_pairs = aggregate(occs, n_citing=7, provenance="p")
+        assert from_tables == from_pairs
+        assert list(from_tables.variants) == list(from_pairs.variants)
+        assert from_tables.n_cr_total == 300
 
     def test_matches_hash_count_oracle(self):
         rng = random.Random(7)

@@ -9,14 +9,16 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from rpyspect.errors import DomainError, OffsetTooLargeError
+from rpyspect.model import YEAR_BITS
 from rpyspect.sampling import (
     ClusterSampler,
+    NoneSampler,
     RandomSampler,
     SystematicSampler,
     removal_threshold,
 )
 
-from conftest import select
+from conftest import folded, select
 
 
 def occ(i: int, py: int = 2000) -> tuple[str, int]:
@@ -27,11 +29,37 @@ def population(n: int) -> list[tuple[str, int]]:
     return [occ(i) for i in range(n)]
 
 
+class TestHeldEntries:
+    def test_folding_samplers_hold_one_entry_per_distinct_line(self):
+        # Three lines, each cited in 2000 and in 2001.
+        occs = [occ(i % 3, py=2000 + i % 2) for i in range(12)]
+        for sampler, expected in (
+            (NoneSampler(), occs),
+            (SystematicSampler(n=6, total=12, offset=1), occs[1::2]),
+            (ClusterSampler(2001, 2001), occs[1::2]),
+        ):
+            kept = select(sampler, occs)
+            assert kept == folded(expected)
+            assert sampler.held() == len(kept) == 3
+            assert sampler.retained() == len(expected)
+
+    def test_none_limit_counts_occurrences(self):
+        sampler = NoneSampler(limit=5)
+        assert select(sampler, [occ(0)] * 9) == folded([occ(0)] * 5)
+        assert (sampler.retained(), sampler.held(), sampler.wants_more()) == (5, 1, False)
+
+    def test_reservoir_holds_its_slots(self):
+        sampler = RandomSampler(4, seed=3)
+        kept = select(sampler, [occ(0)] * 10)
+        assert kept == folded([occ(0)] * 4)
+        assert sampler.held() == sampler.retained() == 4
+
+
 class TestRandomSample:
     def test_exhaustive_when_n_covers_population(self):
         pop = population(30)
         picked = select(RandomSampler(50, seed=1), pop)
-        assert Counter(line for line, _ in picked) == Counter(line for line, _ in pop)
+        assert picked == folded(pop)
 
     def test_deterministic_given_seed(self):
         pop = population(100)
@@ -49,8 +77,8 @@ class TestRandomSample:
         hits = Counter()
         runs = 2000
         for seed in range(runs):
-            for line, _ in select(RandomSampler(25, seed=seed), pop):
-                hits[line] += 1
+            for line, n, _ in select(RandomSampler(25, seed=seed), pop):
+                hits[line] += n
         freqs = [hits[line] / runs for line, _ in pop]
         assert all(0.25 - 0.031 <= f <= 0.25 + 0.031 for f in freqs)
 
@@ -72,7 +100,7 @@ class TestRandomSample:
                 j = rng.randrange(i + 1)
                 if j < n:
                     reservoir[j] = o
-        assert select(RandomSampler(n, seed=seed), pop) == reservoir
+        assert select(RandomSampler(n, seed=seed), pop) == folded(reservoir)
 
     def test_rejects_nonpositive_n(self):
         with pytest.raises(DomainError):
@@ -83,19 +111,17 @@ class TestSystematicSample:
     def test_first_fifth_ninth(self):
         pop = population(400)
         picked = select(SystematicSampler(n=100, total=400, offset=0), pop)
-        positions = [int(line.split(",")[0].split()[1]) for line, _ in picked]
-        assert positions == list(range(0, 400, 4))
+        assert picked == folded(pop[0:400:4])
 
     def test_offset_shifts_selection(self):
         pop = population(400)
         picked = select(SystematicSampler(n=100, total=400, offset=1), pop)
-        positions = [int(line.split(",")[0].split()[1]) for line, _ in picked]
-        assert positions == list(range(1, 400, 4))
+        assert picked == folded(pop[1:400:4])
 
     def test_step_one_takes_everything(self):
         pop = population(40)
         picked = select(SystematicSampler(n=100, total=40, offset=0), pop)
-        assert len(picked) == 40
+        assert picked == folded(pop)
 
     def test_offset_must_be_below_step(self):
         with pytest.raises(OffsetTooLargeError):
@@ -103,9 +129,9 @@ class TestSystematicSample:
 
     def test_truncates_at_n_picks(self):
         # total 10, n 3 -> step 3, positions 0, 3, 6 (not 9).
-        picked = select(SystematicSampler(n=3, total=10, offset=0), population(10))
-        positions = [int(line.split(",")[0].split()[1]) for line, _ in picked]
-        assert positions == [0, 3, 6]
+        pop = population(10)
+        picked = select(SystematicSampler(n=3, total=10, offset=0), pop)
+        assert picked == folded([pop[0], pop[3], pop[6]])
 
     def test_partition_property(self):
         # step = 4 divides the population: offsets 0..3 are disjoint and
@@ -113,8 +139,8 @@ class TestSystematicSample:
         pop = population(400)
         seen = Counter()
         for offset in range(4):
-            for line, _ in select(SystematicSampler(n=100, total=400, offset=offset), pop):
-                seen[line] += 1
+            for line, n, _ in select(SystematicSampler(n=100, total=400, offset=offset), pop):
+                seen[line] += n
         assert seen == Counter(line for line, _ in pop)
 
 
@@ -123,16 +149,17 @@ class TestClusterSample:
         return [(f"WORK {py} {i}, 1990, J", py) for py, n in years for i in range(n)]
 
     def test_fixed_year_selects_that_year(self):
-        picked = select(ClusterSampler(2011, 2011, seed=5), self.occurrences())
+        occs = self.occurrences()
+        picked = select(ClusterSampler(2011, 2011, seed=5), occs)
+        assert picked == folded([o for o in occs if o[1] == 2011])
         assert len(picked) == 4
-        assert all(py == 2011 for _, py in picked)
 
     def test_seeded_choice_is_one_per_year_set(self):
         sizes = {2011: 4, 2012: 1, 2013: 2, 2014: 3}
         picked = select(ClusterSampler(2011, 2014, seed=8), self.occurrences())
-        years = {py for _, py in picked}
-        assert len(years) == 1
-        year = years.pop()
+        (mask,) = {mask for _, _, mask in picked}
+        (year,) = [y for y in sizes if YEAR_BITS[y] == mask]
+        assert picked == folded([o for o in self.occurrences() if o[1] == year])
         assert len(picked) == sizes[year]
 
     def test_deterministic_given_seed(self):

@@ -127,9 +127,10 @@ class TestScaleFactor:
             counts[year] = m
             occs.extend([(f"W {year}, {year}, J", 2011)] * m)
         total = sum(counts.values())
-        sample = select(SystematicSampler(n=total // 4, total=total, offset=0), occs)
+        sampler = SystematicSampler(n=total // 4, total=total, offset=0)
+        select(sampler, occs)
         spect_pop = compute_spectrogram(aggregate(occs))
-        spect_sample = compute_spectrogram(aggregate(sample))
+        spect_sample = compute_spectrogram(aggregate(sampler.result()))
         f = scale_factor(spect_sample, spect_pop)
         pop_by_year = spect_pop.ncr_by_year()
         for row in spect_sample.rows:

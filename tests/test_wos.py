@@ -545,15 +545,14 @@ class TestSelectMatchesImport:
             with pytest.raises(type(err)):
                 import_file(path, filt)
             return
-        selected = select(sampler, self.occurrences(path, filt.py_range))
-        if not selected:
+        if not select(sampler, self.occurrences(path, filt.py_range)):
             with pytest.raises(EmptySampleError):
                 import_file(path, filt)
             return
-        ds = import_file(path, filt)
-        assert {k: v.ncr for k, v in aggregate(selected).variants.items()} == {
-            k: v.ncr for k, v in ds.variants.items()
-        }
+        def fields(ds):
+            return {k: (v.ncr, v.n_py_years, v.py_years) for k, v in ds.variants.items()}
+
+        assert fields(aggregate(sampler.result())) == fields(import_file(path, filt))
 
 
 class TestStreamingContract:
@@ -584,6 +583,20 @@ class TestStreamingContract:
         ds = import_file(path, filt, probe=probe)
         assert (probe.peak, probe.records_seen) == (4, 3)
         assert (ds.n_cr_total, ds.n_citing) == (2, 2)
+
+    def test_none_import_holds_distinct_lines_not_occurrences(self, tmp_path):
+        # 3,000 CR occurrences of at most 40 works: the NONE sampler folds
+        # them by line as it reads, so the probe peaks at the distinct
+        # lines plus one record (10 pairs), far below the occurrences.
+        corpus = make_corpus(seed=6, n_records=300, crs_per_record=10, n_works=40)
+        path = tmp_path / "repeats.txt"
+        corpus.write(path)
+        probe = MemoryProbe()
+        ds = import_file(path, ImportFilter(), probe=probe)
+        lines = {line for _, crs in parse_wos_path(path) for line, _ in crs}
+        assert ds.n_cr_total == corpus.n_cr == 3000
+        assert probe.peak == len(lines) + 10
+        assert probe.peak < ds.n_cr_total
 
     def test_probe_accounting_is_honest(self, tmp_path, monkeypatch):
         # Cross-check the accounting hook against a census of the CR lines
