@@ -14,7 +14,7 @@ import sys
 from typing import Optional
 
 from . import engine, formats, script, spectroscopy, wos
-from .errors import RpysError, ScriptError
+from .errors import RpysError
 from .model import YearFilter
 from .sampling import MODES
 
@@ -64,56 +64,33 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _stderr(line: str) -> None:
+    print(line, file=sys.stderr)
+
+
 def cmd_run(args) -> int:
+    env = engine.Environment(tmpdir=args.tmpdir, base_seed=args.seed, verbose=args.verbose)
     try:
         with open(args.script, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
-        print(f"error: {args.script}: {exc.strerror or exc}", file=sys.stderr)
-        return 1
+        engine.execute(script.parse_script(text), env)
     except UnicodeDecodeError as exc:
-        print(
-            f"error: {args.script}: not valid UTF-8 at byte {exc.start} ({exc.reason})",
-            file=sys.stderr,
-        )
-        return 1
-    try:
-        program = script.parse_script(text)
-    except ScriptError as exc:
-        print(f"error: {args.script}: {exc}", file=sys.stderr)
-        return 1
-    env = engine.Environment(
-        tmpdir=args.tmpdir,
-        base_seed=args.seed,
-        verbose=args.verbose,
-        sink=lambda line: print(line, file=sys.stderr),
-    )
-    try:
-        engine.execute(program, env)
-    except (RpysError, NotImplementedError, OSError) as exc:
-        print(f"error: {args.script}: {exc}", file=sys.stderr)
-        return 1
-    if env.dataset is not None:
-        print(
-            f"done: {len(env.dataset.variants)} variants, {env.dataset.sum_ncr()} CRs",
-            file=sys.stderr,
-        )
+        reason = f"not valid UTF-8 at byte {exc.start} ({exc.reason})"
+    except OSError as exc:  # reading the script; the engine locates its own
+        reason = exc.strerror or exc
+    except RpysError as exc:
+        reason = exc
     else:
-        print("done", file=sys.stderr)
-    return 0
-
-
-def _warn_skipped(stats: wos.ParseStats, args) -> None:
-    """Under -v, report what the reader skipped."""
-    warning = stats.warning()
-    if args.verbose and warning:
-        print(warning, file=sys.stderr)
+        ds = env.dataset
+        _stderr("done" if ds is None else f"done: {len(ds.variants)} variants, {ds.sum_ncr()} CRs")
+        return 0
+    _stderr(f"error: {args.script}: {reason}")
+    return 1
 
 
 def cmd_analyze(args) -> int:
-    filt = wos.ImportFilter(rpy_range=args.rpy, py_range=args.py)
-    stats = wos.analyze_file(args.input, filt)
-    _warn_skipped(stats, args)
+    stats = wos.analyze_file(args.input, wos.ImportFilter(rpy_range=args.rpy, py_range=args.py))
+    stats.report(args.verbose, _stderr)
     print(f"citing={stats.n_citing} crs={stats.n_cr}")
     return 0
 
@@ -122,7 +99,7 @@ def cmd_sample(args, parser: argparse.ArgumentParser) -> int:
     mode = args.mode.upper()
     if mode == "CLUSTER" and args.py is None:
         print(parser.format_usage(), file=sys.stderr, end="")
-        print("error: --mode cluster requires --py <lo:hi>", file=sys.stderr)
+        _stderr("error: --mode cluster requires --py <lo:hi>")
         return 1
     filt = wos.ImportFilter(
         rpy_range=args.rpy,
@@ -134,12 +111,9 @@ def cmd_sample(args, parser: argparse.ArgumentParser) -> int:
     )
     stats = wos.ParseStats()
     dataset = wos.import_file(args.input, filt, stats=stats)
-    _warn_skipped(stats, args)
+    stats.report(args.verbose, _stderr)
     formats.save_cre(dataset, args.out, settings=engine.DEFAULT_SETTINGS)
-    print(
-        f"sampled {dataset.sum_ncr()} CRs into {len(dataset.variants)} variants -> {args.out}",
-        file=sys.stderr,
-    )
+    _stderr(f"sampled {dataset.sum_ncr()} CRs into {len(dataset.variants)} variants -> {args.out}")
     return 0
 
 
@@ -147,7 +121,7 @@ def cmd_spectro(args) -> int:
     dataset = formats.load_cre(args.cre)
     spect = spectroscopy.compute_spectrogram(dataset, args.median_range)
     formats.export_csv_graph(spect, args.out)
-    print(f"wrote {len(spect.rows)} spectrogram rows -> {args.out}", file=sys.stderr)
+    _stderr(f"wrote {len(spect.rows)} spectrogram rows -> {args.out}")
     return 0
 
 
@@ -162,8 +136,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         if args.command == "sample":
             return cmd_sample(args, parser)
         return cmd_spectro(args)
-    except (RpysError, NotImplementedError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (RpysError, OSError) as exc:
+        _stderr(f"error: {exc}")
         return 1
 
 

@@ -15,7 +15,7 @@ import os
 import shutil
 import sys
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 from . import clustering, formats, spectroscopy, wos
@@ -50,16 +50,7 @@ class Environment:
     population_counts: dict[tuple, int] = field(default_factory=dict)
 
     def child(self, iteration: int) -> Environment:
-        return Environment(
-            settings=dict(self.settings),
-            dataset=None,
-            tmpdir=self.tmpdir,
-            base_seed=self.base_seed,
-            iteration=iteration,
-            verbose=self.verbose,
-            sink=self.sink,
-            population_counts=self.population_counts,
-        )
+        return replace(self, settings=dict(self.settings), dataset=None, iteration=iteration)
 
     def require_dataset(self) -> Dataset:
         if self.dataset is None:
@@ -81,8 +72,8 @@ def _run_statements(statements: tuple[Statement, ...], env: Environment, binding
             else:
                 _CALLS[stmt.name](_args(stmt, bindings), env)
         except ScriptError:
-            raise
-        except (RpysError, NotImplementedError, OSError) as exc:
+            raise  # already located, at a statement of a loop body
+        except (RpysError, OSError) as exc:
             raise ScriptError(str(exc), stmt.line, stmt.col) from exc
 
 
@@ -136,7 +127,7 @@ def _call_import(args: dict, env: Environment) -> None:
         sampler = wos.build_sampler(filt, total=total)
     stats = wos.ParseStats()
     env.dataset = wos.import_file(args["file"], filt, sampler=sampler, stats=stats)
-    _warn_skipped(stats, env)
+    stats.report(env.verbose, env.sink)
 
 
 def _call_analyze(args: dict, env: Environment) -> None:
@@ -145,15 +136,8 @@ def _call_analyze(args: dict, env: Environment) -> None:
     key = _population_key(args["file"], filt)
     stats = wos.analyze_file(args["file"], filt)
     env.population_counts[key] = stats.n_cr
-    _warn_skipped(stats, env)
+    stats.report(env.verbose, env.sink)
     env.sink(f"analyzed {args['file']}: citing={stats.n_citing} crs={stats.n_cr}")
-
-
-def _warn_skipped(stats: wos.ParseStats, env: Environment) -> None:
-    """Under -v, report what the reader skipped (as ``rpyspect -v analyze`` does)."""
-    warning = stats.warning()
-    if env.verbose and warning:
-        env.sink(warning)
 
 
 def _call_info(args: dict, env: Environment) -> None:
@@ -219,7 +203,7 @@ def _run_loop(loop: Loop, env: Environment, bindings: dict) -> None:
     args = _args(loop, bindings)
     count = args["count"]
     if count < 1:
-        raise ScriptError(f"count must be >= 1, got {count}", loop.line, loop.col)
+        raise DomainError(f"count must be >= 1, got {count}")
     user_dir = args.get("dir")
     if user_dir is not None:
         os.makedirs(user_dir, exist_ok=True)
@@ -233,9 +217,7 @@ def _run_loop(loop: Loop, env: Environment, bindings: dict) -> None:
             child = env.child(i)
             _run_statements(loop.body, child, {loop.var: i})
             if child.dataset is None:
-                raise ScriptError(
-                    f"loop iteration {i} produced no dataset", loop.line, loop.col
-                )
+                raise RpysError(f"loop iteration {i} produced no dataset")
             path = os.path.join(loop_dir, f"iter_{i:04d}.cre")
             formats.save_cre(child.dataset, path, settings=child.settings)
             files.append(path)

@@ -59,7 +59,10 @@ _SETTING = re.compile(r"[A-Za-z_][A-Za-z0-9_]*=(?:0|-?[1-9][0-9]*)").fullmatch
 def _int(text: str, name: str, where: str) -> int:
     if not _CANONICAL_INT(text):
         raise CreFormatError(f"{where}: {name} {text!r} is not a canonical integer")
-    return int(text)
+    try:
+        return int(text)
+    except ValueError:  # longer than sys.get_int_max_str_digits()
+        raise CreFormatError(f"{where}: {name} has {len(text)} digits, too many to read") from None
 
 
 def _clean(text: str) -> str:

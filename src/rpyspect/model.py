@@ -131,10 +131,6 @@ class CitedReference:
         if self.rpy is not None and not (YEAR_MIN <= self.rpy <= YEAR_MAX):
             raise ValueError(f"rpy {self.rpy} outside [{YEAR_MIN}, {YEAR_MAX}]")
 
-    @property
-    def key(self) -> str:
-        return normalize_key(self.raw)
-
 
 # "P", then alphanumerics and hyphens starting with an alphanumeric.
 # [^\W_] is exactly str.isalnum(); each repeat takes one hyphen, so a

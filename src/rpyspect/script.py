@@ -17,18 +17,17 @@ forms, forEach and forEachUnion, whose argument list ends in a
 +/- argument arithmetic. A ``use("...").with { ... }`` wrapper is accepted
 syntax that only introduces the block scope; it is not preserved in the
 AST. Unknown function names, unknown argument names, argument type
-mismatches and ``file``/``dir`` names containing NUL are rejected at
-parse-validation time, before anything runs. Every rejected script raises
-a ScriptError carrying a line and column.
+mismatches, ``file``/``dir`` names containing NUL and nesting deeper than
+``MAX_NESTING`` are rejected at parse-validation time, before anything
+runs. Every rejected script raises a ScriptError carrying a line and
+column.
 """
 
 from __future__ import annotations
 
-import json
 import math
 import re
 from dataclasses import dataclass, field
-from decimal import Decimal
 from typing import NamedTuple, NoReturn, Optional, Union
 
 from .errors import BadArgumentError, ScriptSyntaxError, UnknownFunctionError
@@ -121,6 +120,12 @@ REGISTRY: dict[str, dict[str, tuple]] = {
 
 LOOP_ARGS = {"required": (("count", "int"),), "optional": (("dir", "str"),)}
 LOOP_KINDS = ("forEach", "forEachUnion")
+
+# The deepest nesting a script may have, counting each "(" and "[" of an
+# expression, each "+" or "-" of a chain (a BinOp nests to the left) and
+# each block: it keeps every recursive walk of the AST far below Python's
+# recursion limit.
+MAX_NESTING = 100
 
 # String arguments that name a file or directory.
 _PATH_ARGS = ("file", "dir")
@@ -238,6 +243,13 @@ class _Parser:
     def __init__(self, tokens: list[_Token]):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0
+
+    def nest(self, tok: _Token) -> None:
+        """Enter one more level of nesting, opened by ``tok``."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            _fail(tok, f"nested more than {MAX_NESTING} levels deep")
 
     def at(self, kind: str) -> bool:
         return self.tokens[self.pos].kind == kind
@@ -259,12 +271,16 @@ class _Parser:
         the text when there is none; an opener still open at the end of the
         text is an ``unterminated {label}``."""
         end = "}" if opener else "EOF"
+        depth = self.depth
+        if opener:
+            self.nest(opener)
         statements: list[Statement] = []
         while not self.at(end):
             if self.at("EOF"):
                 _fail(opener, f"unterminated {label}")
             statements.extend(self.parse_statement())
         self.take()
+        self.depth = depth
         return statements
 
     def parse_statement(self) -> list[Statement]:
@@ -320,10 +336,13 @@ class _Parser:
         return var, tuple(self.parse_statements(brace, "loop block"))
 
     def parse_expr(self) -> Expr:
+        depth = self.depth
         left = self.parse_atom()
         while self.at("+") or self.at("-"):
-            op = self.take().kind
-            left = BinOp(op=op, left=left, right=self.parse_atom())
+            op = self.take()
+            self.nest(op)
+            left = BinOp(op=op.kind, left=left, right=self.parse_atom())
+        self.depth = depth
         return left
 
     def parse_atom(self) -> Expr:
@@ -333,15 +352,19 @@ class _Parser:
         if tok.kind == "IDENT":
             return Var(tok.value)
         if tok.kind == "[":
+            self.nest(tok)
             items = [self.parse_expr()]
             while self.at(","):
                 self.take()
                 items.append(self.parse_expr())
             self.expect("]")
+            self.depth -= 1
             return ListExpr(items=tuple(items))
         if tok.kind == "(":
+            self.nest(tok)
             inner = self.parse_expr()
             self.expect(")")
+            self.depth -= 1
             return inner
         _fail(tok, f"expected an expression, got {tok.value!r}")
 
@@ -444,9 +467,14 @@ def _fmt_expr(expr: Expr) -> str:
         v = expr.value
         if isinstance(v, bool):
             return "true" if v else "false"
+        # json and decimal load here, not at start: only pretty() needs them.
         if isinstance(v, str):
+            import json
+
             return json.dumps(v, ensure_ascii=False)
         if isinstance(v, float):
+            from decimal import Decimal
+
             # digits.digits: repr() would write 1e-05 or 1e+16.
             text = format(Decimal(repr(v)), "f")
             return text if "." in text else text + ".0"

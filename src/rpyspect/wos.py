@@ -10,7 +10,7 @@ continuation indent) is documented byte-exactly in docs/wos-format.md.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import BinaryIO, Iterator, Optional, Sequence
+from typing import BinaryIO, Callable, Iterator, Optional, Sequence
 
 from .errors import DomainError, EmptySampleError
 from .model import (
@@ -85,11 +85,10 @@ class ParseStats:
     n_citing: int = 0
     n_cr: int = 0
 
-    def warning(self) -> Optional[str]:
-        """The line ``-v`` reports when anything was skipped, else None."""
-        if not self.malformed_records:
-            return None
-        return f"warning: {self.malformed_records} malformed records or CR lines skipped"
+    def report(self, verbose: int, sink: Callable[[str], None]) -> None:
+        """Under ``-v`` (``verbose`` > 0), tell ``sink`` what was skipped."""
+        if verbose and self.malformed_records:
+            sink(f"warning: {self.malformed_records} malformed records or CR lines skipped")
 
 
 class MemoryProbe:
@@ -270,7 +269,7 @@ def check_format(fmt: str) -> None:
     if fmt in SUPPORTED_FORMATS:
         return
     if fmt in RESERVED_FORMATS:
-        raise NotImplementedError(f"import format {fmt} is reserved but not implemented")
+        raise DomainError(f"import format {fmt} is reserved but not implemented")
     raise DomainError(f"unknown import format {fmt!r}")
 
 

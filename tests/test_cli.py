@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import io
 import os
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -441,6 +442,21 @@ class TestSpectro:
         resign(tmp_path / "bad.cre", lines)
         assert main(["spectro", str(tmp_path / "bad.cre"), "--out", str(tmp_path / "g.csv")]) == 1
         assert f"bad.cre: line {line + 1}:" in capsys.readouterr().err
+
+    @pytest.mark.skipif(
+        not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+        reason="int() has no digit limit in this interpreter",
+    )
+    def test_overlong_integer_fails_with_location(self, tmp_path, capsys):
+        lines = two_row_cre_lines(tmp_path)
+        digits = sys.get_int_max_str_digits() + 1
+        set_field(lines, 3, 2, "9" * digits)  # #SUMMARY n_cr_total
+        resign(tmp_path / "bad.cre", lines)
+        message = f"bad.cre: line 4: n_cr_total has {digits} digits, too many to read"
+        with pytest.raises(CreFormatError, match=message):
+            load_cre(tmp_path / "bad.cre")
+        assert main(["spectro", str(tmp_path / "bad.cre"), "--out", str(tmp_path / "g.csv")]) == 1
+        assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize("undate_first", [False, True])
     def test_rows_out_of_canonical_order_fail_with_location(self, tmp_path, capsys, undate_first):

@@ -49,7 +49,7 @@ def textbook_levenshtein(a: str, b: str) -> int:
 def oracle_similarity(a: CitedReference, b: CitedReference) -> float:
     """The oracles' similarity rule: 1.0 for equal keys, otherwise 1 minus
     the textbook edit distance of the names over the longer length."""
-    if a.key == b.key:
+    if a.raw == b.raw:
         return 1.0
     sa, sb = _name_string(a), _name_string(b)
     longest = max(len(sa), len(sb))
@@ -223,7 +223,7 @@ def small_blocks(draw):
             source=source,
             volume=draw(st.sampled_from([None, "1", "2"])),
         )
-        variants.append(CRVariant(key=reference.key, reference=reference, ncr=1))
+        variants.append(CRVariant(key=reference.raw, reference=reference, ncr=1))
     return Dataset(variants={v.key: v for v in variants})
 
 

@@ -21,6 +21,7 @@ from rpyspect.errors import (
 from rpyspect.formats import load_cre
 from rpyspect.script import (
     LOOP_KINDS,
+    MAX_NESTING,
     REGISTRY,
     Call,
     ListExpr,
@@ -226,6 +227,35 @@ class TestMalformedScripts:
         with pytest.raises(ScriptSyntaxError) as err:
             parse_script(f"info()\nset(median_range: {digits})")
         assert (err.value.line, err.value.col) == (2, 19)
+
+    @pytest.mark.parametrize(
+        "src",
+        [
+            "set(median_range: " + "(" * 3000 + "1" + ")" * 3000 + ")",
+            "set(median_range: " + "+".join(["1"] * 3000) + ")",
+            "removeCR(N_CR: " + "[" * 3000 + "1" + "]" * 3000 + ")",
+            "forEach(count: 1, { i ->\n" * 600 + "info()\n" + "})\n" * 600,
+        ],
+        ids=["parentheses", "chain", "brackets", "loops"],
+    )
+    def test_deep_nesting_fails_with_location(self, tmp_path, capsys, src):
+        with pytest.raises(ScriptSyntaxError) as err:
+            parse_script(src)
+        assert err.value.line >= 1
+        path = tmp_path / "deep.crs"
+        path.write_text(src, encoding="utf-8")
+        assert main(["run", str(path)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {path}: line ")
+
+    def test_nesting_up_to_the_bound_runs(self):
+        chain = "+".join(["1"] * (MAX_NESTING + 1))
+        with pytest.raises(ScriptSyntaxError, match="nested more than") as err:
+            parse_script(f"set(median_range: {chain}+1)")
+        assert (err.value.line, err.value.col) == (1, 19 + len(chain))  # the last "+"
+        env = execute(parse_script(f"set(median_range: {chain})"), Environment())
+        assert env.settings["median_range"] == MAX_NESTING + 1
+        loops = "forEach(count: 1, { i ->\n" * MAX_NESTING + "info()\n" + "})\n" * MAX_NESTING
+        assert parse_script(pretty(parse_script(loops))) == parse_script(loops)
 
     @pytest.mark.parametrize(
         "stmt",

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from rpyspect import model, wos
-from rpyspect.errors import EmptySampleError, OffsetTooLargeError, RpysError
+from rpyspect.errors import DomainError, EmptySampleError, OffsetTooLargeError, RpysError
 from rpyspect.model import CitedReference, aggregate, normalize_key, parse_key
 from rpyspect.wos import (
     ImportFilter,
@@ -644,7 +644,7 @@ class TestFormats:
         check_format("WOS")
 
     def test_reserved_formats_rejected(self):
-        with pytest.raises(NotImplementedError):
+        with pytest.raises(DomainError, match="reserved"):
             check_format("SCOPUS")
-        with pytest.raises(NotImplementedError):
+        with pytest.raises(DomainError, match="reserved"):
             check_format("CROSSREF")
