@@ -25,10 +25,10 @@ pair that clusters.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 
 from .errors import DomainError
 from .model import CitedReference, CRVariant, Dataset
+from .structs import Frozen
 
 # RPY blocks larger than this are sub-blocked by the author's first
 # character to keep the quadratic pair scan tractable (documented
@@ -36,14 +36,16 @@ from .model import CitedReference, CRVariant, Dataset
 DEFAULT_BLOCK_CAP = 20000
 
 
-@dataclass(frozen=True)
-class ClusterConfig:
-    threshold: float
-    use_volume: bool = False
-    use_page: bool = False
-    use_doi: bool = False
+class ClusterConfig(Frozen):
+    __slots__ = ("threshold", "use_volume", "use_page", "use_doi")
+    _defaults = {"use_volume": False, "use_page": False, "use_doi": False}
 
-    def __post_init__(self):
+    threshold: float
+    use_volume: bool
+    use_page: bool
+    use_doi: bool
+
+    def _validate(self):
         if not 0.0 <= self.threshold <= 1.0:
             raise DomainError(f"threshold {self.threshold} outside [0, 1]")
 

@@ -15,19 +15,18 @@ import os
 import shutil
 import sys
 import tempfile
-from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 from . import clustering, formats, spectroscopy, wos
 from .errors import DomainError, RpysError, ScriptError
 from .model import Dataset
 from .script import Loop, ScriptProgram, Statement, eval_expr
+from .structs import Struct
 
 DEFAULT_SETTINGS = {"median_range": 2, "n_pct_range": 0}
 
 
-@dataclass
-class Environment:
+class Environment(Struct):
     """Mutable interpreter state: settings, the working dataset, seeds,
     the verbosity (the CLI's ``-v`` count), the sink that receives
     info() lines and, when verbose, import warnings, and the run's
@@ -40,17 +39,37 @@ class Environment:
     rather than 2k. Loop iterations share the parent's dict.
     """
 
-    settings: dict[str, int] = field(default_factory=lambda: dict(DEFAULT_SETTINGS))
-    dataset: Optional[Dataset] = None
-    tmpdir: Optional[str] = None
-    base_seed: int = 0
-    iteration: Optional[int] = None
-    verbose: int = 0
-    sink: Callable[[str], None] = lambda line: print(line, file=sys.stderr)
-    population_counts: dict[tuple, int] = field(default_factory=dict)
+    __slots__ = (
+        "settings",
+        "dataset",
+        "tmpdir",
+        "base_seed",
+        "iteration",
+        "verbose",
+        "sink",
+        "population_counts",
+    )
+    _defaults = {
+        "dataset": None,
+        "tmpdir": None,
+        "base_seed": 0,
+        "iteration": None,
+        "verbose": 0,
+        "sink": lambda line: print(line, file=sys.stderr),
+    }
+    _factories = {"settings": lambda: dict(DEFAULT_SETTINGS), "population_counts": dict}
+
+    settings: dict[str, int]
+    dataset: Optional[Dataset]
+    tmpdir: Optional[str]
+    base_seed: int
+    iteration: Optional[int]
+    verbose: int
+    sink: Callable[[str], None]
+    population_counts: dict[tuple, int]
 
     def child(self, iteration: int) -> Environment:
-        return replace(self, settings=dict(self.settings), dataset=None, iteration=iteration)
+        return self.replace(settings=dict(self.settings), dataset=None, iteration=iteration)
 
     def require_dataset(self) -> Dataset:
         if self.dataset is None:

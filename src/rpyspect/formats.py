@@ -98,15 +98,22 @@ def _fields(ref: CitedReference) -> list[str]:
 
 
 def _atomic_write(path, data: bytes) -> None:
-    directory = os.path.dirname(os.fspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    """Write ``data`` to ``path`` through a temporary file in its directory.
+
+    An OSError names ``path``, never the temporary file, which is removed.
+    """
+    path = os.fspath(path)
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".", suffix=".tmp")
         with os.fdopen(fd, "wb") as fh:
             fh.write(data)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except BaseException as exc:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(exc, OSError) and exc.strerror:
+            raise OSError(exc.errno, exc.strerror, path) from exc
         raise
 
 

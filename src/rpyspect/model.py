@@ -9,15 +9,19 @@ only on the key, once per distinct key (``parse_key``), never once per
 occurrence. Fuzzy identity (several variants denoting the same work) is
 handled later by clustering, never here.
 
-All types are frozen: a Dataset is immutable after construction and safe to
-share across parallel workers. Pipeline steps return new Dataset instances.
+The record types here are ``structs.Frozen`` classes: slotted, validated at
+construction (``replace`` included), and frozen afterwards, so a Dataset
+never changes once built. Pipeline steps return new Dataset instances.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field, replace
 from typing import Iterable, NamedTuple, Optional
+
+from .structs import Frozen
+
+_set = object.__setattr__  # sets a field past Frozen's guard, in the hot types' __init__s
 
 YEAR_MIN = 1000
 YEAR_MAX = 3000
@@ -108,8 +112,7 @@ def parse_year(token: str) -> Optional[int]:
     return None
 
 
-@dataclass(frozen=True)
-class CitedReference:
+class CitedReference(Frozen):
     """The parsed fields of one cited-reference variant.
 
     ``raw`` holds the variant's key (the normalized line, see
@@ -117,19 +120,29 @@ class CitedReference:
     so two references with the same key carry identical fields.
     """
 
-    raw: str
-    author: str = ""
-    rpy: Optional[int] = None
-    source: str = ""
-    volume: Optional[str] = None
-    page: Optional[str] = None
-    doi: Optional[str] = None
+    __slots__ = ("raw", "author", "rpy", "source", "volume", "page", "doi")
 
-    def __post_init__(self):
-        if not self.raw:
+    def __init__(
+        self,
+        raw: str,
+        author: str = "",
+        rpy: Optional[int] = None,
+        source: str = "",
+        volume: Optional[str] = None,
+        page: Optional[str] = None,
+        doi: Optional[str] = None,
+    ):
+        if not raw:
             raise ValueError("cited reference raw string must be non-empty")
-        if self.rpy is not None and not (YEAR_MIN <= self.rpy <= YEAR_MAX):
-            raise ValueError(f"rpy {self.rpy} outside [{YEAR_MIN}, {YEAR_MAX}]")
+        if rpy is not None and not (YEAR_MIN <= rpy <= YEAR_MAX):
+            raise ValueError(f"rpy {rpy} outside [{YEAR_MIN}, {YEAR_MAX}]")
+        _set(self, "raw", raw)
+        _set(self, "author", author)
+        _set(self, "rpy", rpy)
+        _set(self, "source", source)
+        _set(self, "volume", volume)
+        _set(self, "page", page)
+        _set(self, "doi", doi)
 
 
 # "P", then alphanumerics and hyphens starting with an alphanumeric.
@@ -185,8 +198,7 @@ def parse_key(key: str) -> CitedReference:
     )
 
 
-@dataclass(frozen=True)
-class CRVariant:
+class CRVariant(Frozen):
     """One distinct normalized CR string with its occurrence count (NCR).
 
     ``py_years`` carries the distinct citing years as a mask (see
@@ -195,15 +207,24 @@ class CRVariant:
     the mask, in which case only the ``n_py_years`` count survives.
     """
 
-    key: str
-    reference: CitedReference
-    ncr: int
-    cluster_id: Optional[int] = None
-    n_py_years: int = 0
-    py_years: Optional[int] = None
+    __slots__ = ("key", "reference", "ncr", "cluster_id", "n_py_years", "py_years")
 
-    def __post_init__(self):
-        check_counts(self.ncr, self.n_py_years)
+    def __init__(
+        self,
+        key: str,
+        reference: CitedReference,
+        ncr: int,
+        cluster_id: Optional[int] = None,
+        n_py_years: int = 0,
+        py_years: Optional[int] = None,
+    ):
+        check_counts(ncr, n_py_years)
+        _set(self, "key", key)
+        _set(self, "reference", reference)
+        _set(self, "ncr", ncr)
+        _set(self, "cluster_id", cluster_id)
+        _set(self, "n_py_years", n_py_years)
+        _set(self, "py_years", py_years)
 
     @property
     def rpy(self) -> Optional[int]:
@@ -236,8 +257,7 @@ def order_key(rpy: Optional[int], key: str):
     return (rpy is None, rpy if rpy is not None else 0, key)
 
 
-@dataclass(frozen=True)
-class Dataset:
+class Dataset(Frozen):
     """The working set: variant table, import-level counts and provenance.
 
     ``n_cr_total`` records the occurrence count at import time and never
@@ -246,10 +266,14 @@ class Dataset:
     are recorded only in ``provenance``, the operation log.
     """
 
-    variants: dict[str, CRVariant] = field(default_factory=dict)
-    n_citing: int = 0
-    n_cr_total: int = 0
-    provenance: str = ""
+    __slots__ = ("variants", "n_citing", "n_cr_total", "provenance")
+    _defaults = {"n_citing": 0, "n_cr_total": 0, "provenance": ""}
+    _factories = {"variants": dict}
+
+    variants: dict[str, CRVariant]
+    n_citing: int
+    n_cr_total: int
+    provenance: str
 
     def sorted_variants(self) -> list[CRVariant]:
         """Variants in canonical order: (rpy, key), undated ones last."""
@@ -260,7 +284,7 @@ class Dataset:
 
     def with_variants(self, variants: Iterable[CRVariant], note: str) -> Dataset:
         table = {v.key: v for v in variants}
-        return replace(self, variants=table, provenance=self.log(note))
+        return self.replace(variants=table, provenance=self.log(note))
 
     def log(self, note: str) -> str:
         return f"{self.provenance}; {note}" if self.provenance else note
@@ -272,14 +296,14 @@ class SpectroRow(NamedTuple):
     median_dev: float
 
 
-@dataclass(frozen=True)
-class Spectrogram:
+class Spectrogram(Frozen):
     """Per-RPY series of (NCR, median deviation).
 
     Rows are strictly increasing in year with no gaps: years without CRs
     appear with ncr = 0.
     """
 
+    __slots__ = ("rows",)
     rows: tuple[SpectroRow, ...]
 
     def ncr_by_year(self) -> dict[int, int]:

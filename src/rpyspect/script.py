@@ -27,62 +27,69 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
 from typing import NamedTuple, NoReturn, Optional, Union
 
 from .errors import BadArgumentError, ScriptSyntaxError, UnknownFunctionError
+from .structs import Frozen
 
 # --- AST ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Lit:
+class Lit(Frozen):
+    __slots__ = ("value",)
     value: object  # int, float, bool, or str
 
 
-@dataclass(frozen=True)
-class Var:
+class Var(Frozen):
+    __slots__ = ("name",)
     name: str
 
 
-@dataclass(frozen=True)
-class BinOp:
+class BinOp(Frozen):
+    __slots__ = ("op", "left", "right")
     op: str  # "+" or "-"
     left: Expr
     right: Expr
 
 
-@dataclass(frozen=True)
-class ListExpr:
+class ListExpr(Frozen):
+    __slots__ = ("items",)
     items: tuple[Expr, ...]
 
 
 Expr = Union[Lit, Var, BinOp, ListExpr]
 
 
-@dataclass(frozen=True)
-class Call:
+# A statement's source location takes no part in == or hash.
+class Call(Frozen):
+    __slots__ = ("name", "args", "line", "col")
+    _defaults = {"line": 0, "col": 0}
+    _uncompared = ("line", "col")
+
     name: str
     args: tuple[tuple[str, Expr], ...]
-    line: int = field(default=0, compare=False)
-    col: int = field(default=0, compare=False)
+    line: int
+    col: int
 
 
-@dataclass(frozen=True)
-class Loop:
+class Loop(Frozen):
+    __slots__ = ("kind", "args", "var", "body", "line", "col")
+    _defaults = {"line": 0, "col": 0}
+    _uncompared = ("line", "col")
+
     kind: str  # "forEach" or "forEachUnion"
     args: tuple[tuple[str, Expr], ...]
     var: str
     body: tuple[Statement, ...]
-    line: int = field(default=0, compare=False)
-    col: int = field(default=0, compare=False)
+    line: int
+    col: int
 
 
 Statement = Union[Call, Loop]
 
 
-@dataclass(frozen=True)
-class ScriptProgram:
+class ScriptProgram(Frozen):
+    __slots__ = ("statements",)
     statements: tuple[Statement, ...]
 
 

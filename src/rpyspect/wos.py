@@ -9,7 +9,6 @@ continuation indent) is documented byte-exactly in docs/wos-format.md.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import BinaryIO, Callable, Iterator, Optional, Sequence
 
 from .errors import DomainError, EmptySampleError
@@ -31,6 +30,7 @@ from .sampling import (
     Sampler,
     SystematicSampler,
 )
+from .structs import Struct
 
 Pairs = Sequence[tuple[str, Optional[int]]]  # (line, rpy) per CR line, in file order
 Record = tuple[Optional[int], Pairs]  # (py, crs) of one citing record
@@ -39,8 +39,7 @@ SUPPORTED_FORMATS = ("WOS",)
 RESERVED_FORMATS = ("SCOPUS", "CROSSREF")
 
 
-@dataclass
-class ImportFilter:
+class ImportFilter(Struct):
     """Year filters plus sampling parameters for one import.
 
     Ranges are (lo, hi, include_unknown) triples; include_unknown decides
@@ -51,14 +50,24 @@ class ImportFilter:
     otherwise.
     """
 
-    rpy_range: Optional[YearFilter] = None
-    py_range: Optional[YearFilter] = None
-    max_cr: int = 0
-    sampling_mode: str = "NONE"
-    offset: int = 0
-    seed: int = 0
+    __slots__ = ("rpy_range", "py_range", "max_cr", "sampling_mode", "offset", "seed")
+    _defaults = {
+        "rpy_range": None,
+        "py_range": None,
+        "max_cr": 0,
+        "sampling_mode": "NONE",
+        "offset": 0,
+        "seed": 0,
+    }
 
-    def __post_init__(self):
+    rpy_range: Optional[YearFilter]
+    py_range: Optional[YearFilter]
+    max_cr: int
+    sampling_mode: str
+    offset: int
+    seed: int
+
+    def _validate(self):
         for rng in (self.rpy_range, self.py_range):
             if rng is not None and rng[0] > rng[1]:
                 raise DomainError(f"year range lo > hi: {rng}")
@@ -70,8 +79,7 @@ class ImportFilter:
             raise DomainError(f"unknown sampling mode {self.sampling_mode!r}")
 
 
-@dataclass
-class ParseStats:
+class ParseStats(Struct):
     """What one pass over a WoS file saw; problems are reported, never raised.
 
     ``malformed_records`` counts records left open at EF/EOF and CR lines
@@ -81,9 +89,12 @@ class ParseStats:
     ``import_file`` that stops early only up to the record it stopped in.
     """
 
-    malformed_records: int = 0
-    n_citing: int = 0
-    n_cr: int = 0
+    __slots__ = ("malformed_records", "n_citing", "n_cr")
+    _defaults = {"malformed_records": 0, "n_citing": 0, "n_cr": 0}
+
+    malformed_records: int
+    n_citing: int
+    n_cr: int
 
     def report(self, verbose: int, sink: Callable[[str], None]) -> None:
         """Under ``-v`` (``verbose`` > 0), tell ``sink`` what was skipped."""

@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import io
 import os
+import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 
@@ -106,6 +107,24 @@ class TestRun:
         )
         assert not (workdir / "neg.cre").exists()
 
+    @pytest.mark.parametrize(
+        "statement, path",
+        [
+            ('saveFile(file: "nodir/x.cre")', "nodir/x.cre"),
+            ('exportFile(file: ".", type: "CSV_CR")', "."),
+        ],
+    )
+    def test_write_error_names_the_requested_file(self, workdir, capsys, statement, path):
+        (workdir / "w.crs").write_text(
+            f'importFile(file: "corpus.txt", type: "WOS", maxCR: 10)\n{statement}\n'
+        )
+        before = sorted(os.listdir(workdir))
+        assert main(["run", "w.crs"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: w.crs: line 2, col 1: ")
+        assert f": {path!r}" in err and ".tmp" not in err
+        assert sorted(os.listdir(workdir)) == before  # no temporary file left
+
     def test_script_not_utf8_exits_nonzero(self, workdir, capsys):
         (workdir / "latin1.crs").write_bytes(b"info()\xff\n")
         assert main(["run", "latin1.crs"]) == 1
@@ -151,6 +170,24 @@ class TestRun:
         first = (workdir / "s.cre").read_bytes()
         main(["run", "loop.crs", "--seed", "2"])
         assert (workdir / "s.cre").read_bytes() != first
+
+
+def test_start_generates_no_code():
+    """``import rpyspect.cli`` loads neither ``dataclasses`` nor the
+    ``inspect`` it pulls in: importing and decorating with them cost about
+    23 ms at every process start, and the record types need neither."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    code = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import rpyspect, rpyspect.cli\n"
+        "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out == "[]\n"
 
 
 def systematic(offset: str = "0", extra: str = "") -> str:

@@ -4,7 +4,6 @@ import csv
 import io
 import os
 import random
-from dataclasses import replace
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -56,7 +55,7 @@ def random_dataset(seed: int) -> Dataset:
     ds = aggregate(occs, n_citing=rng.randint(0, 60), provenance=f"synthetic {seed}")
     if rng.random() < 0.5:
         clustered = [
-            replace(v, cluster_id=rng.randrange(5) if rng.random() < 0.7 else None)
+            v.replace(cluster_id=rng.randrange(5) if rng.random() < 0.7 else None)
             for v in ds.variants.values()
         ]
         ds = ds.with_variants(clustered, "assigned ids")
@@ -220,7 +219,7 @@ class TestWosToCre:
         path = tmp_path_factory.getbasetemp() / "fuzz.txt"
         path.write_bytes(data)
         counted = analyze_file(path, filt)
-        everything = replace(filt, sampling_mode="NONE", max_cr=0, offset=0)
+        everything = filt.replace(sampling_mode="NONE", max_cr=0, offset=0)
         try:
             ds = import_file(path, everything)
         except EmptySampleError:
@@ -330,7 +329,7 @@ def pooled_datasets(draw) -> Dataset:
     occurrences = draw(st.lists(occurrence, max_size=12))
     ds = aggregate(occurrences, n_citing=draw(st.integers(0, 5)), provenance="pooled")
     kept = [
-        replace(v, cluster_id=draw(st.sampled_from([None, 0, 1])))
+        v.replace(cluster_id=draw(st.sampled_from([None, 0, 1])))
         for v in ds.variants.values()
         if draw(st.integers(0, 3))  # drop about one variant in four
     ]

@@ -1,23 +1,32 @@
 from __future__ import annotations
 
+import copy
+import pickle
 import random
 from collections import Counter
 
 import pytest
 from hypothesis import given, strategies as st
 
+from rpyspect.clustering import ClusterConfig
+from rpyspect.engine import DEFAULT_SETTINGS, Environment
+from rpyspect.errors import DomainError
 from rpyspect.model import (
     YEAR_BITS,
     YEAR_MIN,
     CitedReference,
+    CRVariant,
     Dataset,
     LineTables,
+    SpectroRow,
+    Spectrogram,
     aggregate,
     fold,
     normalize_key,
     parse_key,
     parse_year,
 )
+from rpyspect.wos import ImportFilter, ParseStats
 
 
 class TestNormalizeKey:
@@ -194,3 +203,119 @@ class TestInvariants:
         ds = aggregate(occs)
         keys = [v.key for v in ds.sorted_variants()]
         assert keys == ["A, 1980, Y", "B, 1990, X", "NO YEAR HERE"]
+
+
+def frozen_records():
+    ref = CitedReference("SMITH J, 1990, NATURE", "SMITH J", 1990, "NATURE")
+    variant = CRVariant(ref.raw, ref, 3, None, 2, 0b11)
+    return [
+        ref,
+        variant,
+        Dataset({variant.key: variant}, 2, 3, "built"),
+        Spectrogram((SpectroRow(1990, 3, 0.0),)),
+        ClusterConfig(0.75, use_page=True),
+    ]
+
+
+class TestRecords:
+    """The record contract: fields in constructor order, == and hash by
+    type and fields, frozen records, and ``replace`` through the
+    constructor."""
+
+    def test_positional_fields_keep_their_order(self):
+        ref = CitedReference("K, 1990, J", "K", 1990, "J", "1", "2", "3")
+        assert (ref.raw, ref.author, ref.rpy, ref.source) == ("K, 1990, J", "K", 1990, "J")
+        assert (ref.volume, ref.page, ref.doi) == ("1", "2", "3")
+        v = CRVariant("K, 1990, J", ref, 3, 1, 2, 0b11)
+        assert (v.key, v.reference, v.ncr, v.cluster_id, v.n_py_years, v.py_years) == (
+            "K, 1990, J", ref, 3, 1, 2, 0b11
+        )
+        filt = ImportFilter((1, 2, True), None, 5, "RANDOM", 1, 9)
+        assert (filt.rpy_range, filt.max_cr, filt.sampling_mode, filt.offset, filt.seed) == (
+            (1, 2, True), 5, "RANDOM", 1, 9
+        )
+
+    def test_defaults(self):
+        assert CitedReference("K") == CitedReference("K", "", None, "", None, None, None)
+        ref = CitedReference("K")
+        assert CRVariant("K", ref, 1) == CRVariant("K", ref, 1, None, 0, None)
+        assert ImportFilter() == ImportFilter(None, None, 0, "NONE", 0, 0)
+        assert ParseStats() == ParseStats(0, 0, 0)
+        assert ClusterConfig(0.5) == ClusterConfig(0.5, False, False, False)
+        env = Environment()
+        assert env.settings == DEFAULT_SETTINGS and env.settings is not DEFAULT_SETTINGS
+        assert (env.dataset, env.tmpdir, env.base_seed, env.iteration, env.verbose) == (
+            None, None, 0, None, 0
+        )
+
+    def test_mutable_defaults_are_fresh_per_record(self):
+        assert Dataset().variants is not Dataset().variants
+        assert Environment().population_counts is not Environment().population_counts
+
+    def test_bad_arguments_raise_type_error(self):
+        with pytest.raises(TypeError, match="missing"):
+            ClusterConfig()
+        with pytest.raises(TypeError, match="unexpected"):
+            ClusterConfig(0.5, volume=True)
+        with pytest.raises(TypeError, match="multiple values"):
+            ClusterConfig(0.5, threshold=0.6)
+        with pytest.raises(TypeError):
+            ParseStats(1, 2, 3, 4)
+        with pytest.raises(TypeError):
+            Dataset().replace(size=1)
+
+    def test_keyword_construction(self):
+        # As bench/test_bench.py's small_dataset builds its records.
+        ref = CitedReference(raw="K", author="AUTHOR 0", rpy=1990, source="J")
+        v = CRVariant(key="K", reference=ref, ncr=2, n_py_years=1)
+        ds = Dataset(variants={"K": v}, n_citing=1, n_cr_total=2)
+        assert (ds.variants["K"].rpy, ds.sum_ncr(), ds.provenance) == (1990, 2, "")
+
+    @pytest.mark.parametrize("record", frozen_records(), ids=lambda r: type(r).__name__)
+    def test_frozen_records_reject_assignment(self, record):
+        field = type(record).__slots__[0]
+        with pytest.raises(AttributeError):
+            setattr(record, field, getattr(record, field))
+        with pytest.raises(AttributeError):
+            delattr(record, field)
+        with pytest.raises(AttributeError):
+            record.extra = 1  # slotted: no attribute outside the fields
+
+    @pytest.mark.parametrize("record", frozen_records(), ids=lambda r: type(r).__name__)
+    def test_equal_copies_hash_equal(self, record):
+        for twin in (record.replace(), copy.copy(record), pickle.loads(pickle.dumps(record))):
+            assert twin == record and twin is not record
+            if not isinstance(record, Dataset):  # its variants dict is unhashable
+                assert hash(twin) == hash(record)
+
+    def test_equality_needs_the_same_type(self):
+        assert CitedReference("K") != "K"
+        assert ParseStats() != ImportFilter()
+
+    @pytest.mark.parametrize("record", [ImportFilter(), ParseStats(), Environment()])
+    def test_mutable_records_are_unhashable(self, record):
+        with pytest.raises(TypeError):
+            hash(record)
+
+    def test_mutable_records_accept_assignment(self):
+        stats = ParseStats()
+        stats.n_cr += 2
+        assert stats == ParseStats(n_cr=2)
+
+    def test_replace_validates_again(self):
+        ref = CitedReference("K")
+        v = CRVariant("K", ref, 2, n_py_years=1)
+        assert v.replace(cluster_id=4) == CRVariant("K", ref, 2, 4, 1)
+        with pytest.raises(ValueError, match="n_py_years must be <= its ncr"):
+            v.replace(n_py_years=v.ncr + 1)
+        with pytest.raises(ValueError, match="outside"):
+            ref.replace(rpy=999)
+        with pytest.raises(DomainError, match="threshold 1.5 outside"):
+            ClusterConfig(0.5).replace(threshold=1.5)
+        with pytest.raises(DomainError, match="max_cr"):
+            ImportFilter().replace(max_cr=-1)
+
+    def test_repr_names_every_field(self):
+        assert repr(ClusterConfig(0.5, use_doi=True)) == (
+            "ClusterConfig(threshold=0.5, use_volume=False, use_page=False, use_doi=True)"
+        )

@@ -23,10 +23,13 @@ from rpyspect.script import (
     LOOP_KINDS,
     MAX_NESTING,
     REGISTRY,
+    BinOp,
     Call,
     ListExpr,
     Lit,
     Loop,
+    ScriptProgram,
+    Var,
     eval_expr,
     parse_script,
     pretty,
@@ -135,6 +138,41 @@ class TestPrettyRoundTrip:
         printed = pretty(prog)
         assert parse_script(printed) == prog
         assert pretty(parse_script(printed)) == printed
+
+
+class TestAstRecords:
+    def test_equality_needs_the_same_node_type(self):
+        assert Lit("x") != Var("x")
+        assert Lit("x") == Lit("x") and Var("x") == Var("x")
+        assert BinOp("+", Var("i"), Lit(1)) != BinOp("-", Var("i"), Lit(1))
+
+    def test_location_takes_no_part_in_equality_or_hash(self):
+        args = (("count", Lit(2)),)
+        body = (Call("info", (), line=2, col=5),)
+        pairs = [
+            (Call("info", args, line=1, col=1), Call("info", args, line=9, col=3)),
+            (Loop("forEach", args, "i", body, 1, 1), Loop("forEach", args, "i", body, 7, 2)),
+        ]
+        for a, b in pairs:
+            assert a == b and hash(a) == hash(b)
+            assert {a, b} == {a}
+        assert Call("info", ()) != Call("set", ())
+        assert Loop("forEach", args, "i", body) != Loop("forEach", args, "j", body)
+
+    def test_nodes_are_frozen(self):
+        node = Call("info", (), line=1, col=1)
+        with pytest.raises(AttributeError):
+            node.line = 2
+        with pytest.raises(AttributeError):
+            ScriptProgram((node,)).statements = ()
+
+    def test_parsed_programs_compare_by_value(self):
+        src = "forEach(count: 2, { i ->\n    set(median_range: i+1)\n})\n"
+        moved = "\n\n  " + src
+        assert parse_script(src) == parse_script(moved)
+        assert hash(parse_script(src)) == hash(parse_script(moved))
+        assert parse_script(src).statements[0].line == 1
+        assert parse_script(moved).statements[0].line == 3
 
 
 # Script tokens plus Unicode numerals (int() reads "١" but not "²" or "½"),
