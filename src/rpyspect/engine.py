@@ -2,11 +2,13 @@
 
 Statements run in order, mutating one Environment. Loop iterations each
 start from a fresh dataset and a private copy of the settings (the run's
-population counts stay shared), write their result as a CRE file into
-the loop directory, and forEachUnion folds those files back into the
-environment's dataset; re-clustering after a union stays an explicit
-step, never an implicit one. Every module error is re-raised with the
-failing statement's source location.
+population counts stay shared) and write their result as a CRE file into
+the loop directory. forEachUnion also folds each iteration's dataset
+into a running union (``formats.UnionFold``) as it finishes, and that
+union, the dataset ``union_cre`` would read back from the files, becomes
+the environment's dataset; the files are never read back. Re-clustering
+after a union stays an explicit step, never an implicit one. Every
+module error is re-raised with the failing statement's source location.
 """
 
 from __future__ import annotations
@@ -230,7 +232,7 @@ def _run_loop(loop: Loop, env: Environment, bindings: dict) -> None:
     else:
         loop_dir = tempfile.mkdtemp(prefix="rpys-loop-", dir=env.tmpdir)
 
-    files = []
+    union = formats.UnionFold() if loop.kind == "forEachUnion" else None
     try:
         for i in range(count):
             child = env.child(i)
@@ -239,11 +241,12 @@ def _run_loop(loop: Loop, env: Environment, bindings: dict) -> None:
                 raise RpysError(f"loop iteration {i} produced no dataset")
             path = os.path.join(loop_dir, f"iter_{i:04d}.cre")
             formats.save_cre(child.dataset, path, settings=child.settings)
-            files.append(path)
-        if loop.kind == "forEachUnion":
-            env.dataset = formats.union_cre(files)
+            if union is not None:
+                union.add_saved(child.dataset, path)
+        if union is not None:
+            env.dataset = union.dataset()
         else:
-            env.sink(f"forEach wrote {len(files)} CRE files to {loop_dir}")
+            env.sink(f"forEach wrote {count} CRE files to {loop_dir}")
     finally:
         # Default-directory files are temporary; user-provided ones are kept.
         if user_dir is None and loop.kind == "forEachUnion":

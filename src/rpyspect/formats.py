@@ -16,7 +16,7 @@ import io
 import os
 import re
 import tempfile
-from typing import Iterator, Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from . import model, spectroscopy
 from .errors import ChecksumError, CreFormatError, DomainError, EmptyDatasetError, FormatVersionError
@@ -331,9 +331,9 @@ def csv_cr_bytes(dataset: Dataset, n_pct_range: int = 0) -> bytes:
         dataset.variants.values(),
         key=lambda v: (v.rpy is None, v.rpy if v.rpy is not None else 0, -v.ncr, v.key),
     )
-    totals = spectroscopy.ncr_per_rpy(dataset)
+    windows = spectroscopy.window_totals(dataset, n_pct_range)
     for i, v in enumerate(ordered, start=1):
-        pct = spectroscopy.window_share(totals, v, n_pct_range)
+        pct = v.ncr / windows[v.rpy]
         writer.writerow(
             [
                 i,
@@ -373,43 +373,81 @@ def export_csv_graph(spectrogram: Spectrogram, path) -> None:
     _atomic_write(path, csv_graph_bytes(spectrogram))
 
 
-def union_cre(paths: Sequence) -> Dataset:
-    """Merge CRE files: NCR summed per normalized key, citing-year counts
-    max-combined, summaries summed, cluster ids cleared (re-cluster
-    explicitly afterwards). Order-independent: any permutation of paths
-    yields the identical Dataset.
+class UnionFold:
+    """The running union of CRE datasets, one at a time: NCR summed per
+    key, citing-year counts max-combined, summaries summed, cluster ids
+    and citing-year masks dropped, keys in first-seen order.
 
-    Each file passes ``load_cre``'s checks, with the same errors, but
-    each distinct key is normalized and parsed once per call, and one
-    variant is built per key, in first-seen order.
+    ``add`` takes a dataset's rows in the shape ``_rows`` yields them,
+    (key, reference, ncr, cluster_id, n_py_years), and keeps the first
+    reference seen for each key. ``union_cre`` feeds it the checked rows
+    of each file. A ``forEachUnion`` loop feeds it each iteration's
+    dataset as it saves it (``add_saved``), and so gets the dataset
+    ``union_cre`` would read back from those files.
     """
-    if not paths:
-        raise DomainError("union_cre needs at least one file")
-    known: dict[str, tuple[CitedReference, list[str]]] = {}
-    ncr_of: dict[str, int] = {}
-    years_of: dict[str, int] = {}
-    n_citing = 0
-    n_cr_total = 0
-    for path in paths:
-        _, file_citing, file_total, rows = _read_header(path)
-        n_citing += file_citing
-        n_cr_total += file_total
-        for key, _, ncr, _, n_py in _rows(path, rows, file_total, known):
+
+    __slots__ = ("_refs", "_ncr", "_n_py_years", "_n_citing", "_n_cr_total", "_names")
+
+    def __init__(self):
+        self._refs: dict[str, CitedReference] = {}
+        self._ncr: dict[str, int] = {}
+        self._n_py_years: dict[str, int] = {}
+        self._n_citing = 0
+        self._n_cr_total = 0
+        self._names: list[str] = []
+
+    def add(self, path, n_citing: int, n_cr_total: int, rows: Iterable[tuple]) -> None:
+        """Fold in the dataset saved as ``path`` (only its name is used)."""
+        self._names.append(os.path.basename(os.fspath(path)))
+        self._n_citing += n_citing
+        self._n_cr_total += n_cr_total
+        refs, ncr_of, years_of = self._refs, self._ncr, self._n_py_years
+        for key, ref, ncr, _, n_py in rows:
             if key in ncr_of:
                 ncr_of[key] += ncr
                 if n_py > years_of[key]:
                     years_of[key] = n_py
             else:
+                refs[key] = ref
                 ncr_of[key] = ncr
                 years_of[key] = n_py
-    merged = {
-        key: CRVariant(key=key, reference=known[key][0], ncr=ncr, n_py_years=years_of[key])
-        for key, ncr in ncr_of.items()
-    }
-    names = ", ".join(sorted(os.path.basename(os.fspath(p)) for p in paths))
-    return Dataset(
-        variants=merged,
-        n_citing=n_citing,
-        n_cr_total=n_cr_total,
-        provenance=f"union of {len(paths)} files: {names}",
-    )
+
+    def add_saved(self, dataset: Dataset, path) -> None:
+        """Fold in ``dataset``, just saved as ``path``, without reading the
+        file: its variants in canonical order are the file's rows."""
+        rows = (
+            (v.key, v.reference, v.ncr, v.cluster_id, v.n_py_years)
+            for v in dataset.sorted_variants()
+        )
+        self.add(path, dataset.n_citing, dataset.n_cr_total, rows)
+
+    def dataset(self) -> Dataset:
+        """The union of the datasets folded in so far."""
+        years_of = self._n_py_years
+        merged = {
+            key: CRVariant(key=key, reference=ref, ncr=self._ncr[key], n_py_years=years_of[key])
+            for key, ref in self._refs.items()
+        }
+        return Dataset(
+            variants=merged,
+            n_citing=self._n_citing,
+            n_cr_total=self._n_cr_total,
+            provenance=f"union of {len(self._names)} files: {', '.join(sorted(self._names))}",
+        )
+
+
+def union_cre(paths: Sequence) -> Dataset:
+    """Merge CRE files by the rule of ``UnionFold``. Order-independent:
+    any permutation of paths yields the identical Dataset.
+
+    Each file passes ``load_cre``'s checks, with the same errors, but
+    each distinct key is normalized and parsed once per call.
+    """
+    if not paths:
+        raise DomainError("union_cre needs at least one file")
+    known: dict[str, tuple[CitedReference, list[str]]] = {}
+    union = UnionFold()
+    for path in paths:
+        _, n_citing, n_cr_total, rows = _read_header(path)
+        union.add(path, n_citing, n_cr_total, _rows(path, rows, n_cr_total, known))
+    return union.dataset()

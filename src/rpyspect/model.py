@@ -54,19 +54,28 @@ NO_KEY = re.compile(r"[\s.,;:]*")
 """Fullmatches exactly the lines whose ``normalize_key`` is empty."""
 
 
+# The year of bit 0 of a citing-year mask. Bits count from a recent year,
+# so that a mask of today's citing years is a small int (1970-2029 fit in
+# 60 bits, two 30-bit digits), and the earlier years wrap to the top.
+YEAR_BIT0 = 1970
+_YEAR_SPAN = YEAR_MAX - YEAR_MIN + 1
+
+
 class _YearBits(dict):
     """The mask bit of each citing year looked up, filled on first sight."""
 
     def __missing__(self, py: Optional[int]) -> int:
-        bit = 0 if py is None else 1 << (py - YEAR_MIN)
+        bit = 0 if py is None else 1 << ((py - YEAR_BIT0) % _YEAR_SPAN)
         self[py] = bit
         return bit
 
 
 YEAR_BITS = _YearBits()
-"""A citing year's bit in a citing-year mask: ``1 << (py - YEAR_MIN)``,
-and 0 for an unknown year (None). A mask is the OR of its years' bits, so
-``mask.bit_count()`` is its number of distinct known years."""
+"""A citing year's bit in a citing-year mask:
+``1 << ((py - YEAR_BIT0) % (YEAR_MAX - YEAR_MIN + 1))``, so each year in
+[YEAR_MIN, YEAR_MAX] has its own bit, and 0 for an unknown year (None). A
+mask is the OR of its years' bits, so ``mask.bit_count()`` is its number
+of distinct known years."""
 
 
 class LineTables(NamedTuple):

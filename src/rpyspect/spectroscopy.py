@@ -8,10 +8,11 @@ median is the mean of its two central values.
 
 from __future__ import annotations
 
+from itertools import accumulate
 from typing import Optional
 
 from .errors import DomainError, EmptyDatasetError
-from .model import YEAR_MAX, YEAR_MIN, CRVariant, Dataset, Spectrogram, SpectroRow
+from .model import CRVariant, Dataset, Spectrogram, SpectroRow
 
 
 def ncr_per_rpy(dataset: Dataset) -> dict[Optional[int], int]:
@@ -105,15 +106,29 @@ def n_pct(dataset: Dataset, variant: CRVariant, n_pct_range: int = 0) -> float:
     are compared against the other undated variants."""
     if variant.key not in dataset.variants:
         raise DomainError(f"variant {variant.key!r} not in dataset")
-    return window_share(ncr_per_rpy(dataset), variant, n_pct_range)
+    return variant.ncr / window_totals(dataset, n_pct_range)[variant.rpy]
 
 
-def window_share(totals: dict[Optional[int], int], variant: CRVariant, n_pct_range: int) -> float:
-    """``n_pct`` of a variant, given its dataset's ``ncr_per_rpy`` totals."""
+def window_totals(dataset: Dataset, n_pct_range: int) -> dict[Optional[int], int]:
+    """The ``n_pct`` denominator of each RPY the dataset holds: the NCR
+    within ±n_pct_range years of it, and the undated NCR under None.
+
+    One pass over cumulative per-year sums, so the cost does not grow
+    with the range. The sums are exact integers, so each share is the
+    same float as dividing by the direct sum over the window.
+    """
     if n_pct_range < 0:
         raise DomainError("n_pct_range must be >= 0")
-    if variant.rpy is None:
-        return variant.ncr / totals[None]
-    # Clamped to the valid RPY span, so a huge range costs no more than a wide one.
-    lo, hi = max(variant.rpy - n_pct_range, YEAR_MIN), min(variant.rpy + n_pct_range, YEAR_MAX)
-    return variant.ncr / sum(totals.get(y, 0) for y in range(lo, hi + 1))
+    totals = ncr_per_rpy(dataset)
+    windows: dict[Optional[int], int] = {}
+    if None in totals:
+        windows[None] = totals.pop(None)
+    if not totals:
+        return windows
+    lo, hi = min(totals), max(totals)
+    # cumulative[i] is the NCR of the years lo .. lo + i - 1.
+    cumulative = [0, *accumulate(totals.get(year, 0) for year in range(lo, hi + 1))]
+    for year in totals:
+        first, last = max(year - n_pct_range, lo), min(year + n_pct_range, hi)
+        windows[year] = cumulative[last - lo + 1] - cumulative[first - lo]
+    return windows

@@ -3,6 +3,7 @@ from __future__ import annotations
 import copy
 import pickle
 import random
+import sys
 from collections import Counter
 
 import pytest
@@ -12,7 +13,9 @@ from rpyspect.clustering import ClusterConfig
 from rpyspect.engine import DEFAULT_SETTINGS, Environment
 from rpyspect.errors import DomainError
 from rpyspect.model import (
+    YEAR_BIT0,
     YEAR_BITS,
+    YEAR_MAX,
     YEAR_MIN,
     CitedReference,
     CRVariant,
@@ -99,11 +102,25 @@ class TestAggregate:
                 ("B, 1991, K", None)]
         ds = aggregate(occs)
         a, b = ds.variants["A, 1990, J"], ds.variants["B, 1991, K"]
-        assert YEAR_BITS[2011] == 1 << (2011 - YEAR_MIN) and YEAR_BITS[None] == 0
+        assert YEAR_BITS[2011] == 1 << (2011 - YEAR_BIT0) and YEAR_BITS[None] == 0
         assert a.py_years == YEAR_BITS[2011] | YEAR_BITS[1000]
         assert (a.ncr, a.n_py_years) == (3, 2) == (a.ncr, a.py_years.bit_count())
         # An unknown citing year counts as an occurrence, not as a year.
         assert (b.ncr, b.n_py_years, b.py_years) == (1, 0, 0)
+
+    def test_every_year_has_its_own_bit(self):
+        bits = {YEAR_BITS[y] for y in range(YEAR_MIN, YEAR_MAX + 1)}
+        assert len(bits) == YEAR_MAX - YEAR_MIN + 1
+        assert all(bit.bit_count() == 1 for bit in bits)
+        # Years before YEAR_BIT0 wrap to the top of the range.
+        assert YEAR_BITS[YEAR_BIT0 - 1] == 1 << (YEAR_MAX - YEAR_MIN)
+
+    def test_recent_citing_years_make_a_small_mask(self):
+        mask = 0
+        for year in range(1980, 2025):
+            mask |= YEAR_BITS[year]
+        assert mask.bit_count() == 45
+        assert sys.getsizeof(mask) <= 32
 
     def test_fold_keeps_first_occurrence_order(self):
         occs = [("B", 2001), ("A", 2000), ("B", 2003), ("A", 2000), ("C", None)]

@@ -3,12 +3,14 @@ from __future__ import annotations
 import io
 import re
 import sys
+import tempfile
 from contextlib import redirect_stderr
 from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from rpyspect import formats
 from rpyspect.cli import main
 from rpyspect.clustering import ClusterConfig, cluster_crs, merge_clusters, remove_cr
 from rpyspect.engine import Environment, execute
@@ -18,7 +20,7 @@ from rpyspect.errors import (
     ScriptSyntaxError,
     UnknownFunctionError,
 )
-from rpyspect.formats import load_cre
+from rpyspect.formats import load_cre, union_cre
 from rpyspect.script import (
     LOOP_KINDS,
     MAX_NESTING,
@@ -37,6 +39,7 @@ from rpyspect.script import (
 from rpyspect.wos import ImportFilter, import_file
 
 from conftest import dataset_fields
+from corpus import make_corpus
 
 
 class TestParse:
@@ -558,3 +561,76 @@ class TestLoops:
         assert (keep / "iter_0000.cre").exists()
         assert (keep / "iter_0001.cre").exists()
         assert not (keep / "iter_0002.cre").exists()
+
+
+@pytest.fixture(scope="module")
+def small_corpus_file(tmp_path_factory) -> Path:
+    """150 CRs with misspelled forms, so that cluster() links variants."""
+    path = tmp_path_factory.mktemp("small") / "small.txt"
+    make_corpus(seed=3, n_records=30, crs_per_record=5, n_works=40, misspell_rate=0.3).write(path)
+    return path
+
+
+@st.composite
+def union_loops(draw, corpus_path):
+    """A forEachUnion script over a 150-CR corpus, kept in ``{dir}``: its
+    body imports (directly or in a nested forEachUnion), then may
+    cluster, merge and removeCR."""
+    mode = draw(st.sampled_from(["NONE", "RANDOM", "SYSTEMATIC"]))
+    nested = draw(st.booleans())
+    var = "j" if nested else "index"
+    # At most 150 // 4 picks keep the systematic step above every offset.
+    max_cr = draw(st.integers(0 if mode == "NONE" else 1, 150 // 4))
+    offset = f", offset: {var}" if mode == "SYSTEMATIC" else ""
+    body = (
+        f'importFile(file: "{corpus_path}", type: "WOS", sampling: "{mode}",'
+        f" maxCR: {max_cr}{offset})\n"
+    )
+    if nested:
+        inner = draw(st.integers(1, 4))
+        body = f"forEachUnion(count: {inner}, {{ j ->\n{body}}})\n"
+    if draw(st.booleans()):
+        threshold = draw(st.sampled_from(["0.6", "0.75", "0.9"]))
+        body += f"cluster(threshold: {threshold}, volume: true, page: true)\n"
+    if draw(st.booleans()):
+        body += "merge()\n"
+    if draw(st.booleans()):
+        lo = draw(st.integers(0, 3))
+        body += f"removeCR(N_CR: [{lo}, {lo + draw(st.integers(0, 3))}])\n"
+    count = draw(st.integers(1, 4))
+    return f'forEachUnion(count: {count}, dir: "{{dir}}", {{ index ->\n{body}}})\n'
+
+
+class TestLoopUnionFold:
+    """A forEachUnion folds its iterations in memory into exactly the
+    dataset that union_cre reads back from the files it wrote."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), seed=st.integers(0, 50))
+    def test_loop_dataset_is_the_union_of_its_files(self, small_corpus_file, data, seed):
+        src = data.draw(union_loops(small_corpus_file))
+        with tempfile.TemporaryDirectory() as tmp:
+            keep = Path(tmp) / "cycles"
+            env = Environment(base_seed=seed, tmpdir=tmp, sink=lambda line: None)
+            execute(parse_script(src.replace("{dir}", str(keep))), env)
+            expected = union_cre(sorted(keep.iterdir()))
+        assert env.dataset == expected
+        assert list(env.dataset.variants) == list(expected.variants)
+
+    def test_loop_reads_no_cre_file(self, corpus_file, tmp_path, monkeypatch):
+        def refuse(path):
+            raise AssertionError(f"read back {path}")
+
+        monkeypatch.setattr(formats, "_read_header", refuse)
+        src = (
+            "forEachUnion(count: 3, { index ->\n"
+            f'    importFile(file: "{corpus_file}", type: "WOS",'
+            ' sampling: "SYSTEMATIC", maxCR: 100, offset: index)\n'
+            "})\n"
+        )
+        env = Environment(tmpdir=str(tmp_path), sink=lambda line: None)
+        execute(parse_script(src), env)
+        assert env.dataset.provenance == (
+            "union of 3 files: iter_0000.cre, iter_0001.cre, iter_0002.cre"
+        )
+        assert sum(v.ncr for v in env.dataset.variants.values()) == 300

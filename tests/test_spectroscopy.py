@@ -13,6 +13,7 @@ from rpyspect.spectroscopy import (
     scale_factor,
     spectrogram_diff,
     top_crs,
+    window_totals,
 )
 
 from conftest import select
@@ -243,3 +244,32 @@ class TestNPct:
                 if w.rpy is not None and abs(w.rpy - v.rpy) <= 2
             )
             assert n_pct(ds, v, 2) == pytest.approx(v.ncr / denom)
+
+    @pytest.mark.parametrize("n_pct_range", (0, 1, 50, 5000))
+    def test_window_totals_are_the_direct_sums(self, n_pct_range):
+        # Years at both ends of [YEAR_MIN, YEAR_MAX], gap years between
+        # clusters of years, and undated variants.
+        rng = random.Random(31)
+        years = [1000, 1001, 1040, 1990, 1991, 1993, 2060, 2999, 3000, None, None]
+        occs = []
+        for i, year in enumerate(years * 3):
+            key = f"W {i}, {year}, J" if year is not None else f"W {i}, J"
+            occs.extend([(key, 2000)] * rng.randint(1, 4))
+        ds = aggregate(occs)
+        windows = window_totals(ds, n_pct_range)
+        assert set(windows) == set(years)
+        for year in set(years):
+            if year is None:
+                window = [v for v in ds.variants.values() if v.rpy is None]
+            else:
+                window = [
+                    v for v in ds.variants.values()
+                    if v.rpy is not None and abs(v.rpy - year) <= n_pct_range
+                ]
+            assert windows[year] == sum(v.ncr for v in window)
+        for v in ds.variants.values():
+            assert n_pct(ds, v, n_pct_range) == v.ncr / windows[v.rpy]
+
+    def test_window_totals_reject_a_negative_range(self):
+        with pytest.raises(DomainError, match="n_pct_range"):
+            window_totals(dataset_from_counts({2000: 1}), -1)
