@@ -6,20 +6,29 @@ similarity over "author, source", and gated by volume/page/DOI equality
 where enabled. A union-find over accepted pairs yields the clusters;
 merging collapses each cluster onto its highest-NCR member.
 
-The edit distance is computed with the bit-parallel algorithm of Myers
-(JACM 1999) in Hyyrö's (2001) formulation for edit distance, which
-processes one whole DP column per character of the longer string.
+The pair loop takes three exact shortcuts; none changes a cluster.
 
-Before the edit distance, each pair is tested against its bag distance
-(Bartolini, Ciaccia & Patella, "String matching with metric trees using
-an approximate distance", SPIRE 2002): the larger of the two multiset
-differences of the names' characters. One edit shrinks each difference
-by at most one, so the bag distance never exceeds the edit distance, and
-it is at least the length gap. The similarity ``1 - d / longest`` cannot
-rise as ``d`` grows (float division and subtraction are monotone), so a
-pair whose similarity misses the threshold with the bag distance in
-place of ``d`` misses it with the edit distance too: the filter skips no
-pair that clusters.
+- Length-sorted rows. Each block is visited shortest name first, so
+  in a row the later name is the longer. The length gap bounds the edit
+  distance from below, and ``1 - gap / longer`` cannot rise as the longer
+  length grows (float division and subtraction are monotone), so a row
+  ends at the first name that fails the gate on the gap alone. The
+  union-find's components do not depend on the visiting order, and a
+  cluster's id stays its smallest canonical index.
+- Bag bound. Each remaining pair is tested against its bag distance
+  (Bartolini, Ciaccia & Patella, "String matching with metric trees using
+  an approximate distance", SPIRE 2002): the larger of the two multiset
+  differences of the names' characters, which is the longer length less
+  the multiset intersection, so one AND and one ``bit_count`` per pair.
+  One edit shrinks each difference by at most one, so the bag distance
+  never exceeds the edit distance, and a pair whose similarity misses
+  the threshold with it in place of ``d`` misses it with the edit
+  distance too.
+- Trimmed edit distance. The edit distance drops the common prefix
+  and suffix, then runs the bit-parallel algorithm of Myers (JACM 1999)
+  in Hyyrö's (2001) formulation, one whole DP column per character of the
+  longer middle. Most accepted pairs differ in a character or two, so
+  their middles are short or empty.
 """
 
 from __future__ import annotations
@@ -31,8 +40,8 @@ from .model import CitedReference, CRVariant, Dataset
 from .structs import Frozen
 
 # RPY blocks larger than this are sub-blocked by the author's first
-# character to keep the quadratic pair scan tractable (documented
-# fidelity/performance trade).
+# character to keep the quadratic pair scan tractable: names with
+# different initials never cluster there (README "Clustering").
 DEFAULT_BLOCK_CAP = 20000
 
 
@@ -53,8 +62,12 @@ class ClusterConfig(Frozen):
 def levenshtein(a: str, b: str) -> int:
     """Edit distance by the Myers/Hyyrö bit-parallel algorithm.
 
-    The shorter string is the pattern: bit ``i`` of ``peq[c]`` is set when
-    its ``i``-th character is ``c``. Each character of the longer string
+    The common prefix and suffix are stripped first: an optimal alignment
+    can match them character for character, so the distance is that of
+    the two middles, and an empty middle leaves the other's length.
+
+    The shorter middle is the pattern: bit ``i`` of ``peq[c]`` is set when
+    its ``i``-th character is ``c``. Each character of the longer middle
     then updates one DP column at once, held as bit-vectors of the
     vertical +1/-1 deltas (``pv``/``mv``); the score tracks the last row.
     Python ints are unbounded, so any pattern length fits one "word".
@@ -65,6 +78,18 @@ def levenshtein(a: str, b: str) -> int:
     """
     if a == b:
         return 0
+    end = min(len(a), len(b))
+    start = 0
+    while start < end and a[start] == b[start]:
+        start += 1
+    # The suffix may not reach into the prefix: "aa" against "a" keeps
+    # one "a" in the longer middle.
+    end -= start
+    tail = 0
+    while tail < end and a[-1 - tail] == b[-1 - tail]:
+        tail += 1
+    a = a[start : len(a) - tail]
+    b = b[start : len(b) - tail]
     if len(a) < len(b):
         a, b = b, a
     if not b:
@@ -196,31 +221,44 @@ def _bags(names: list[str]) -> list[int]:
 
     Every character gets a run of bits, at its own offset, as long as its
     largest count in any of ``names``; a name holding it ``k`` times sets
-    the first ``k`` bits of the run. For two bags ``a`` and ``b``,
-    ``(a & ~b).bit_count()`` is then the size of the multiset difference.
+    the first ``k`` bits of the run. A bag then has one bit per character
+    of its name, and for two bags ``a`` and ``b``, ``(a & b).bit_count()``
+    is the size of their multiset intersection.
     """
     counts = [Counter(s) for s in names]
-    width: Counter[str] = Counter()
+    width: dict[str, int] = {}
     for count in counts:
-        width |= count  # per character, the largest count
+        for c, k in count.items():
+            if k > width.get(c, 0):
+                width[c] = k
     offset: dict[str, int] = {}
     end = 0
     for c, w in width.items():
         offset[c] = end
         end += w
-    return [
-        sum(((1 << k) - 1) << offset[c] for c, k in count.items())
-        for count in counts
-    ]
+    bags = []
+    for count in counts:
+        bag = 0
+        for c, k in count.items():
+            bag |= ((1 << k) - 1) << offset[c]
+        bags.append(bag)
+    return bags
 
 
 def _cluster_block(
     ordered: list[CRVariant], group: list[int], config: ClusterConfig, uf: _UnionFind
 ) -> None:
     # Keys are unique in a dataset, so no two variants here share one and
-    # their names alone decide. Per-position lists: no dict lookups.
+    # their names alone decide. Members are visited shortest name first
+    # (ties in canonical order), so in each row the later name is the
+    # longer one. Per-position lists: no dict lookups.
+    named = sorted(
+        ((_name_string(ordered[idx].reference), idx) for idx in group),
+        key=lambda item: len(item[0]),
+    )
+    names = [name for name, _ in named]
+    group = [idx for _, idx in named]
     refs = [ordered[idx].reference for idx in group]
-    names = [_name_string(r) for r in refs]
     lens = [len(s) for s in names]
     bags = _bags(names)
     threshold = config.threshold
@@ -228,22 +266,29 @@ def _cluster_block(
     n = len(group)
     # Cheapest test first. Each test is pure or skips only a union that
     # would change nothing, so the clusters do not depend on the order.
+    end = 0
     for p in range(n):
         i, ref_i, name_i, len_i, bag_i = group[p], refs[p], names[p], lens[p], bags[p]
-        for q in range(p + 1, n):
-            # The bag distance bounds the edit distance from below, so the
-            # gate's own expression with it in place of the distance skips
-            # only pairs the edit distance would reject too. A bound of 0
-            # never fails the gate (threshold <= 1). Conditional
-            # expressions, not max(): this test runs on every pair.
-            bag_j = bags[q]
-            a = (bag_i & ~bag_j).bit_count()
-            b = (bag_j & ~bag_i).bit_count()
-            lower = a if a > b else b
-            if lower:
-                len_j = lens[q]
-                if 1.0 - lower / (len_i if len_i > len_j else len_j) < threshold:
-                    continue
+        # The row ends at the first longer name that fails the gate on the
+        # length gap alone. The gap bounds the edit distance from below,
+        # and the gate's expression cannot rise as len_j grows (nor fall
+        # as len_i grows, so the end only moves right).
+        end = max(end, p + 1)
+        while end < n:
+            len_j = lens[end]
+            if len_j > len_i and 1.0 - (len_j - len_i) / len_j < threshold:
+                break
+            end += 1
+        for q in range(p + 1, end):
+            # The bag distance max(|A-B|, |B-A|) is the longer length less
+            # the intersection, and it bounds the edit distance from below,
+            # so the gate's own expression with it in place of the distance
+            # skips only pairs the edit distance would reject too. A bound
+            # of 0 never fails the gate (threshold <= 1).
+            len_j = lens[q]
+            lower = len_j - (bag_i & bags[q]).bit_count()
+            if lower and 1.0 - lower / len_j < threshold:
+                continue
             j = group[q]
             if find(i) == find(j):
                 continue

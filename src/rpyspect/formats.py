@@ -15,7 +15,6 @@ import hashlib
 import io
 import os
 import re
-import tempfile
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from . import model, spectroscopy
@@ -97,15 +96,23 @@ def _fields(ref: CitedReference) -> list[str]:
     ]
 
 
+# O_EXCL: never open a file some other writer made under the same name.
+_NEW_FILE_FLAGS = os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0)
+
+
 def _atomic_write(path, data: bytes) -> None:
     """Write ``data`` to ``path`` through a temporary file in its directory.
 
-    An OSError names ``path``, never the temporary file, which is removed.
+    The file gets the mode ``open(path, "w")`` gives a new file, 0o666
+    less the umask (``tempfile.mkstemp`` would make it 0o600). An OSError
+    names ``path``, never the temporary file, which is removed.
     """
     path = os.fspath(path)
     tmp = None
     try:
-        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".", suffix=".tmp")
+        name = os.path.join(os.path.dirname(path) or ".", f"tmp{os.urandom(6).hex()}.tmp")
+        fd = os.open(name, _NEW_FILE_FLAGS, 0o666)
+        tmp = name
         with os.fdopen(fd, "wb") as fh:
             fh.write(data)
         os.replace(tmp, path)

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 from collections import Counter
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -102,18 +103,40 @@ KERNEL_TEXT = st.integers(0, 150).flatmap(
 )
 
 
+# A long shared prefix and suffix around short middles: the shape of the
+# accepted pairs (a truncated initial, one dropped character, an appended
+# " j"), which KERNEL_TEXT rarely draws.
+AFFIX = st.text(alphabet="abé ", max_size=70)
+MIDDLE = st.text(alphabet="abé ", max_size=4)
+
+
 class TestLevenshtein:
     @given(KERNEL_TEXT, KERNEL_TEXT)
     def test_matches_textbook_and_is_symmetric(self, a, b):
         assert levenshtein(a, b) == textbook_levenshtein(a, b)
         assert levenshtein(a, b) == levenshtein(b, a)
 
+    @given(AFFIX, MIDDLE, MIDDLE, AFFIX)
+    def test_shared_prefix_and_suffix(self, prefix, a, b, suffix):
+        x, y = prefix + a + suffix, prefix + b + suffix
+        assert levenshtein(x, y) == textbook_levenshtein(x, y) == levenshtein(y, x)
+
+    @pytest.mark.parametrize(
+        "a, b, d",
+        [("aa", "a", 1), ("aba", "aa", 1), ("abab", "ab", 2), ("smith j", "smith j j", 2)],
+    )
+    def test_prefix_and_suffix_overlap(self, a, b, d):
+        # The common prefix and suffix of these pairs overlap in the
+        # shorter string; trimming both in full would over-count.
+        assert levenshtein(a, b) == levenshtein(b, a) == textbook_levenshtein(a, b) == d
+
 
 def bag_bound(a: str, b: str, *others: str) -> int:
-    """The block loop's bound for ``a`` and ``b``, on the bags built for a
-    block that also holds ``others``."""
+    """The block loop's bound for ``a`` and ``b``: the longer length less
+    the intersection of the bags built for a block that also holds
+    ``others``."""
     x, y = _bags([a, b, *others])[:2]
-    return max((x & ~y).bit_count(), (y & ~x).bit_count())
+    return max(len(a), len(b)) - (x & y).bit_count()
 
 
 class TestBagBound:
@@ -160,10 +183,13 @@ class TestCompatible:
         assert compatible(a, b, ClusterConfig(threshold=0.75, use_volume=False))
 
 
-def brute_force_partition(dataset, config):
-    """O(N^2) union-find oracle over all variant pairs, no blocking."""
+def brute_force_partition(dataset, config, block_cap=None):
+    """O(N^2) union-find oracle over all variant pairs, no blocking. With
+    ``block_cap``, a pair in an RPY block of more than that many variants
+    must also share the author's first character."""
     variants = dataset.sorted_variants()
     parent = list(range(len(variants)))
+    block_sizes = Counter(v.rpy for v in variants)
 
     def find(x):
         while parent[x] != x:
@@ -173,6 +199,12 @@ def brute_force_partition(dataset, config):
     for i in range(len(variants)):
         for j in range(i + 1, len(variants)):
             a, b = variants[i].reference, variants[j].reference
+            if (
+                block_cap is not None
+                and block_sizes[a.rpy] > block_cap
+                and a.author[:1] != b.author[:1]
+            ):
+                continue
             if compatible(a, b, config) and oracle_similarity(a, b) >= config.threshold:
                 ri, rj = find(i), find(j)
                 if ri != rj:
@@ -203,18 +235,31 @@ def misspelled_dataset(seed=0, n_records=40, misspell_rate=0.5):
 
 
 NAME_TEXT = st.text(alphabet="abé ", max_size=8)
+# 0-19 characters for an author or a source, so names run from 0 to 40
+# characters: one of a few stems drawn per example, cut short and given
+# up to three new characters. Lengths spread widely, so rows end early,
+# and names cut from one stem still sit near the thresholds.
+STEMS = st.shared(
+    st.lists(st.text(alphabet="abé ", max_size=19), min_size=1, max_size=3), key="stems"
+)
+STEMMED_TEXT = st.builds(
+    lambda stem, cut, tail: (stem[:cut] + tail)[:19],
+    STEMS.flatmap(st.sampled_from),
+    st.integers(0, 19),
+    st.text(alphabet="abé ", max_size=3),
+)
 
 
 @st.composite
-def small_blocks(draw):
+def small_blocks(draw, name_text=NAME_TEXT):
     """1-25 variants in one or two RPY blocks, with names over a small
     alphabet so that many pairs sit near any threshold."""
     rpys = draw(st.lists(st.integers(1990, 1991), min_size=1, max_size=2, unique=True))
     variants = []
     for idx in range(draw(st.integers(1, 25))):
-        author = draw(NAME_TEXT)
+        author = draw(name_text)
         rpy = draw(st.sampled_from(rpys))
-        source = draw(NAME_TEXT)
+        source = draw(name_text)
         key = f"{idx} {author}, {rpy}, {source}"
         reference = CitedReference(
             raw=key,
@@ -228,6 +273,9 @@ def small_blocks(draw):
 
 
 THRESHOLDS = st.sampled_from([0.0, 0.5, 2 / 3, 0.75, 0.8, 1.0]) | st.floats(0.0, 1.0)
+# Thresholds a length gap can meet exactly or miss by one rounding step:
+# 1 - 1/4 == 0.75, and 1 - 1/3 rounds just above 2/3.
+BOUNDARY_THRESHOLDS = st.sampled_from([0.5, 0.6, 2 / 3, 0.75, 0.8, 0.9])
 
 
 class TestClusterCrs:
@@ -236,6 +284,22 @@ class TestClusterCrs:
     def test_block_loop_matches_all_pairs_oracle(self, ds, threshold, use_volume):
         config = ClusterConfig(threshold=threshold, use_volume=use_volume)
         assert clusters_of(cluster_crs(ds, config)) == brute_force_partition(ds, config)
+
+    @settings(max_examples=200, deadline=None)
+    @given(small_blocks(STEMMED_TEXT), BOUNDARY_THRESHOLDS, st.booleans())
+    def test_rows_ending_early_match_all_pairs_oracle(self, ds, threshold, use_volume):
+        config = ClusterConfig(threshold=threshold, use_volume=use_volume)
+        assert clusters_of(cluster_crs(ds, config)) == brute_force_partition(ds, config)
+
+    @settings(max_examples=100, deadline=None)
+    @given(small_blocks(STEMMED_TEXT), BOUNDARY_THRESHOLDS)
+    def test_rows_in_author_subblocks_match_oracle(self, ds, threshold):
+        # With the cap forced to 2, every block of three or more variants
+        # is swept one author initial at a time.
+        config = ClusterConfig(threshold=threshold)
+        with mock.patch.object(clustering, "DEFAULT_BLOCK_CAP", 2):
+            got = clusters_of(cluster_crs(ds, config))
+        assert got == brute_force_partition(ds, config, block_cap=2)
 
     def test_threshold_one_with_distinct_keys_gives_singletons(self):
         ds = misspelled_dataset(seed=5, misspell_rate=0.0)

@@ -4,6 +4,7 @@ import csv
 import io
 import os
 import random
+import stat
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -366,6 +367,34 @@ def reference_union(paths) -> Dataset:
         n_cr_total=n_cr_total,
         provenance=f"union of {len(paths)} files: {names}",
     )
+
+
+class TestFileMode:
+    """Every writer makes the file ``open(path, "w")`` would make: mode
+    0o666 less the umask, not the 0o600 of a ``mkstemp`` file."""
+
+    WRITERS = {
+        "cre": save_cre,
+        "csv_cr": export_csv_cr,
+        "csv_graph": lambda ds, path: export_csv_graph(compute_spectrogram(ds), path),
+    }
+
+    @pytest.fixture(params=[(0o022, 0o644), (0o077, 0o600)], ids=["umask022", "umask077"])
+    def expected_mode(self, request):
+        umask, mode = request.param
+        old = os.umask(umask)
+        try:
+            yield mode
+        finally:
+            os.umask(old)
+
+    @pytest.mark.parametrize("writer", sorted(WRITERS))
+    def test_new_file_mode_follows_the_umask(self, tmp_path, expected_mode, writer):
+        ds = aggregate([("W, 2000, J", 2005)] * 3 + [("V, 2001, J", 2006)])
+        path = tmp_path / "out"
+        self.WRITERS[writer](ds, path)
+        assert stat.S_IMODE(path.stat().st_mode) == expected_mode
+        assert os.listdir(tmp_path) == ["out"]  # the temporary file is gone
 
 
 class TestUnionCre:
