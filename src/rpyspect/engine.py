@@ -2,19 +2,20 @@
 
 Statements run in order, mutating one Environment. Loop iterations each
 start from a fresh dataset and a private copy of the settings (the run's
-population counts stay shared) and write their result as a CRE file into
-the loop directory. forEachUnion also folds each iteration's dataset
-into a running union (``formats.UnionFold``) as it finishes, and that
-union, the dataset ``union_cre`` would read back from the files, becomes
-the environment's dataset; the files are never read back. Re-clustering
-after a union stays an explicit step, never an implicit one. Every
-module error is re-raised with the failing statement's source location.
+population counts stay shared). forEach writes each iteration's result
+as a CRE file into its ``dir``, or into a temporary directory that it
+keeps. forEachUnion folds each iteration's dataset into a running union
+(``formats.UnionFold``) as it finishes, and that union, the dataset
+``union_cre`` would read back from the files, becomes the environment's
+dataset; it writes the files only into a given ``dir`` and never reads
+them back. Re-clustering after a union stays an explicit step, never an
+implicit one. Every module error is re-raised with the failing
+statement's source location.
 """
 
 from __future__ import annotations
 
 import os
-import shutil
 import sys
 import tempfile
 from typing import Callable, Optional
@@ -225,29 +226,25 @@ def _run_loop(loop: Loop, env: Environment, bindings: dict) -> None:
     count = args["count"]
     if count < 1:
         raise DomainError(f"count must be >= 1, got {count}")
-    user_dir = args.get("dir")
-    if user_dir is not None:
-        os.makedirs(user_dir, exist_ok=True)
-        loop_dir = user_dir
-    else:
+    loop_dir = args.get("dir")
+    if loop_dir is not None:
+        os.makedirs(loop_dir, exist_ok=True)
+    elif loop.kind == "forEach":
         loop_dir = tempfile.mkdtemp(prefix="rpys-loop-", dir=env.tmpdir)
+    # else: a forEachUnion without dir folds its cycles and writes no file.
 
     union = formats.UnionFold() if loop.kind == "forEachUnion" else None
-    try:
-        for i in range(count):
-            child = env.child(i)
-            _run_statements(loop.body, child, {loop.var: i})
-            if child.dataset is None:
-                raise RpysError(f"loop iteration {i} produced no dataset")
-            path = os.path.join(loop_dir, f"iter_{i:04d}.cre")
-            formats.save_cre(child.dataset, path, settings=child.settings)
-            if union is not None:
-                union.add_saved(child.dataset, path)
+    for i in range(count):
+        child = env.child(i)
+        _run_statements(loop.body, child, {loop.var: i})
+        if child.dataset is None:
+            raise RpysError(f"loop iteration {i} produced no dataset")
+        name = f"iter_{i:04d}.cre"
+        if loop_dir is not None:
+            formats.save_cre(child.dataset, os.path.join(loop_dir, name), settings=child.settings)
         if union is not None:
-            env.dataset = union.dataset()
-        else:
-            env.sink(f"forEach wrote {count} CRE files to {loop_dir}")
-    finally:
-        # Default-directory files are temporary; user-provided ones are kept.
-        if user_dir is None and loop.kind == "forEachUnion":
-            shutil.rmtree(loop_dir, ignore_errors=True)
+            union.add_saved(child.dataset, name)
+    if union is not None:
+        env.dataset = union.dataset()
+    else:
+        env.sink(f"forEach wrote {count} CRE files to {loop_dir}")

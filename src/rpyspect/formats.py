@@ -389,8 +389,8 @@ class UnionFold:
     (key, reference, ncr, cluster_id, n_py_years), and keeps the first
     reference seen for each key. ``union_cre`` feeds it the checked rows
     of each file. A ``forEachUnion`` loop feeds it each iteration's
-    dataset as it saves it (``add_saved``), and so gets the dataset
-    ``union_cre`` would read back from those files.
+    dataset (``add_saved``), and so gets the dataset ``union_cre`` would
+    read back from the files it writes, or would write, for them.
     """
 
     __slots__ = ("_refs", "_ncr", "_n_py_years", "_n_citing", "_n_cr_total", "_names")
@@ -420,8 +420,9 @@ class UnionFold:
                 years_of[key] = n_py
 
     def add_saved(self, dataset: Dataset, path) -> None:
-        """Fold in ``dataset``, just saved as ``path``, without reading the
-        file: its variants in canonical order are the file's rows."""
+        """Fold in ``dataset`` under the name of ``path``, without reading
+        a file: its variants in canonical order are the rows ``save_cre``
+        writes, whether or not it wrote them."""
         rows = (
             (v.key, v.reference, v.ncr, v.cluster_id, v.n_py_years)
             for v in dataset.sorted_variants()

@@ -196,15 +196,7 @@ def parse_key(key: str) -> CitedReference:
         elif not tok:
             continue
         source_parts.append(tok)
-    return CitedReference(
-        raw=key,
-        author=tokens[0],
-        rpy=rpy,
-        source=", ".join(source_parts),
-        volume=volume,
-        page=page,
-        doi=doi,
-    )
+    return CitedReference(key, tokens[0], rpy, ", ".join(source_parts), volume, page, doi)
 
 
 class CRVariant(Frozen):

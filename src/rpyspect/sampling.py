@@ -7,9 +7,12 @@ its sample, folded by line as it is offered: NONE, SYSTEMATIC and CLUSTER
 keep one count and one citing-year mask per distinct line they kept
 (``model.LineTables``), and RANDOM, whose reservoir evicts, keeps its
 reservoir of (line, py) pairs and folds it at the end. That is what keeps
-huge imports memory-bounded. A per-record ``offer``, one call per record
+huge imports memory-bounded. An offer that keeps nothing costs one
+comparison for SYSTEMATIC (its position against the next pick) and
+CLUSTER (the citing year). A per-record ``offer``, one call per record
 instead of one per occurrence, waits until the benchmark's tracer counts
-the offered pairs from the data rather than from ``offer`` calls.
+the offered pairs from the data rather than from ``offer`` calls (ROADMAP
+item 1a).
 
 Randomness comes from ``random.Random`` (MT19937). The reservoir draws
 its slots from ``getrandbits``, whose output for a seed CPython keeps
@@ -144,6 +147,11 @@ class SystematicSampler(Sampler):
     """Equidistant selection: positions offset, offset+step, ... with
     step = max(1, floor(total / n)), truncated to at most n picks.
 
+    It keeps the position of the next pick, so an offer makes one
+    comparison; a pick moves it on by ``step``, or to -1 after the n-th
+    pick, which no position matches. Every CR is still offered, one call
+    each, until the import stops after the record of the n-th pick.
+
     ``total`` must be the exact occurrence count the stream will yield:
     ``wos.analyze_file`` counts it over the same filtered record stream
     ``wos.import_file`` offers from, and the script engine reuses one
@@ -167,16 +175,15 @@ class SystematicSampler(Sampler):
                 f"offset {offset} >= step {self.step} (total {total}, n {n})"
             )
         super().__init__()
-        self.offset = offset
         self._pos = 0
+        self._next = offset  # the position of the next pick; -1 after the n-th
 
     def offer(self, line: str, py: Optional[int]) -> None:
         pos = self._pos
-        self._pos += 1
-        if self._kept >= self.n:
-            return
-        if pos >= self.offset and (pos - self.offset) % self.step == 0:
+        self._pos = pos + 1
+        if pos == self._next:
             self._take(line, py)
+            self._next = pos + self.step if self._kept < self.n else -1
 
     def wants_more(self) -> bool:
         return self._kept < self.n

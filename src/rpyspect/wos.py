@@ -291,21 +291,27 @@ def _passing(
     ``crs`` that pass both year filters, as (py, crs, passing).
 
     A record whose citing year fails the PY filter has an empty
-    ``passing``. This is the one place that applies the filters and
-    counts what passes, so the count pass totals exactly the CRs an import
-    offers, in file order. ``stats.n_citing`` and ``stats.n_cr`` start at 0
-    and cover the records yielded so far.
+    ``passing``. Without an RPY filter every pair passes, so a record
+    whose citing year passes is yielded as read: ``passing`` is ``crs``
+    itself, with no per-CR test and no copy. This is the one place that
+    applies the filters and counts what passes, so the count pass totals
+    exactly the CRs an import offers, in file order. ``stats.n_citing``
+    and ``stats.n_cr`` start at 0 and cover the records yielded so far.
     """
     # parse_year only returns years in [YEAR_MIN, YEAR_MAX], so without a
-    # filter every year passes.
+    # filter every year passes, and without an RPY filter every pair does.
     py_lo, py_hi, py_unknown = filt.py_range or (YEAR_MIN, YEAR_MAX, True)
+    unfiltered = filt.rpy_range is None
     lo, hi, unknown = filt.rpy_range or (YEAR_MIN, YEAR_MAX, True)
     stats.n_citing = stats.n_cr = 0
     for py, crs in parse_wos_path(path, stats):
         if not (py_unknown if py is None else py_lo <= py <= py_hi):
             yield py, crs, ()
             continue
-        passing = [cr for cr in crs if (unknown if cr[1] is None else lo <= cr[1] <= hi)]
+        if unfiltered:
+            passing = crs
+        else:
+            passing = [cr for cr in crs if (unknown if cr[1] is None else lo <= cr[1] <= hi)]
         stats.n_citing += 1
         stats.n_cr += len(passing)
         yield py, crs, passing

@@ -3,11 +3,12 @@ from __future__ import annotations
 import copy
 import pickle
 import random
+import re
 import sys
 from collections import Counter
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from rpyspect.clustering import ClusterConfig
 from rpyspect.engine import DEFAULT_SETTINGS, Environment
@@ -79,6 +80,25 @@ class TestParseKey:
     def test_year_rule(self, token, year):
         assert parse_year(token) == year
         assert parse_key(f"A, {token}, J").rpy == year
+
+    # A reference copy of the page rule: "P", an alphanumeric, then
+    # alphanumerics and hyphens, where alphanumeric means str.isalnum().
+    REFERENCE_PAGE = re.compile(r"P[^\W_]+(?:-[^\W_]*)*").fullmatch
+
+    @given(st.text(st.sampled_from("0123456789ABCDEFGHIJKLMNOPQRSTUVWXYZ_-١ß\u0301"), max_size=8))
+    @example("")
+    @example("1-")
+    @example("-1")
+    @example("١ß")
+    @example("A\u0301")
+    @example("A_1")
+    def test_page_rule_matches_the_regex(self, rest):
+        token = "P" + rest
+        ref = parse_key(f"SMITH J, 1990, NATURE, {token}")
+        if self.REFERENCE_PAGE(token):
+            assert (ref.page, ref.source) == (rest, "NATURE")
+        else:
+            assert (ref.page, ref.source) == (None, f"NATURE, {token}")
 
 
 class TestAggregate:
@@ -304,6 +324,21 @@ class TestRecords:
             assert twin == record and twin is not record
             if not isinstance(record, Dataset):  # its variants dict is unhashable
                 assert hash(twin) == hash(record)
+
+    def test_hot_records_guard_and_copy_every_field(self):
+        # Their own __init__s set every field past Frozen's guard: none can
+        # be assigned afterwards, and copies are equal field by field.
+        ref = CitedReference("K, 1990, J, V1, P2, DOI 3", "K", 1990, "J", "1", "2", "3")
+        variant = CRVariant(ref.raw, ref, 3, 7, 2, 0b101)
+        for record in (ref, variant):
+            for field in type(record).__slots__:
+                with pytest.raises(AttributeError):
+                    setattr(record, field, getattr(record, field))
+            for twin in (copy.copy(record), copy.deepcopy(record), pickle.loads(pickle.dumps(record))):
+                assert twin == record and twin is not record
+                assert [getattr(twin, f) for f in twin.__slots__] == [
+                    getattr(record, f) for f in record.__slots__
+                ]
 
     def test_equality_needs_the_same_type(self):
         assert CitedReference("K") != "K"

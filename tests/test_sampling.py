@@ -18,7 +18,7 @@ from rpyspect.sampling import (
     removal_threshold,
 )
 
-from conftest import folded, select
+from conftest import folded, rows, select
 
 
 def occ(i: int, py: int = 2000) -> tuple[str, int]:
@@ -142,6 +142,28 @@ class TestSystematicSample:
             for line, n, _ in select(SystematicSampler(n=100, total=400, offset=offset), pop):
                 seen[line] += n
         assert seen == Counter(line for line, _ in pop)
+
+
+    @settings(max_examples=300, deadline=None)
+    @given(total=st.integers(1, 300), n=st.integers(1, 80), offset=st.integers(0, 299))
+    @example(total=50, n=80, offset=0)  # step 1: n above total
+    @example(total=40, n=40, offset=0)  # step 1: every position
+    @example(total=300, n=7, offset=41)  # offset == step - 1
+    @example(total=300, n=80, offset=2)  # offset == step - 1, truncated
+    def test_picks_offset_plus_multiples_of_step(self, total, n, offset):
+        step = max(1, total // n)
+        offset %= step
+        picks = [p for p in (offset + k * step for k in range(n)) if p < total]
+        pop = population(total)
+        sampler = SystematicSampler(n=n, total=total, offset=offset)
+        wants = []
+        for line, py in pop:  # offered past the last pick: a full sampler ignores them
+            sampler.offer(line, py)
+            wants.append(sampler.wants_more())
+        assert rows(sampler.result()) == folded([pop[p] for p in picks])
+        # wants_more() turns false exactly at the n-th pick, if there is one.
+        last = picks[-1] if len(picks) == n else total
+        assert wants == [pos < last for pos in range(total)]
 
 
 class TestClusterSample:

@@ -634,3 +634,35 @@ class TestLoopUnionFold:
             "union of 3 files: iter_0000.cre, iter_0001.cre, iter_0002.cre"
         )
         assert sum(v.ncr for v in env.dataset.variants.values()) == 300
+
+    def test_union_without_dir_writes_no_file(self, corpus_file, tmp_path, monkeypatch):
+        saved = []
+        save_cre = formats.save_cre
+
+        def counting_save(dataset, path, *args, **kwargs):
+            saved.append(Path(path).name)
+            return save_cre(dataset, path, *args, **kwargs)
+
+        monkeypatch.setattr(formats, "save_cre", counting_save)
+
+        def run(loop_args, out):
+            script = tmp_path / f"{out}.crs"
+            script.write_text(
+                f"forEachUnion(count: 3, {loop_args}{{ index ->\n"
+                f'    importFile(file: "{corpus_file}", type: "WOS",'
+                ' sampling: "SYSTEMATIC", maxCR: 100, offset: index)\n'
+                "    merge()\n"
+                "})\n"
+                f'saveFile(file: "{tmp_path / out}")\n',
+                encoding="utf-8",
+            )
+            scratch = tmp_path / f"{out}_tmp"
+            scratch.mkdir()
+            assert main(["run", str(script), "--tmpdir", str(scratch)]) == 0
+            return list(scratch.iterdir())
+
+        assert run("", "plain.cre") == []
+        assert saved == ["plain.cre"]
+        assert run(f'dir: "{tmp_path / "cycles"}", ', "kept.cre") == []
+        assert saved[1:] == ["iter_0000.cre", "iter_0001.cre", "iter_0002.cre", "kept.cre"]
+        assert (tmp_path / "plain.cre").read_bytes() == (tmp_path / "kept.cre").read_bytes()

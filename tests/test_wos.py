@@ -23,6 +23,7 @@ from rpyspect.wos import (
     parse_wos,
     parse_wos_path,
     _decoded_lines,
+    _passing,
 )
 
 from conftest import select
@@ -401,6 +402,22 @@ class TestAnalyzeFile:
         corpus.write(path)
         stats = analyze_file(path, ImportFilter(rpy_range=(1970, 2014, False)))
         assert (stats.n_citing, stats.n_cr) == (200, 0)
+
+    @pytest.mark.parametrize("py_range", [None, (1990, 2005, False)])
+    def test_unfiltered_records_pass_as_read(self, corpus: Corpus, corpus_file, py_range):
+        # Without an RPY filter every pair passes: a record whose citing
+        # year passes is yielded with its own list, not a copy.
+        stats = ParseStats()
+        n_cr = 0
+        for py, crs, passing in _passing(corpus_file, ImportFilter(py_range=py_range), stats):
+            if py_range is None or py_range[0] <= py <= py_range[1]:
+                assert passing is crs
+                n_cr += len(crs)
+            else:
+                assert passing == ()
+        assert stats.n_cr == n_cr
+        if py_range is None:
+            assert (stats.n_citing, n_cr) == (corpus.n_records, corpus.n_cr)
 
     def test_filter_monotonicity(self, corpus_file):
         base = analyze_file(corpus_file, ImportFilter())
