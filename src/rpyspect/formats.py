@@ -1,6 +1,9 @@
 """File formats: the CRE dataset container, the CSV_CR variant list, the
 CSV_GRAPH spectrogram table, and the CRE union used for sample merging.
 
+``load_cre`` is the one CRE reader; ``union_cre`` and a ``forEachUnion``
+loop fold datasets through the one union rule, ``UnionFold``.
+
 CRE v1 is a line-oriented, tab-separated UTF-8 format with a trailing
 body checksum; see docs/cre-format.md for byte-level examples. Output is
 canonical: the same dataset always serializes to the same bytes, which is
@@ -15,7 +18,7 @@ import hashlib
 import io
 import os
 import re
-from typing import Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 from . import model, spectroscopy
 from .errors import ChecksumError, CreFormatError, DomainError, EmptyDatasetError, FormatVersionError
@@ -24,8 +27,7 @@ from .model import (
     CRVariant,
     Dataset,
     Spectrogram,
-    check_counts,
-    order_key,
+    canonical_order,
     parse_key,
 )
 
@@ -163,18 +165,58 @@ def load_cre(path) -> Dataset:
     citing-year sets come back as bare counts. A header line that
     ``cre_bytes`` would not write (no tab after its tag, a tab or CR in
     the provenance, settings that are not sorted name=integer pairs,
-    other table columns), a bad field (an integer not spelled as
-    ``cre_bytes`` writes it, an ncr below 1, an n_py_years above the
-    ncr, an empty or unnormalized key, a reference field that differs
-    from its key's, an n_cr_total below the table's sum of ncr) or a row
-    out of canonical order raises CreFormatError naming the file and the
-    1-based line.
+    other table columns), a bad row (not 10 columns, or a key an earlier
+    row holds), a bad field (an integer not spelled as ``cre_bytes``
+    writes it, counts that ``CRVariant`` refuses, an empty or
+    unnormalized key, a reference field that differs from its key's, an
+    n_cr_total below the table's sum of ncr) or a row out of canonical
+    order raises CreFormatError naming the file and the 1-based line.
     """
     provenance, n_citing, n_cr_total, rows = _read_header(path)
-    variants = {
-        key: CRVariant(key=key, reference=ref, ncr=ncr, cluster_id=cluster_id, n_py_years=n_py)
-        for key, ref, ncr, cluster_id, n_py in _rows(path, rows, n_cr_total, {})
-    }
+    variants: dict[str, CRVariant] = {}
+    previous = None
+    table_ncr = 0
+    for lineno, row in enumerate(rows, start=6):
+        where = f"{path}: line {lineno}"
+        cols = row.split("\t")
+        if len(cols) != len(_TABLE_COLUMNS):
+            raise CreFormatError(f"{where}: malformed variant row {row!r}")
+        key = cols[0]
+        if key in variants:
+            raise CreFormatError(f"{where}: duplicate variant key {key!r}")
+        if not key:
+            raise CreFormatError(f"{where}: empty key")
+        # Looked up on the module so that rebinding model.normalize_key
+        # (bench/tracer.py counts its calls) reaches this call too.
+        if model.normalize_key(key) != key:
+            raise CreFormatError(f"{where}: key {key!r} is not normalized")
+        # The fields are the key's, so rpy is canonical and in range too.
+        ref = parse_key(key)
+        fields = _fields(ref)
+        stored = cols[1:7]
+        if stored != fields:
+            for name, got, derived in zip(_FIELD_COLUMNS, stored, fields):
+                if got != derived:
+                    raise CreFormatError(
+                        f"{where}: {name} {got!r} differs from {derived!r}, its key's"
+                    )
+        ncr = _int(cols[7], "ncr", where)
+        cluster_id = _int(cols[8], "cluster_id", where) if cols[8] else None
+        n_py = _int(cols[9], "n_py_years", where)
+        try:
+            variant = CRVariant(key, ref, ncr, cluster_id, n_py)
+        except ValueError as exc:
+            raise CreFormatError(f"{where}: {exc}") from None
+        order = canonical_order(variant)
+        if previous is not None and order < previous:
+            raise CreFormatError(f"{where}: row is out of (rpy, key) order")
+        previous = order
+        table_ncr += ncr
+        variants[key] = variant
+    if n_cr_total < table_ncr:
+        raise CreFormatError(
+            f"{path}: line 4: n_cr_total {n_cr_total} is below the table's ncr sum {table_ncr}"
+        )
     return Dataset(
         variants=variants,
         n_citing=n_citing,
@@ -233,73 +275,6 @@ def _read_header(path) -> tuple[str, int, int, list[str]]:
             f"{path}: summary declares {n_variants} variants, table has {len(rows)}"
         )
     return provenance, n_citing, n_cr_total, rows
-
-
-def _rows(
-    path,
-    rows: list[str],
-    n_cr_total: int,
-    known: dict[str, tuple[CitedReference, list[str]]],
-) -> Iterator[tuple[str, CitedReference, int, Optional[int], int]]:
-    """Check each table row of one CRE file (from line 6 on) and yield it
-    as (key, reference, ncr, cluster_id, n_py_years); after the last row,
-    check ``n_cr_total`` against the table's ncr sum.
-
-    ``known`` maps each key already read in this call to its reference
-    and rendered field columns, and gains each new key: a known key skips
-    ``normalize_key``, ``parse_key`` and the rendering, and every other
-    check still runs on its row.
-    """
-    seen: set[str] = set()
-    previous = None
-    table_ncr = 0
-    for lineno, row in enumerate(rows, start=6):
-        where = f"{path}: line {lineno}"
-        cols = row.split("\t")
-        if len(cols) != len(_TABLE_COLUMNS):
-            raise CreFormatError(f"{where}: malformed variant row {row!r}")
-        key = cols[0]
-        if key in seen:
-            raise CreFormatError(f"{where}: duplicate variant key {key!r}")
-        seen.add(key)
-        entry = known.get(key)
-        if entry is None:
-            if not key:
-                raise CreFormatError(f"{where}: empty key")
-            # Looked up on the module so that rebinding model.normalize_key
-            # (bench/tracer.py counts its calls) reaches this call too.
-            if model.normalize_key(key) != key:
-                raise CreFormatError(f"{where}: key {key!r} is not normalized")
-            # The fields are the key's, so rpy is canonical and in range too.
-            ref = parse_key(key)
-            fields = _fields(ref)
-            known[key] = (ref, fields)
-        else:
-            ref, fields = entry
-        stored = cols[1:7]
-        if stored != fields:
-            for name, got, derived in zip(_FIELD_COLUMNS, stored, fields):
-                if got != derived:
-                    raise CreFormatError(
-                        f"{where}: {name} {got!r} differs from {derived!r}, its key's"
-                    )
-        ncr = _int(cols[7], "ncr", where)
-        cluster_id = _int(cols[8], "cluster_id", where) if cols[8] else None
-        n_py = _int(cols[9], "n_py_years", where)
-        try:
-            check_counts(ncr, n_py)
-        except ValueError as exc:
-            raise CreFormatError(f"{where}: {exc}") from None
-        order = order_key(ref.rpy, key)
-        if previous is not None and order < previous:
-            raise CreFormatError(f"{where}: row is out of (rpy, key) order")
-        previous = order
-        table_ncr += ncr
-        yield key, ref, ncr, cluster_id, n_py
-    if n_cr_total < table_ncr:
-        raise CreFormatError(
-            f"{path}: line 4: n_cr_total {n_cr_total} is below the table's ncr sum {table_ncr}"
-        )
 
 
 def _header(lines: list[str], index: int, tag: str, path) -> str:
@@ -385,12 +360,12 @@ class UnionFold:
     key, citing-year counts max-combined, summaries summed, cluster ids
     and citing-year masks dropped, keys in first-seen order.
 
-    ``add`` takes a dataset's rows in the shape ``_rows`` yields them,
-    (key, reference, ncr, cluster_id, n_py_years), and keeps the first
-    reference seen for each key. ``union_cre`` feeds it the checked rows
-    of each file. A ``forEachUnion`` loop feeds it each iteration's
-    dataset (``add_saved``), and so gets the dataset ``union_cre`` would
-    read back from the files it writes, or would write, for them.
+    ``add`` folds in one dataset's variants in canonical order, the
+    order of the rows ``save_cre`` writes, and keeps the first reference
+    seen for each key. ``union_cre`` adds each file as ``load_cre``
+    loads it; a ``forEachUnion`` loop adds each iteration's dataset
+    under the name of the file it writes, or would write, for it, and so
+    gets the dataset ``union_cre`` would read back from those files.
     """
 
     __slots__ = ("_refs", "_ncr", "_n_py_years", "_n_citing", "_n_cr_total", "_names")
@@ -403,31 +378,22 @@ class UnionFold:
         self._n_cr_total = 0
         self._names: list[str] = []
 
-    def add(self, path, n_citing: int, n_cr_total: int, rows: Iterable[tuple]) -> None:
-        """Fold in the dataset saved as ``path`` (only its name is used)."""
+    def add(self, dataset: Dataset, path) -> None:
+        """Fold in ``dataset`` under the name of ``path``; no file is read."""
         self._names.append(os.path.basename(os.fspath(path)))
-        self._n_citing += n_citing
-        self._n_cr_total += n_cr_total
+        self._n_citing += dataset.n_citing
+        self._n_cr_total += dataset.n_cr_total
         refs, ncr_of, years_of = self._refs, self._ncr, self._n_py_years
-        for key, ref, ncr, _, n_py in rows:
+        for v in dataset.sorted_variants():
+            key = v.key
             if key in ncr_of:
-                ncr_of[key] += ncr
-                if n_py > years_of[key]:
-                    years_of[key] = n_py
+                ncr_of[key] += v.ncr
+                if v.n_py_years > years_of[key]:
+                    years_of[key] = v.n_py_years
             else:
-                refs[key] = ref
-                ncr_of[key] = ncr
-                years_of[key] = n_py
-
-    def add_saved(self, dataset: Dataset, path) -> None:
-        """Fold in ``dataset`` under the name of ``path``, without reading
-        a file: its variants in canonical order are the rows ``save_cre``
-        writes, whether or not it wrote them."""
-        rows = (
-            (v.key, v.reference, v.ncr, v.cluster_id, v.n_py_years)
-            for v in dataset.sorted_variants()
-        )
-        self.add(path, dataset.n_citing, dataset.n_cr_total, rows)
+                refs[key] = v.reference
+                ncr_of[key] = v.ncr
+                years_of[key] = v.n_py_years
 
     def dataset(self) -> Dataset:
         """The union of the datasets folded in so far."""
@@ -448,14 +414,13 @@ def union_cre(paths: Sequence) -> Dataset:
     """Merge CRE files by the rule of ``UnionFold``. Order-independent:
     any permutation of paths yields the identical Dataset.
 
-    Each file passes ``load_cre``'s checks, with the same errors, but
-    each distinct key is normalized and parsed once per call.
+    Each file is loaded by ``load_cre``, with its checks and errors, and
+    folded in before the next is read, so the call holds the union and
+    one loaded file.
     """
     if not paths:
         raise DomainError("union_cre needs at least one file")
-    known: dict[str, tuple[CitedReference, list[str]]] = {}
     union = UnionFold()
     for path in paths:
-        _, n_citing, n_cr_total, rows = _read_header(path)
-        union.add(path, n_citing, n_cr_total, _rows(path, rows, n_cr_total, known))
+        union.add(load_cre(path), path)
     return union.dataset()

@@ -206,6 +206,9 @@ class CRVariant(Frozen):
     ``YEAR_BITS``) while the variant lives in memory, and then
     ``n_py_years`` is ``py_years.bit_count()``. The CRE file format drops
     the mask, in which case only the ``n_py_years`` count survives.
+
+    Construction raises ValueError unless ``ncr >= 1`` and
+    ``0 <= n_py_years <= ncr``: no more citing years than occurrences.
     """
 
     __slots__ = ("key", "reference", "ncr", "cluster_id", "n_py_years", "py_years")
@@ -219,7 +222,12 @@ class CRVariant(Frozen):
         n_py_years: int = 0,
         py_years: Optional[int] = None,
     ):
-        check_counts(ncr, n_py_years)
+        if ncr < 1:
+            raise ValueError("variant ncr must be >= 1")
+        if n_py_years < 0:
+            raise ValueError("variant n_py_years must be >= 0")
+        if n_py_years > ncr:
+            raise ValueError("variant n_py_years must be <= its ncr")
         _set(self, "key", key)
         _set(self, "reference", reference)
         _set(self, "ncr", ncr)
@@ -232,30 +240,14 @@ class CRVariant(Frozen):
         return self.reference.rpy
 
 
-def check_counts(ncr: int, n_py_years: int) -> None:
-    """Raise ValueError unless one variant can have ``ncr`` occurrences and
-    ``n_py_years`` distinct citing years: at least one occurrence, and no
-    more citing years than occurrences."""
-    if ncr < 1:
-        raise ValueError("variant ncr must be >= 1")
-    if n_py_years < 0:
-        raise ValueError("variant n_py_years must be >= 0")
-    if n_py_years > ncr:
-        raise ValueError("variant n_py_years must be <= its ncr")
-
-
 YearFilter = tuple[int, int, bool]  # (lo, hi, include_unknown)
 
 
 def canonical_order(v: CRVariant):
     """Sort key of the canonical variant order: dated variants by
     (rpy, key), undated ones last."""
-    return order_key(v.rpy, v.key)
-
-
-def order_key(rpy: Optional[int], key: str):
-    """``canonical_order`` of a variant with this rpy and key."""
-    return (rpy is None, rpy if rpy is not None else 0, key)
+    rpy = v.reference.rpy
+    return (rpy is None, rpy if rpy is not None else 0, v.key)
 
 
 class Dataset(Frozen):

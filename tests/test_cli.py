@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import io
 import os
+import re
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -15,6 +16,7 @@ from rpyspect.cli import main
 from rpyspect.engine import DEFAULT_SETTINGS, Environment, execute
 from rpyspect.errors import CreFormatError, EmptySampleError
 from rpyspect.formats import cre_bytes, load_cre, save_cre, union_cre
+from rpyspect.model import CRVariant, parse_key
 from rpyspect.script import parse_script
 from rpyspect.spectroscopy import compute_spectrogram
 from rpyspect.wos import ImportFilter, import_file
@@ -434,6 +436,9 @@ BAD_CRE_FIELDS = [
     (6, 6, "10.1/X"),  # DOI the key does not have
     (5, (1, 2), ("ZZ", "2001")),  # author and rpy that are not the key's
     (5, 9, "2"),  # n_py_years above the row's ncr of 1
+    (6, (0, 1, 2, 3, 4, 5, 6), ("A B, 2000, J", "A B", "2000", "J", "", "", "")),  # row 6 again
+    (5, 9, None),  # row with a column dropped
+    (5, 9, "1\t1"),  # row with a column too many
 ]
 
 
@@ -547,6 +552,48 @@ class TestUnionBadRows:
             union_cre([tmp_path / "good.cre", tmp_path / "bad.cre"])
         assert f"bad.cre: line {line + 1}:" in str(union.value)
         assert str(union.value) == str(alone.value)
+
+
+class TestRowFaultMessages:
+    @pytest.mark.parametrize(
+        "case, message",
+        [
+            (BAD_CRE_FIELDS[-3], "bad.cre: line 7: duplicate variant key 'A B, 2000, J'"),
+            (BAD_CRE_FIELDS[-2], "bad.cre: line 6: malformed variant row"),
+            (BAD_CRE_FIELDS[-1], "bad.cre: line 6: malformed variant row"),
+        ],
+        ids=["duplicate-key", "column-dropped", "column-added"],
+    )
+    def test_row_shape_fault_is_named(self, tmp_path, case, message):
+        lines = two_row_cre_lines(tmp_path)
+        set_field(lines, *case)
+        resign(tmp_path / "bad.cre", lines)
+        with pytest.raises(CreFormatError, match=re.escape(message)):
+            load_cre(tmp_path / "bad.cre")
+        with pytest.raises(CreFormatError, match=re.escape(message)):
+            union_cre([tmp_path / "good.cre", tmp_path / "bad.cre"])
+
+    @pytest.mark.parametrize(
+        "ncr, n_py_years, rule, column, field, message",
+        [
+            (0, 0, "variant ncr must be >= 1", 7, "0", "variant ncr must be >= 1"),
+            # A file cannot spell a negative count, so the reader refuses
+            # the field before the variant's own rule can.
+            (1, -1, "variant n_py_years must be >= 0", 9, "-1",
+             "n_py_years '-1' is not a canonical integer"),
+            (1, 2, "variant n_py_years must be <= its ncr", 9, "2",
+             "variant n_py_years must be <= its ncr"),
+        ],
+        ids=["ncr-0", "n_py_years-negative", "n_py_years-above-ncr"],
+    )
+    def test_variant_count_rule(self, tmp_path, ncr, n_py_years, rule, column, field, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(rule)}$"):
+            CRVariant("A B, 2000, J", parse_key("A B, 2000, J"), ncr, n_py_years=n_py_years)
+        lines = two_row_cre_lines(tmp_path)
+        set_field(lines, 5, column, field)
+        resign(tmp_path / "bad.cre", lines)
+        with pytest.raises(CreFormatError, match=f"bad.cre: line 6: {re.escape(message)}$"):
+            load_cre(tmp_path / "bad.cre")
 
 
 def resign(path, lines: list[str]) -> None:
