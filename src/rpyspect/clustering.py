@@ -19,11 +19,11 @@ The pair loop takes three exact shortcuts; none changes a cluster.
   (Bartolini, Ciaccia & Patella, "String matching with metric trees using
   an approximate distance", SPIRE 2002): the larger of the two multiset
   differences of the names' characters, which is the longer length less
-  the multiset intersection, so one AND and one ``bit_count`` per pair.
-  One edit shrinks each difference by at most one, so the bag distance
-  never exceeds the edit distance, and a pair whose similarity misses
-  the threshold with it in place of ``d`` misses it with the edit
-  distance too.
+  the multiset intersection: one AND and one ``bit_count`` per pair, on
+  bags built in one pass over the block (``_bags``). One edit shrinks
+  each difference by at most one, so the bag distance never exceeds the
+  edit distance, and a pair whose similarity misses the threshold with
+  it in place of ``d`` misses it with the edit distance too.
 - Trimmed edit distance. The edit distance drops the common prefix
   and suffix, then runs the bit-parallel algorithm of Myers (JACM 1999)
   in Hyyrö's (2001) formulation, one whole DP column per character of the
@@ -219,28 +219,23 @@ def cluster_crs(dataset: Dataset, config: ClusterConfig) -> Dataset:
 def _bags(names: list[str]) -> list[int]:
     """Each name's character multiset as an int, for the bag distance.
 
-    Every character gets a run of bits, at its own offset, as long as its
-    largest count in any of ``names``; a name holding it ``k`` times sets
-    the first ``k`` bits of the run. A bag then has one bit per character
-    of its name, and for two bags ``a`` and ``b``, ``(a & b).bit_count()``
-    is the size of their multiset intersection.
+    ``runs[c][k]`` masks the first ``k`` copies of character ``c``, one
+    bit per copy; a name holding more copies than any earlier name extends
+    the run with fresh bits. A bag is the OR of ``runs[c][k]`` over its
+    name's character counts, so ``(a & b).bit_count()`` is the multiset
+    intersection of bags ``a`` and ``b``.
     """
-    counts = [Counter(s) for s in names]
-    width: dict[str, int] = {}
-    for count in counts:
-        for c, k in count.items():
-            if k > width.get(c, 0):
-                width[c] = k
-    offset: dict[str, int] = {}
-    end = 0
-    for c, w in width.items():
-        offset[c] = end
-        end += w
+    runs: dict[str, list[int]] = {}
+    fresh = 1
     bags = []
-    for count in counts:
+    for name in names:
         bag = 0
-        for c, k in count.items():
-            bag |= ((1 << k) - 1) << offset[c]
+        for c, k in Counter(name).items():
+            run = runs.setdefault(c, [0])
+            while len(run) <= k:
+                run.append(run[-1] | fresh)
+                fresh <<= 1
+            bag |= run[k]
         bags.append(bag)
     return bags
 

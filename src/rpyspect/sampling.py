@@ -12,7 +12,9 @@ comparison for SYSTEMATIC (its position against the next pick) and
 CLUSTER (the citing year). A per-record ``offer``, one call per record
 instead of one per occurrence, waits until the benchmark's tracer counts
 the offered pairs from the data rather than from ``offer`` calls (ROADMAP
-item 1a).
+item 1a). Their arguments come from a ``wos.ImportFilter``, which has
+checked them, so a sampler checks only what it cannot: a RANDOM or
+SYSTEMATIC size of at least 1, and an offset below the systematic step.
 
 Randomness comes from ``random.Random`` (MT19937). The reservoir draws
 its slots from ``getrandbits``, whose output for a seed CPython keeps
@@ -89,8 +91,6 @@ class NoneSampler(Sampler):
     mode = "NONE"
 
     def __init__(self, limit: int = 0):
-        if limit < 0:
-            raise DomainError("limit must be >= 0")
         super().__init__()
         self.limit = limit
 
@@ -164,10 +164,6 @@ class SystematicSampler(Sampler):
     def __init__(self, n: int, total: int, offset: int = 0):
         if n < 1:
             raise DomainError("systematic sample size must be >= 1")
-        if total < 1:
-            raise DomainError("systematic sampling requires total >= 1")
-        if offset < 0:
-            raise DomainError("offset must be >= 0")
         self.n = n
         self.step = max(1, total // n)
         if offset >= self.step:
@@ -196,8 +192,6 @@ class ClusterSampler(Sampler):
     mode = "CLUSTER"
 
     def __init__(self, py_lo: int, py_hi: int, seed: int = 0):
-        if py_lo > py_hi:
-            raise DomainError(f"empty citing-year range [{py_lo}, {py_hi}]")
         super().__init__()
         self.chosen_year = random.Random(seed).randint(py_lo, py_hi)
 

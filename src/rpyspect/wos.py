@@ -30,7 +30,7 @@ from .sampling import (
     Sampler,
     SystematicSampler,
 )
-from .structs import Struct
+from .structs import Frozen, Struct
 
 Pairs = Sequence[tuple[str, Optional[int]]]  # (line, rpy) per CR line, in file order
 Record = tuple[Optional[int], Pairs]  # (py, crs) of one citing record
@@ -39,15 +39,16 @@ SUPPORTED_FORMATS = ("WOS",)
 RESERVED_FORMATS = ("SCOPUS", "CROSSREF")
 
 
-class ImportFilter(Struct):
+class ImportFilter(Frozen):
     """Year filters plus sampling parameters for one import.
 
     Ranges are (lo, hi, include_unknown) triples; include_unknown decides
     whether records/CRs without a parseable year pass. max_cr is the
     sample size for NONE (0 means no limit), RANDOM and SYSTEMATIC;
     CLUSTER ignores it and keeps every CR of its drawn citing year. offset
-    is only meaningful for SYSTEMATIC sampling; it is accepted but ignored
-    otherwise.
+    is only used by SYSTEMATIC. ``_validate`` runs whenever a filter is
+    built, ``replace`` included, and the record is frozen, so a filter stays
+    valid: ``build_sampler`` and the samplers rely on its checks.
     """
 
     __slots__ = ("rpy_range", "py_range", "max_cr", "sampling_mode", "offset", "seed")
@@ -345,8 +346,8 @@ def build_sampler(filt: ImportFilter, total: Optional[int] = None) -> Sampler:
     SYSTEMATIC needs ``total``, the count of CRs that pass the year
     filters (``analyze_file(...).n_cr``); a total of 0 raises
     EmptySampleError, for ``import_file``'s own count and for the script
-    engine's cached one alike. CLUSTER needs a py_range to draw the
-    citing year from.
+    engine's cached one alike. CLUSTER, the last mode the filter admits,
+    needs a py_range to draw the citing year from.
     """
     mode = filt.sampling_mode
     if mode == "NONE":
@@ -359,11 +360,9 @@ def build_sampler(filt: ImportFilter, total: Optional[int] = None) -> Sampler:
         if total == 0:
             raise EmptySampleError("SYSTEMATIC sample is empty: no CRs pass the filters")
         return SystematicSampler(n=filt.max_cr, total=total, offset=filt.offset)
-    if mode == "CLUSTER":
-        if filt.py_range is None:
-            raise DomainError("cluster sampling requires a citing-year range")
-        return ClusterSampler(filt.py_range[0], filt.py_range[1], seed=filt.seed)
-    raise DomainError(f"unknown sampling mode {mode!r}")
+    if filt.py_range is None:
+        raise DomainError("cluster sampling requires a citing-year range")
+    return ClusterSampler(filt.py_range[0], filt.py_range[1], seed=filt.seed)
 
 
 def import_file(

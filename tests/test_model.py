@@ -251,6 +251,7 @@ def frozen_records():
         Dataset({variant.key: variant}, 2, 3, "built"),
         Spectrogram((SpectroRow(1990, 3, 0.0),)),
         ClusterConfig(0.75, use_page=True),
+        ImportFilter((1970, 2010, False), (1980, 2014, True), 50, "SYSTEMATIC", 2, 7),
     ]
 
 
@@ -310,11 +311,11 @@ class TestRecords:
 
     @pytest.mark.parametrize("record", frozen_records(), ids=lambda r: type(r).__name__)
     def test_frozen_records_reject_assignment(self, record):
-        field = type(record).__slots__[0]
-        with pytest.raises(AttributeError):
-            setattr(record, field, getattr(record, field))
-        with pytest.raises(AttributeError):
-            delattr(record, field)
+        for field in type(record).__slots__:
+            with pytest.raises(AttributeError):
+                setattr(record, field, getattr(record, field))
+            with pytest.raises(AttributeError):
+                delattr(record, field)
         with pytest.raises(AttributeError):
             record.extra = 1  # slotted: no attribute outside the fields
 
@@ -344,7 +345,7 @@ class TestRecords:
         assert CitedReference("K") != "K"
         assert ParseStats() != ImportFilter()
 
-    @pytest.mark.parametrize("record", [ImportFilter(), ParseStats(), Environment()])
+    @pytest.mark.parametrize("record", [ParseStats(), Environment()])
     def test_mutable_records_are_unhashable(self, record):
         with pytest.raises(TypeError):
             hash(record)
@@ -364,8 +365,24 @@ class TestRecords:
             ref.replace(rpy=999)
         with pytest.raises(DomainError, match="threshold 1.5 outside"):
             ClusterConfig(0.5).replace(threshold=1.5)
-        with pytest.raises(DomainError, match="max_cr"):
-            ImportFilter().replace(max_cr=-1)
+
+    @pytest.mark.parametrize(
+        "changes, message",
+        [
+            ({"rpy_range": (2000, 1999, True)}, "year range lo > hi: (2000, 1999, True)"),
+            ({"py_range": (2014, 1980, False)}, "year range lo > hi: (2014, 1980, False)"),
+            ({"max_cr": -1}, "max_cr must be >= 0"),
+            ({"offset": -1}, "offset must be >= 0"),
+            ({"sampling_mode": "RANDOMM"}, "unknown sampling mode 'RANDOMM'"),
+        ],
+        ids=["rpy_range", "py_range", "max_cr", "offset", "sampling_mode"],
+    )
+    def test_import_filter_checks_every_field_when_built(self, changes, message):
+        # The samplers do not check these again: the filter is their one gate.
+        for build in (lambda: ImportFilter(**changes), lambda: ImportFilter().replace(**changes)):
+            with pytest.raises(DomainError) as err:
+                build()
+            assert str(err.value) == message
 
     def test_repr_names_every_field(self):
         assert repr(ClusterConfig(0.5, use_doi=True)) == (

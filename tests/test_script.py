@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from rpyspect import formats
+from rpyspect import formats, wos
 from rpyspect.cli import main
 from rpyspect.clustering import ClusterConfig, cluster_crs, merge_clusters, remove_cr
 from rpyspect.engine import Environment, execute
@@ -259,6 +259,41 @@ class TestMalformedScripts:
             parse_script(src)
         assert (err.value.line, err.value.col) == (line, col)
 
+    @pytest.mark.parametrize(
+        "src, error, message",
+        [
+            (
+                "set(median_range: 1, median_range: 2)",
+                BadArgumentError,
+                "line 1, col 1: duplicate argument 'median_range'",
+            ),
+            (
+                "set(median_range: 1 + true)",
+                BadArgumentError,
+                "line 1, col 1: arithmetic needs integer operands",
+            ),
+            (
+                'use("L.crs").wiht {\n    forEach(count: 1, { i ->\n        info()\n    })\n}',
+                ScriptSyntaxError,
+                "line 1, col 14: expected 'with', got 'wiht'",
+            ),
+        ],
+        ids=["duplicate-argument", "bool-operand", "misspelled-with"],
+    )
+    def test_parse_error_message(self, src, error, message):
+        with pytest.raises(error) as err:
+            parse_script(src)
+        assert str(err.value) == message
+
+    def test_parenthesized_operand(self):
+        prog = parse_script("forEach(count: 3, { i ->\n    set(median_range: i - (1 - 1))\n})")
+        expr = prog.statements[0].body[0].args[0][1]
+        assert expr == BinOp("-", Var("i"), BinOp("-", Lit(1), Lit(1)))
+        printed = pretty(prog)
+        assert "i - (1 - 1)" in printed
+        assert parse_script(printed) == prog
+        assert eval_expr(expr, {"i": 2}) == 2  # not (2 - 1) - 1
+
     @pytest.mark.skipif(
         not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
         reason="int() has no digit limit in this interpreter",
@@ -423,6 +458,47 @@ class TestExecute:
             self.run('info()\nimportFile(file: "missing.txt", type: "WOS")', tmp_path)
         assert err.value.line == 2
 
+    IMPORT = 'importFile(file: "{path}", type: "WOS"'
+
+    @pytest.mark.parametrize(
+        "src, message, line, col",
+        [
+            ("forEach(count: 0, {{ i ->\n    info()\n}})", "count must be >= 1, got 0", 2, 1),
+            ("cluster(threshold: 0.75)", "no dataset loaded; run importFile first", 2, 1),
+            (IMPORT + ")\nremoveCR(N_CR: [5, 1])", "removeCR range lo > hi: [5, 1]", 3, 1),
+            ('importFile(file: "{path}", type: "XML")', "unknown import format 'XML'", 2, 1),
+            # ImportFilter rejects these before the count pass reads the file.
+            (
+                'forEach(count: 2, dir: "{dir}", {{ index ->\n'
+                '    ' + IMPORT + ', sampling: "SYSTEMATIC", maxCR: 5, offset: index - 1)\n'
+                "}})",
+                "offset must be >= 0",
+                3,
+                5,
+            ),
+            (IMPORT + ", PY: [2014, 1980, false])", "year range lo > hi: (2014, 1980, False)", 2, 1),
+            (IMPORT + ', sampling: "RANDOMM", maxCR: 5)', "unknown sampling mode 'RANDOMM'", 2, 1),
+        ],
+        ids=["count-0", "no-dataset", "removeCR-range", "format", "offset", "PY-range", "mode"],
+    )
+    def test_run_errors_carry_message_and_location(
+        self, corpus_file, tmp_path, monkeypatch, src, message, line, col
+    ):
+        src = "info()\n" + src.format(path=corpus_file, dir=tmp_path / "cycles")
+        reads = []
+        parse_wos_path = wos.parse_wos_path
+
+        def counted(path, stats=None):
+            reads.append(path)
+            return parse_wos_path(path, stats)
+
+        monkeypatch.setattr(wos, "parse_wos_path", counted)
+        with pytest.raises(ScriptError) as err:
+            self.run(src, tmp_path)
+        assert (err.value.line, err.value.col) == (line, col)
+        assert str(err.value) == f"line {line}, col {col}: {message}"
+        assert reads == ([str(corpus_file)] if "removeCR" in src else [])
+
     def test_scopus_reserved(self, tmp_path):
         with pytest.raises(ScriptError, match="SCOPUS"):
             self.run('importFile(file: "x.txt", type: "SCOPUS")', tmp_path)
@@ -530,6 +606,33 @@ class TestLoops:
             "iter_0001.cre",
             "iter_0002.cre",
         ]
+
+    def test_for_each_without_dir_keeps_a_new_temporary_directory(
+        self, small_corpus_file, tmp_path, capsys
+    ):
+        scratch = tmp_path / "scratch"
+        scratch.mkdir()
+        script = tmp_path / "loop.crs"
+        script.write_text(
+            f'importFile(file: "{small_corpus_file}", type: "WOS")\n'
+            f'saveFile(file: "{tmp_path / "before.cre"}")\n'
+            "forEach(count: 2, { index ->\n"
+            f'    importFile(file: "{small_corpus_file}", type: "WOS", sampling: "RANDOM",'
+            " maxCR: 20)\n"
+            "})\n"
+            f'saveFile(file: "{tmp_path / "after.cre"}")\n',
+            encoding="utf-8",
+        )
+        assert main(["run", str(script), "--tmpdir", str(scratch)]) == 0
+        (loop_dir,) = scratch.iterdir()
+        assert loop_dir.name.startswith("rpys-loop-") and loop_dir.is_dir()
+        assert sorted(p.name for p in loop_dir.iterdir()) == ["iter_0000.cre", "iter_0001.cre"]
+        for i in range(2):
+            cycle = load_cre(loop_dir / f"iter_{i:04d}.cre")
+            assert sum(v.ncr for v in cycle.variants.values()) == 20
+            assert f"seed={i}" in cycle.provenance
+        assert f"forEach wrote 2 CRE files to {loop_dir}\n" in capsys.readouterr().err
+        assert (tmp_path / "after.cre").read_bytes() == (tmp_path / "before.cre").read_bytes()
 
     def test_settings_do_not_leak_out_of_loop(self, corpus_file, tmp_path):
         src = (
