@@ -6,24 +6,22 @@ similarity over "author, source", and gated by volume/page/DOI equality
 where enabled. A union-find over accepted pairs yields the clusters;
 merging collapses each cluster onto its highest-NCR member.
 
-The pair loop takes three exact shortcuts; none changes a cluster.
+The pair loop rests on three exact devices; none changes a cluster.
 
-- Length-sorted rows. Each block is visited shortest name first, so
-  in a row the later name is the longer. The length gap bounds the edit
-  distance from below, and ``1 - gap / longer`` cannot rise as the longer
-  length grows (float division and subtraction are monotone), so a row
-  ends at the first name that fails the gate on the gap alone. The
-  union-find's components do not depend on the visiting order, and a
-  cluster's id stays its smallest canonical index.
-- Bag bound. Each remaining pair is tested against its bag distance
+- Distance limits. ``limits[L]`` is the largest distance ``d`` with
+  ``1 - d / L >= threshold``, by that float expression (``_distance_limits``),
+  so the pair loop compares integers and no pair flips at the boundary.
+  Rows go shortest name first, so the later name is the longer and its
+  length indexes the table; the union-find's components do not depend on
+  the visiting order, and a cluster's id stays its smallest canonical index.
+- Bag bound. Each pair is tested first against its bag distance
   (Bartolini, Ciaccia & Patella, "String matching with metric trees using
   an approximate distance", SPIRE 2002): the larger of the two multiset
   differences of the names' characters, which is the longer length less
   the multiset intersection: one AND and one ``bit_count`` per pair, on
   bags built in one pass over the block (``_bags``). One edit shrinks
   each difference by at most one, so the bag distance never exceeds the
-  edit distance, and a pair whose similarity misses the threshold with
-  it in place of ``d`` misses it with the edit distance too.
+  edit distance: a pair whose bag distance exceeds the limit fails.
 - Trimmed edit distance. The edit distance drops the common prefix
   and suffix, then runs the bit-parallel algorithm of Myers (JACM 1999)
   in Hyyrö's (2001) formulation, one whole DP column per character of the
@@ -129,14 +127,6 @@ def _name_string(ref: CitedReference) -> str:
     return ref.author.lower()
 
 
-def _name_similarity(sa: str, sb: str) -> float:
-    """1 - edit distance / longer length; 1.0 for two empty names."""
-    longest = max(len(sa), len(sb))
-    if longest == 0:
-        return 1.0
-    return 1.0 - levenshtein(sa, sb) / longest
-
-
 def compatible(a: CitedReference, b: CitedReference, config: ClusterConfig) -> bool:
     """Field gate for clustering: same (present) RPY, and each enabled
     field equal whenever both sides carry it. An absent field never
@@ -191,8 +181,7 @@ def cluster_crs(dataset: Dataset, config: ClusterConfig) -> Dataset:
         if v.rpy is not None:
             blocks.setdefault(v.rpy, []).append(idx)
 
-    for rpy in sorted(blocks):
-        members = blocks[rpy]
+    for members in blocks.values():
         if len(members) > DEFAULT_BLOCK_CAP:
             sub: dict[str, list[int]] = {}
             for idx in members:
@@ -240,6 +229,20 @@ def _bags(names: list[str]) -> list[int]:
     return bags
 
 
+def _distance_limits(threshold: float, longest: int) -> list[int]:
+    """``limits[n]``, ``n <= longest``: the largest ``d`` with ``1.0 - d / n
+    >= threshold``, by that exact expression; ``limits[0] = 0``. A pass at
+    ``d`` implies one at ``d - 1`` and at ``n + 1`` (float division and
+    subtraction are monotone), so one rising ``d`` fills the table."""
+    limits = [0]
+    d = 0
+    for n in range(1, longest + 1):
+        while 1.0 - (d + 1) / n >= threshold:
+            d += 1
+        limits.append(d)
+    return limits
+
+
 def _cluster_block(
     ordered: list[CRVariant], group: list[int], config: ClusterConfig, uf: _UnionFind
 ) -> None:
@@ -256,40 +259,27 @@ def _cluster_block(
     refs = [ordered[idx].reference for idx in group]
     lens = [len(s) for s in names]
     bags = _bags(names)
-    threshold = config.threshold
+    limits = _distance_limits(config.threshold, lens[-1])
     find = uf.find
     n = len(group)
     # Cheapest test first. Each test is pure or skips only a union that
     # would change nothing, so the clusters do not depend on the order.
-    end = 0
     for p in range(n):
-        i, ref_i, name_i, len_i, bag_i = group[p], refs[p], names[p], lens[p], bags[p]
-        # The row ends at the first longer name that fails the gate on the
-        # length gap alone. The gap bounds the edit distance from below,
-        # and the gate's expression cannot rise as len_j grows (nor fall
-        # as len_i grows, so the end only moves right).
-        end = max(end, p + 1)
-        while end < n:
-            len_j = lens[end]
-            if len_j > len_i and 1.0 - (len_j - len_i) / len_j < threshold:
-                break
-            end += 1
-        for q in range(p + 1, end):
+        i, ref_i, name_i, bag_i = group[p], refs[p], names[p], bags[p]
+        for q in range(p + 1, n):
             # The bag distance max(|A-B|, |B-A|) is the longer length less
             # the intersection, and it bounds the edit distance from below,
-            # so the gate's own expression with it in place of the distance
-            # skips only pairs the edit distance would reject too. A bound
-            # of 0 never fails the gate (threshold <= 1).
+            # so a pair whose bag distance exceeds the limit would fail the
+            # edit distance too.
             len_j = lens[q]
-            lower = len_j - (bag_i & bags[q]).bit_count()
-            if lower and 1.0 - lower / len_j < threshold:
+            if len_j - (bag_i & bags[q]).bit_count() > limits[len_j]:
                 continue
             j = group[q]
             if find(i) == find(j):
                 continue
             if not compatible(ref_i, refs[q], config):
                 continue
-            if _name_similarity(name_i, names[q]) >= threshold:
+            if levenshtein(name_i, names[q]) <= limits[len_j]:
                 uf.union(i, j)
 
 

@@ -57,9 +57,6 @@ class Sampler:
         self._masks: dict[str, int] = {}
         self._kept = 0
 
-    def offer(self, line: str, py: Optional[int]) -> None:
-        raise NotImplementedError
-
     def _take(self, line: str, py: Optional[int]) -> None:
         # The rule of model.fold, one occurrence at a time.
         self._kept += 1

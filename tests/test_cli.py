@@ -462,6 +462,12 @@ class TestSpectro:
         body = (workdir / "g0.csv").read_text()
         assert all(line.endswith(",0") for line in body.splitlines()[1:])
 
+    def test_negative_median_range_fails_without_output(self, workdir, capsys):
+        save_cre(import_file("corpus.txt", ImportFilter(seed=0)), "data.cre")
+        assert main(["spectro", "data.cre", "--median-range", "-1", "--out", "g.csv"]) == 1
+        assert "error: median_range must be >= 0" in capsys.readouterr().err
+        assert not (workdir / "g.csv").exists()
+
     def test_missing_cre_fails(self, workdir, capsys):
         assert main(["spectro", "absent.cre", "--out", "g.csv"]) == 1
         assert "error" in capsys.readouterr().err

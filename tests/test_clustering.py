@@ -11,7 +11,7 @@ from rpyspect import clustering
 from rpyspect.clustering import (
     ClusterConfig,
     _bags,
-    _name_similarity,
+    _distance_limits,
     _name_string,
     cluster_crs,
     compatible,
@@ -26,7 +26,6 @@ from rpyspect.model import (
     Dataset,
     aggregate,
     normalize_key,
-    parse_key,
 )
 
 from corpus import make_corpus
@@ -71,29 +70,39 @@ def ref(author: str, rpy=1990, source="J", volume=None, page=None, doi=None):
     )
 
 
-class TestSimilarity:
-    def test_identical_references(self):
-        a = parse_key("STUIVER M, 1993, RADIOCARBON, V35, P215")
-        assert _name_similarity(_name_string(a), _name_string(a)) == 1.0
+FIXED_THRESHOLDS = [
+    0.0, 0.1, 0.3, 1 / 3, 0.5, 2 / 3, 0.7, 0.75, 0.8, 0.85, 0.9, 0.95, 0.99, 1.0
+]
 
-    def test_disjoint_characters(self):
-        a = ref("AAAA", source="")
-        b = ref("BBBB", source="")
-        assert _name_similarity(_name_string(a), _name_string(b)) == 0.0
 
-    def test_matches_textbook_oracle(self):
-        a = parse_key("ROPELEWSKI CF, 1987, MON WEATHER REV, V115, P1606")
-        b = parse_key("ROPELEWSKI C, 1987, MON WEA REV, V115, P1606")
-        sa = f"{a.author}, {a.source}".lower()
-        sb = f"{b.author}, {b.source}".lower()
-        expected = 1.0 - textbook_levenshtein(sa, sb) / max(len(sa), len(sb))
-        assert _name_similarity(_name_string(a), _name_string(b)) == pytest.approx(
-            expected, abs=1e-12
-        )
+def assert_limits_match_gate(threshold, longest):
+    # d <= limits[n] exactly when the gate's own expression passes at d;
+    # two empty names are at distance 0.
+    limits = _distance_limits(threshold, longest)
+    assert len(limits) == longest + 1 and limits[0] == 0
+    for n in range(1, longest + 1):
+        for d in range(n + 1):
+            assert (d <= limits[n]) == (1.0 - d / n >= threshold), (threshold, n, d)
 
-    @given(st.text(alphabet="abcd ", max_size=12), st.text(alphabet="abcd ", max_size=12))
-    def test_symmetric(self, s, t):
-        assert _name_similarity(s, t) == _name_similarity(t, s)
+
+class TestDistanceLimits:
+    @pytest.mark.parametrize("threshold", FIXED_THRESHOLDS)
+    def test_limits_match_gate_exhaustively(self, threshold):
+        assert_limits_match_gate(threshold, 300)
+
+    @given(st.floats(0.0, 1.0), st.integers(0, 80))
+    def test_limits_match_gate_at_any_threshold(self, threshold, longest):
+        assert_limits_match_gate(threshold, longest)
+
+    @pytest.mark.parametrize("threshold", FIXED_THRESHOLDS)
+    def test_disjoint_names_pass_only_at_threshold_zero(self, threshold):
+        # Names of one length with no character in common are at distance n.
+        limits = _distance_limits(threshold, 40)
+        full = [n for n in range(1, 41) if limits[n] == n]
+        assert full == (list(range(1, 41)) if threshold == 0.0 else [])
+
+    def test_threshold_one_admits_only_equal_names(self):
+        assert _distance_limits(1.0, 300) == [0] * 301
 
 
 # Lengths drawn uniformly up to 150, so patterns longer than one 64-bit
@@ -237,8 +246,9 @@ def misspelled_dataset(seed=0, n_records=40, misspell_rate=0.5):
 NAME_TEXT = st.text(alphabet="abé ", max_size=8)
 # 0-19 characters for an author or a source, so names run from 0 to 40
 # characters: one of a few stems drawn per example, cut short and given
-# up to three new characters. Lengths spread widely, so rows end early,
-# and names cut from one stem still sit near the thresholds.
+# up to three new characters. Lengths spread widely, so many pairs fail
+# on the length gap alone, and names cut from one stem still sit near the
+# thresholds.
 STEMS = st.shared(
     st.lists(st.text(alphabet="abé ", max_size=19), min_size=1, max_size=3), key="stems"
 )

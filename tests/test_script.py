@@ -81,6 +81,11 @@ class TestParse:
         with pytest.raises(BadArgumentError):
             parse_script("set(median_range: index)")
 
+    def test_unbound_variable_fails_evaluation(self):
+        # The parser rejects unbound names, so only a hand-built tree gets here.
+        with pytest.raises(BadArgumentError, match="^unbound variable 'i'$"):
+            eval_expr(Var("i"), {})
+
     def test_syntax_error_carries_location(self):
         with pytest.raises(ScriptSyntaxError) as err:
             parse_script("set(median_range: 2\ninfo()")

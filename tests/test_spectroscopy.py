@@ -5,7 +5,7 @@ import random
 import pytest
 
 from rpyspect.errors import DomainError, EmptyDatasetError
-from rpyspect.model import CitedReference, CRVariant, Dataset, aggregate
+from rpyspect.model import CitedReference, CRVariant, Dataset, Spectrogram, aggregate
 from rpyspect.sampling import SystematicSampler
 from rpyspect.spectroscopy import (
     compute_spectrogram,
@@ -111,6 +111,11 @@ class TestScaleFactor:
         with pytest.raises(ZeroDivisionError):
             scale_factor(sample, reference)
 
+    def test_empty_spectrogram_raises(self):
+        ref = compute_spectrogram(dataset_from_counts({2000: 5}))
+        with pytest.raises(EmptyDatasetError, match="^spectrogram has no rows$"):
+            scale_factor(Spectrogram(rows=()), ref)
+
     def test_disjoint_year_ranges_raise(self):
         a = compute_spectrogram(dataset_from_counts({1990: 5}))
         b = compute_spectrogram(dataset_from_counts({2000: 5}))
@@ -170,6 +175,15 @@ class TestSpectrogramDiff:
         )
         years = [y for y, _ in spectrogram_diff(a, b, ref)]
         assert years == list(range(2002, 2006))
+
+    def test_zero_sample_peak_raises(self):
+        # The sample covers 1998..2002 but its NCR is zero on the shared
+        # window (the reference's single year, 2000), so its factor is 0.
+        a = compute_spectrogram(dataset_from_counts({1998: 7, 2002: 7}))
+        ref = compute_spectrogram(dataset_from_counts({2000: 5}))
+        message = "^sample spectrogram peak NCR is 0 in the shared window$"
+        with pytest.raises(ZeroDivisionError, match=message):
+            spectrogram_diff(a, ref, ref)
 
 
 def two_variant_dataset():
@@ -244,6 +258,11 @@ class TestNPct:
                 if w.rpy is not None and abs(w.rpy - v.rpy) <= 2
             )
             assert n_pct(ds, v, 2) == pytest.approx(v.ncr / denom)
+
+    def test_variant_of_another_dataset_raises(self):
+        other = next(iter(dataset_from_counts({2000: 3}).variants.values()))
+        with pytest.raises(DomainError, match="^variant .* not in dataset$"):
+            n_pct(two_variant_dataset(), other)
 
     @pytest.mark.parametrize("n_pct_range", (0, 1, 50, 5000))
     def test_window_totals_are_the_direct_sums(self, n_pct_range):

@@ -487,6 +487,12 @@ class TestImportFile:
                 ImportFilter(py_range=(2011, 2013, False), sampling_mode="CLUSTER", seed=0),
             )
 
+    def test_systematic_sampler_needs_the_population_count(self):
+        filt = ImportFilter(sampling_mode="SYSTEMATIC", max_cr=5)
+        message = "^systematic sampling needs the population CR count$"
+        with pytest.raises(DomainError, match=message):
+            build_sampler(filt)
+
     def test_systematic_offset_too_large(self, corpus_file):
         with pytest.raises(OffsetTooLargeError):
             import_file(
