@@ -3,18 +3,20 @@
 The samplers are fed only by ``wos.import_file``, one ``offer(line, py)``
 at a time, in file order; after each record it stops reading once
 ``wants_more()`` is false. Every sampler is single-pass and holds at most
-its sample, folded by line as it is offered: NONE, SYSTEMATIC and CLUSTER
-keep one count and one citing-year mask per distinct line they kept
+its sample, folded by line as it is offered: NONE and SYSTEMATIC keep one
+count and one citing-year mask per distinct line they kept
 (``model.LineTables``), and RANDOM, whose reservoir evicts, keeps its
 reservoir of (line, py) pairs and folds it at the end. That is what keeps
 huge imports memory-bounded. An offer that keeps nothing costs one
-comparison for SYSTEMATIC (its position against the next pick) and
-CLUSTER (the citing year). A per-record ``offer``, one call per record
-instead of one per occurrence, waits until the benchmark's tracer counts
-the offered pairs from the data rather than from ``offer`` calls (ROADMAP
-item 1a). Their arguments come from a ``wos.ImportFilter``, which has
-checked them, so a sampler checks only what it cannot: a RANDOM or
-SYSTEMATIC size of at least 1, and an offset below the systematic step.
+comparison for SYSTEMATIC (its position against the next pick). A
+per-record ``offer``, one call per record instead of one per occurrence,
+waits until the benchmark's tracer counts the offered pairs from the data
+rather than from ``offer`` calls (ROADMAP item 1a). Their arguments come
+from a ``wos.ImportFilter``, which has checked them, so a sampler checks
+only what it cannot: a RANDOM or SYSTEMATIC size of at least 1, and an
+offset below the systematic step. A CLUSTER sample needs no sampler of
+its own: ``wos.import_file`` narrows the citing-year filter to the drawn
+year and keeps everything that passes.
 
 Randomness comes from ``random.Random`` (MT19937). The reservoir draws
 its slots from ``getrandbits``, whose output for a seed CPython keeps
@@ -22,8 +24,7 @@ stable across versions, and maps the bits to a slot itself, the way
 ``randrange`` does: so a RANDOM sample's reproducibility rests on the
 MT19937 output, not on ``randrange``'s mapping, which CPython does not
 promise to keep. A (seed, stream order) pair reproduces a sample
-bit-for-bit on any platform. CLUSTER's citing year is still drawn with
-``randint``.
+bit-for-bit on any platform.
 """
 
 from __future__ import annotations
@@ -49,8 +50,6 @@ class Sampler:
     distinct line (the memory probe reads it). ``wants_more`` lets the
     reader stop early once the sample cannot grow.
     """
-
-    mode = "NONE"
 
     def __init__(self):
         self._counts: dict[str, int] = {}
@@ -82,29 +81,16 @@ class Sampler:
 
 
 class NoneSampler(Sampler):
-    """Identity selection, optionally truncated to the first ``limit``
-    occurrences (limit 0 = unlimited)."""
+    """Identity selection: keeps every occurrence offered. The first n
+    occurrences are ``SystematicSampler(n, total=n)``."""
 
-    mode = "NONE"
-
-    def __init__(self, limit: int = 0):
-        super().__init__()
-        self.limit = limit
-
-    def offer(self, line: str, py: Optional[int]) -> None:
-        if not self.limit or self._kept < self.limit:
-            self._take(line, py)
-
-    def wants_more(self) -> bool:
-        return not self.limit or self._kept < self.limit
+    offer = Sampler._take
 
 
 class RandomSampler(Sampler):
     """Reservoir sampling (algorithm R): a simple random sample without
     replacement of size min(n, population), in one pass. The reservoir
     holds (line, py) pairs and is folded in slot order by ``result``."""
-
-    mode = "RANDOM"
 
     def __init__(self, n: int, seed: int = 0):
         if n < 1:
@@ -153,10 +139,10 @@ class SystematicSampler(Sampler):
     ``wos.analyze_file`` counts it over the same filtered record stream
     ``wos.import_file`` offers from, and the script engine reuses one
     count per file and year filters for the whole run
-    (``wos.build_sampler`` rejects a total of 0 first).
+    (``wos.build_sampler`` rejects a total of 0 first). A ``total`` of
+    ``n`` gives step 1 and offset 0: the first ``n`` occurrences, which is
+    what a NONE import with a ``max_cr`` of ``n`` keeps.
     """
-
-    mode = "SYSTEMATIC"
 
     def __init__(self, n: int, total: int, offset: int = 0):
         if n < 1:
@@ -180,21 +166,6 @@ class SystematicSampler(Sampler):
 
     def wants_more(self) -> bool:
         return self._kept < self.n
-
-
-class ClusterSampler(Sampler):
-    """Selects every occurrence whose citing year equals one year drawn
-    uniformly from [lo, hi]."""
-
-    mode = "CLUSTER"
-
-    def __init__(self, py_lo: int, py_hi: int, seed: int = 0):
-        super().__init__()
-        self.chosen_year = random.Random(seed).randint(py_lo, py_hi)
-
-    def offer(self, line: str, py: Optional[int]) -> None:
-        if py == self.chosen_year:
-            self._take(line, py)
 
 
 def removal_threshold(threshold_full: int, ncr_full: int, ncr_sample: int) -> int:

@@ -9,6 +9,7 @@ continuation indent) is documented byte-exactly in docs/wos-format.md.
 
 from __future__ import annotations
 
+import random
 from typing import BinaryIO, Callable, Iterator, Optional, Sequence
 
 from .errors import DomainError, EmptySampleError
@@ -22,14 +23,7 @@ from .model import (
     aggregate,
     parse_year,
 )
-from .sampling import (
-    MODES,
-    ClusterSampler,
-    NoneSampler,
-    RandomSampler,
-    Sampler,
-    SystematicSampler,
-)
+from .sampling import MODES, NoneSampler, RandomSampler, Sampler, SystematicSampler
 from .structs import Frozen, Struct
 
 Pairs = Sequence[tuple[str, Optional[int]]]  # (line, rpy) per CR line, in file order
@@ -45,10 +39,11 @@ class ImportFilter(Frozen):
     Ranges are (lo, hi, include_unknown) triples; include_unknown decides
     whether records/CRs without a parseable year pass. max_cr is the
     sample size for NONE (0 means no limit), RANDOM and SYSTEMATIC;
-    CLUSTER ignores it and keeps every CR of its drawn citing year. offset
-    is only used by SYSTEMATIC. ``_validate`` runs whenever a filter is
-    built, ``replace`` included, and the record is frozen, so a filter stays
-    valid: ``build_sampler`` and the samplers rely on its checks.
+    CLUSTER ignores it and keeps every CR of one citing year drawn from
+    its py_range, which it must have. offset is only used by SYSTEMATIC.
+    ``_validate`` runs whenever a filter is built, ``replace`` included,
+    and the record is frozen, so a filter stays valid: ``build_sampler``,
+    ``import_file`` and the samplers rely on its checks.
     """
 
     __slots__ = ("rpy_range", "py_range", "max_cr", "sampling_mode", "offset", "seed")
@@ -78,6 +73,8 @@ class ImportFilter(Frozen):
             raise DomainError("offset must be >= 0")
         if self.sampling_mode not in MODES:
             raise DomainError(f"unknown sampling mode {self.sampling_mode!r}")
+        if self.sampling_mode == "CLUSTER" and self.py_range is None:
+            raise DomainError("cluster sampling requires a citing-year range")
 
 
 class ParseStats(Struct):
@@ -346,12 +343,14 @@ def build_sampler(filt: ImportFilter, total: Optional[int] = None) -> Sampler:
     SYSTEMATIC needs ``total``, the count of CRs that pass the year
     filters (``analyze_file(...).n_cr``); a total of 0 raises
     EmptySampleError, for ``import_file``'s own count and for the script
-    engine's cached one alike. CLUSTER, the last mode the filter admits,
-    needs a py_range to draw the citing year from.
+    engine's cached one alike. NONE with a ``max_cr`` of n keeps the first
+    n passing CRs: a systematic sample of n out of n, step 1 and offset 0.
+    A CLUSTER filter gets the NONE sampler of no limit; ``import_file``
+    narrows its py_range to the drawn year first.
     """
     mode = filt.sampling_mode
-    if mode == "NONE":
-        return NoneSampler(limit=filt.max_cr)
+    if mode == "NONE" and filt.max_cr:
+        return SystematicSampler(n=filt.max_cr, total=filt.max_cr)
     if mode == "RANDOM":
         return RandomSampler(n=filt.max_cr, seed=filt.seed)
     if mode == "SYSTEMATIC":
@@ -360,9 +359,7 @@ def build_sampler(filt: ImportFilter, total: Optional[int] = None) -> Sampler:
         if total == 0:
             raise EmptySampleError("SYSTEMATIC sample is empty: no CRs pass the filters")
         return SystematicSampler(n=filt.max_cr, total=total, offset=filt.offset)
-    if filt.py_range is None:
-        raise DomainError("cluster sampling requires a citing-year range")
-    return ClusterSampler(filt.py_range[0], filt.py_range[1], seed=filt.seed)
+    return NoneSampler()
 
 
 def import_file(
@@ -385,7 +382,17 @@ def import_file(
     more (a full sampler ignores the rest of that record); ``stats`` (or
     a new ParseStats) counts what was read up to there. Raises
     EmptySampleError when the population or the selection is empty.
+
+    A CLUSTER import is a NONE import of one citing year: it draws the
+    year with ``random.Random(seed).randint`` over ``py_range`` (CPython
+    does not promise to keep ``randint``'s mapping of the MT19937 output,
+    unlike the reservoir's ``getrandbits``) and narrows ``py_range`` to
+    that year, unknown years excluded. So ``n_citing`` counts the drawn
+    year's records and the provenance names the year.
     """
+    if filt.sampling_mode == "CLUSTER":
+        year = random.Random(filt.seed).randint(filt.py_range[0], filt.py_range[1])
+        filt = filt.replace(py_range=(year, year, False))
     if sampler is None:
         total = analyze_file(path, filt).n_cr if filt.sampling_mode == "SYSTEMATIC" else None
         sampler = build_sampler(filt, total=total)
@@ -402,10 +409,10 @@ def import_file(
 
     selected = sampler.result()
     if not selected.counts:
-        raise EmptySampleError(f"{sampler.mode} sampling selected no CRs from {path}")
+        raise EmptySampleError(f"{filt.sampling_mode} sampling selected no CRs from {path}")
     note = (
         f"import file={path} rpy={_format_range(filt.rpy_range)}"
-        f" py={_format_range(filt.py_range)} sampling={sampler.mode}"
+        f" py={_format_range(filt.py_range)} sampling={filt.sampling_mode}"
         f" maxCR={filt.max_cr} offset={filt.offset} seed={filt.seed}"
     )
     return aggregate(selected, n_citing=stats.n_citing, provenance=note)

@@ -245,6 +245,37 @@ def test_criterion_8_script_goldens(corpus, tmp_path):
             assert blob == expected
 
 
+def test_cluster_sample_of_listing3_is_its_golden_year(corpus, tmp_path, monkeypatch):
+    # Listing 3 imports the pinned citing year 2011. A CLUSTER sample over
+    # [2011, 2014] whose seed draws 2011 is that import: the same rows and
+    # #SUMMARY, counting only 2011's citing records; its provenance names
+    # the drawn year.
+    assert random.Random(2).randint(2011, 2014) == 2011
+    script = (GOLDEN_DIR / "listing3.crs").read_text(encoding="utf-8")
+    pinned = "PY:\n[2011, 2011, false])"
+    assert pinned in script
+    monkeypatch.chdir(tmp_path)
+    corpus.write(tmp_path / "corpus.txt")
+    (tmp_path / "cluster3.crs").write_text(
+        script.replace(pinned, 'PY: [2011, 2014, false], sampling: "CLUSTER", seed: 2)'),
+        encoding="utf-8",
+    )
+    assert cli_main(["run", "cluster3.crs", "--seed", "0"]) == 0
+    expected = GOLDEN_DIR / "expected" / "listing3"
+    produced = (tmp_path / "out3.cre").read_bytes().split(b"\n")
+    golden = (expected / "out3.cre").read_bytes().split(b"\n")
+    assert produced[1] == golden[1].replace(b"sampling=NONE", b"sampling=CLUSTER").replace(
+        b"seed=0", b"seed=2"
+    )
+
+    def body(lines):  # the checksum covers the provenance
+        return [line for line in lines if not line.startswith((b"#PROVENANCE", b"#CHECKSUM"))]
+
+    assert body(produced) == body(golden)
+    for name in ("out3_CR.csv", "out3_GRAPH.csv"):
+        assert (tmp_path / name).read_bytes() == (expected / name).read_bytes()
+
+
 def test_criterion_9_round_trip_and_union(tmp_path):
     with criterion(9, "CRE round-trip, union order-independence, checksum", 30):
         for seed in range(100):

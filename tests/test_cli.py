@@ -4,6 +4,7 @@ import hashlib
 import io
 import os
 import re
+import runpy
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -341,6 +342,16 @@ class TestAnalyze:
     def test_bad_range_syntax(self, workdir, capsys):
         with pytest.raises(SystemExit):
             main(["analyze", "corpus.txt", "--py", "1990"])
+
+    # runpy warns that the test module has already imported rpyspect.cli.
+    @pytest.mark.filterwarnings("ignore:'rpyspect.cli' found in sys.modules:RuntimeWarning")
+    def test_module_runs_as_a_script(self, workdir, corpus, capsys, monkeypatch):
+        # python -m rpyspect.cli: main's return value is the exit status.
+        monkeypatch.setattr(sys, "argv", ["rpyspect", "analyze", "."])
+        with pytest.raises(SystemExit) as exited:
+            runpy.run_module("rpyspect.cli", run_name="__main__")
+        assert exited.value.code == 1
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 class TestSample:

@@ -397,6 +397,17 @@ class TestFileMode:
         assert os.listdir(tmp_path) == ["out"]  # the temporary file is gone
 
 
+def test_a_failed_rename_propagates_and_removes_the_temporary_file(tmp_path, monkeypatch):
+    # An error that is not an OSError is raised as it is, not renamed to the path.
+    def interrupted(src, dst):
+        raise RuntimeError("interrupted")
+
+    monkeypatch.setattr(os, "replace", interrupted)
+    with pytest.raises(RuntimeError, match="^interrupted$"):
+        save_cre(aggregate([("W, 2000, J", 2005)]), tmp_path / "out.cre")
+    assert os.listdir(tmp_path) == []
+
+
 class TestUnionCre:
     def save_datasets(self, tmp_path, datasets):
         paths = []

@@ -5,11 +5,11 @@ The reference reads the whole file line by line into records, keeps an
 explicit last tag, and selects by explicit formulas: the first maxCR
 occurrences, positions ``offset + k·step``, textbook algorithm R over
 ``random.Random(seed).randrange(i + 1)``, or every occurrence of one
-citing year drawn with ``random.Random(seed).randint(lo, hi)``. It has no
-streaming and no early stop. The import reports only what it read before
-it stopped (``n_citing``, ``malformed_records``), so the reference finds
-the record that holds the selection's last position when the sample is
-full.
+citing year drawn with ``random.Random(seed).randint(lo, hi)``, whose
+``n_citing`` counts the records of that year. It has no streaming and no
+early stop. The import reports only what it read before it stopped
+(``n_citing``, ``malformed_records``), so the reference finds the record
+that holds the selection's last position when the sample is full.
 """
 
 from __future__ import annotations
@@ -105,6 +105,10 @@ def passes(year: Optional[int], rng) -> bool:
     return unknown if year is None else lo <= year <= hi
 
 
+def drawn_year(filt: ImportFilter) -> int:
+    return random.Random(filt.seed).randint(filt.py_range[0], filt.py_range[1])
+
+
 def reference_select(filt: ImportFilter, pys: list[Optional[int]]) -> tuple[list[int], Optional[int]]:
     """The stream positions a sample holds, in its own order, and the
     position at which it is full (None if it never is), for a stream of
@@ -139,9 +143,7 @@ def reference_select(filt: ImportFilter, pys: list[Optional[int]]) -> tuple[list
         picks = [p for p in (filt.offset + k * step for k in range(n)) if p < total]
         return picks, picks[-1] if len(picks) == n else None
     assert mode == "CLUSTER"
-    if filt.py_range is None:
-        raise DomainError("cluster sampling requires a citing-year range")
-    year = random.Random(filt.seed).randint(filt.py_range[0], filt.py_range[1])
+    year = drawn_year(filt)
     return [i for i, py in enumerate(pys) if py == year], None
 
 
@@ -166,31 +168,44 @@ def reference_import(data: bytes, filt: ImportFilter) -> dict:
         years.setdefault(key, set())
         if py is not None:
             years[key].add(py)
+    if filt.sampling_mode == "CLUSTER":
+        n_citing = sum(rec.py == drawn_year(filt) for rec in read)
+    else:
+        n_citing = sum(passes(rec.py, filt.py_range) for rec in read)
     return {
         "variants": [(key, rpys[key], ncr[key], len(years[key])) for key in ncr],
-        "n_citing": sum(passes(rec.py, filt.py_range) for rec in read),
+        "n_citing": n_citing,
         "n_cr_total": len(picks),
         "malformed_records": sum(rec.malformed for rec in read)
         + (tail_malformed if full_at is None else 0),
     }
 
 
-def year_filters(years):
-    return st.none() | st.builds(
+def year_ranges(years):
+    return st.builds(
         lambda a, b, unknown: (min(a, b), max(a, b), unknown), years, years, st.booleans()
     )
 
 
+def year_filters(years):
+    return st.none() | year_ranges(years)
+
+
 # wos_files writes the citing years 1990, 2011 and 2013 and the reference
 # year 1990 (in ASCII or Arabic-Indic digits).
-IMPORT_FILTERS = st.builds(
-    ImportFilter,
-    rpy_range=year_filters(st.sampled_from([1000, 1989, 1990, 1991, 3000])),
-    py_range=year_filters(st.sampled_from([1990, 2011, 2012, 2013])),
-    max_cr=st.integers(0, 6),
-    sampling_mode=st.sampled_from(MODES),
-    offset=st.integers(0, 3),
-    seed=st.integers(0, 2**64),
+PY_YEARS = st.sampled_from([1990, 2011, 2012, 2013])
+
+# Only valid filters: a CLUSTER filter always has a PY range to draw from.
+IMPORT_FILTERS = st.sampled_from(MODES).flatmap(
+    lambda mode: st.builds(
+        ImportFilter,
+        rpy_range=year_filters(st.sampled_from([1000, 1989, 1990, 1991, 3000])),
+        py_range=year_ranges(PY_YEARS) if mode == "CLUSTER" else year_filters(PY_YEARS),
+        max_cr=st.integers(0, 6),
+        sampling_mode=st.just(mode),
+        offset=st.integers(0, 3),
+        seed=st.integers(0, 2**64),
+    )
 )
 
 

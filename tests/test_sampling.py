@@ -8,17 +8,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from rpyspect.errors import DomainError, OffsetTooLargeError
+from rpyspect.errors import DomainError, EmptySampleError, OffsetTooLargeError
 from rpyspect.model import YEAR_BITS
-from rpyspect.sampling import (
-    ClusterSampler,
-    NoneSampler,
-    RandomSampler,
-    SystematicSampler,
-    removal_threshold,
-)
+from rpyspect.sampling import NoneSampler, RandomSampler, SystematicSampler, removal_threshold
+from rpyspect.wos import ImportFilter, MemoryProbe, ParseStats, import_file
 
 from conftest import folded, rows, select
+from corpus import Corpus
 
 
 def occ(i: int, py: int = 2000) -> tuple[str, int]:
@@ -36,17 +32,27 @@ class TestHeldEntries:
         for sampler, expected in (
             (NoneSampler(), occs),
             (SystematicSampler(n=6, total=12, offset=1), occs[1::2]),
-            (ClusterSampler(2001, 2001), occs[1::2]),
         ):
             kept = select(sampler, occs)
             assert kept == folded(expected)
             assert sampler.held() == len(kept) == 3
             assert sampler.retained() == len(expected)
 
-    def test_none_limit_counts_occurrences(self):
-        sampler = NoneSampler(limit=5)
-        assert select(sampler, [occ(0)] * 9) == folded([occ(0)] * 5)
-        assert (sampler.retained(), sampler.held(), sampler.wants_more()) == (5, 1, False)
+    def test_none_limit_counts_occurrences(self, tmp_path):
+        # NONE with maxCR 5 keeps the first 5 CRs that pass the RPY filter
+        # (the 1850 ones fail it): the 5th is the second A of record 2, so
+        # the rest of that record is ignored and record 3 is never read.
+        a, b, c = "A X, 1990, J", "B Y, 1850, K", "C Z, 1990, L"
+        records = [(2000, [a, b, a]), (2001, [c, a, a, b, c]), (2002, [a, c])]
+        path = tmp_path / "limit.txt"
+        Corpus(records=[(py, "Article", crs) for py, crs in records], works=[]).write(path)
+        probe, stats = MemoryProbe(), ParseStats()
+        filt = ImportFilter(rpy_range=(1900, 2000, False), max_cr=5)
+        ds = import_file(path, filt, probe=probe, stats=stats)
+        assert {k: v.ncr for k, v in ds.variants.items()} == {a: 4, c: 1}
+        assert (ds.n_citing, ds.n_cr_total, stats.n_cr) == (2, 5, 6)
+        # Two distinct lines held plus record 2's five pairs.
+        assert (probe.records_seen, probe.peak) == (2, 2 + 5)
 
     def test_reservoir_holds_its_slots(self):
         sampler = RandomSampler(4, seed=3)
@@ -167,35 +173,56 @@ class TestSystematicSample:
 
 
 class TestClusterSample:
-    def occurrences(self, years=((2011, 4), (2012, 1), (2013, 2), (2014, 3))):
-        return [(f"WORK {py} {i}, 1990, J", py) for py, n in years for i in range(n)]
+    """A CLUSTER sample is the NONE import of one citing year, drawn with
+    ``random.Random(seed).randint`` from the PY range."""
 
-    def test_fixed_year_selects_that_year(self):
-        occs = self.occurrences()
-        picked = select(ClusterSampler(2011, 2011, seed=5), occs)
-        assert picked == folded([o for o in occs if o[1] == 2011])
-        assert len(picked) == 4
+    SIZES = {2011: 4, 2012: 1, 2013: 2, 2014: 3}  # records per citing year
 
-    def test_seeded_choice_is_one_per_year_set(self):
-        sizes = {2011: 4, 2012: 1, 2013: 2, 2014: 3}
-        picked = select(ClusterSampler(2011, 2014, seed=8), self.occurrences())
-        (mask,) = {mask for _, _, mask in picked}
-        (year,) = [y for y in sizes if YEAR_BITS[y] == mask]
-        assert picked == folded([o for o in self.occurrences() if o[1] == year])
-        assert len(picked) == sizes[year]
+    def write(self, path, sizes=SIZES):
+        # Two distinct CRs per record, so n_citing and the CR count differ.
+        records = [
+            (py, "Article", [f"WORK {py} {i} {j}, 1990, J" for j in (0, 1)])
+            for py, n in sizes.items()
+            for i in range(n)
+        ]
+        Corpus(records=records, works=[]).write(path)
+        return path
 
-    def test_deterministic_given_seed(self):
-        a = select(ClusterSampler(2011, 2014, seed=8), self.occurrences())
-        b = select(ClusterSampler(2011, 2014, seed=8), self.occurrences())
-        assert a == b
+    @staticmethod
+    def cluster(path, lo, hi, seed):
+        filt = ImportFilter(py_range=(lo, hi, False), sampling_mode="CLUSTER", seed=seed)
+        return import_file(path, filt)
 
-    def test_empty_year_reports_the_choice(self):
-        # 2012 has no records; [2012, 2012] forces its choice. import_file
-        # turns the empty selection into an EmptySampleError (test_wos).
-        gappy = self.occurrences(years=((2011, 4), (2013, 2)))
-        sampler = ClusterSampler(2012, 2012, seed=1)
-        assert sampler.chosen_year == 2012
-        assert select(sampler, gappy) == []
+    def test_fixed_year_selects_that_year(self, tmp_path):
+        ds = self.cluster(self.write(tmp_path / "c.txt"), 2011, 2011, seed=5)
+        keys = [f"WORK 2011 {i} {j}, 1990, J" for i in range(4) for j in (0, 1)]
+        assert sorted(ds.variants) == keys
+        assert (ds.n_citing, ds.n_cr_total) == (4, 8)
+        assert "py=[2011,2011,false] sampling=CLUSTER" in ds.provenance
+
+    def test_seeded_choice_is_one_per_year_set(self, tmp_path):
+        year = random.Random(8).randint(2011, 2014)
+        ds = self.cluster(self.write(tmp_path / "c.txt"), 2011, 2014, seed=8)
+        assert {v.py_years for v in ds.variants.values()} == {YEAR_BITS[year]}
+        # The sample's records are the drawn year's only.
+        assert (ds.n_citing, ds.n_cr_total) == (self.SIZES[year], 2 * self.SIZES[year])
+        assert f"py=[{year},{year},false]" in ds.provenance
+
+    def test_deterministic_given_seed(self, tmp_path):
+        path = self.write(tmp_path / "c.txt")
+        record_counts = set()  # one per year drawn: the years' sizes differ
+        for seed in range(8):
+            a, b = self.cluster(path, 2011, 2014, seed), self.cluster(path, 2011, 2014, seed)
+            assert a == b
+            record_counts.add(a.n_citing)
+        assert len(record_counts) > 1
+
+    def test_empty_year_reports_the_choice(self, tmp_path):
+        # 2012 has no records; [2012, 2012] forces that choice, and the
+        # import does not fall back to another year.
+        path = self.write(tmp_path / "gappy.txt", sizes={2011: 4, 2013: 2})
+        with pytest.raises(EmptySampleError, match="^CLUSTER sampling selected no CRs"):
+            self.cluster(path, 2012, 2012, seed=1)
 
 
 class TestRemovalThreshold:

@@ -483,8 +483,12 @@ class TestExecute:
             ),
             (IMPORT + ", PY: [2014, 1980, false])", "year range lo > hi: (2014, 1980, False)", 2, 1),
             (IMPORT + ', sampling: "RANDOMM", maxCR: 5)', "unknown sampling mode 'RANDOMM'", 2, 1),
+            (IMPORT + ', sampling: "CLUSTER")', "cluster sampling requires a citing-year range", 2, 1),
         ],
-        ids=["count-0", "no-dataset", "removeCR-range", "format", "offset", "PY-range", "mode"],
+        ids=[
+            "count-0", "no-dataset", "removeCR-range", "format", "offset", "PY-range", "mode",
+            "cluster-without-PY",
+        ],
     )
     def test_run_errors_carry_message_and_location(
         self, corpus_file, tmp_path, monkeypatch, src, message, line, col

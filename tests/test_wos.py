@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import io
+import random
 import re
 from typing import BinaryIO, Iterator, Optional
 from unittest import mock
@@ -545,7 +546,6 @@ class TestSelectMatchesImport:
         ImportFilter(max_cr=3),
         ImportFilter(max_cr=2, sampling_mode="RANDOM", seed=1),
         ImportFilter(py_range=(1990, 2011, False), max_cr=2, sampling_mode="SYSTEMATIC", offset=1),
-        ImportFilter(py_range=(2011, 2013, True), sampling_mode="CLUSTER", seed=2),
     ]
 
     @staticmethod
@@ -576,6 +576,34 @@ class TestSelectMatchesImport:
             return {k: (v.ncr, v.n_py_years, v.py_years) for k, v in ds.variants.items()}
 
         assert fields(aggregate(sampler.result())) == fields(import_file(path, filt))
+
+
+class TestClusterImport:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        data=wos_files,
+        years=st.lists(st.sampled_from([1990, 2011, 2012, 2013]), min_size=2, max_size=2),
+        unknown=st.booleans(),
+        seed=st.integers(0, 2**64),
+    )
+    def test_cluster_import_is_the_drawn_years_none_import(
+        self, tmp_path_factory, data, years, unknown, seed
+    ):
+        path = tmp_path_factory.getbasetemp() / "cluster.txt"
+        path.write_bytes(data)
+        lo, hi = sorted(years)
+        year = random.Random(seed).randint(lo, hi)
+
+        def imported(filt):
+            try:
+                ds = import_file(path, filt)
+            except EmptySampleError:
+                return None
+            variants = [(v.key, v.rpy, v.ncr, v.n_py_years) for v in ds.variants.values()]
+            return variants, ds.n_cr_total, ds.n_citing
+
+        cluster = ImportFilter(py_range=(lo, hi, unknown), sampling_mode="CLUSTER", seed=seed)
+        assert imported(cluster) == imported(ImportFilter(py_range=(year, year, False)))
 
 
 class TestStreamingContract:
