@@ -4,13 +4,13 @@ Statements run in order, mutating one Environment. Loop iterations each
 start from a fresh dataset and a private copy of the settings (the run's
 population counts stay shared). forEach writes each iteration's result
 as a CRE file into its ``dir``, or into a temporary directory that it
-keeps. forEachUnion folds each iteration's dataset into a running union
-(``formats.UnionFold.add``, as ``union_cre`` folds each file it loads)
-as it finishes, and that union, the dataset ``union_cre`` would read
-back from the files, becomes the environment's dataset; it writes the
-files only into a given ``dir`` and never reads them back. Re-clustering
-after a union stays an explicit step, never an implicit one. Every
-module error is re-raised with the failing statement's source location.
+keeps. forEachUnion folds each finished iteration's dataset into a
+running union of counts per key (``formats.UnionFold``, as ``union_cre``
+folds each file it loads), and that union, the dataset ``union_cre``
+would read back from the files, becomes the environment's dataset; it
+writes the files only into a given ``dir`` and never reads them back.
+Re-clustering after a union stays an explicit step. Every module error
+is re-raised with the failing statement's source location.
 """
 
 from __future__ import annotations
@@ -244,6 +244,7 @@ def _run_loop(loop: Loop, env: Environment, bindings: dict) -> None:
             formats.save_cre(child.dataset, os.path.join(loop_dir, name), settings=child.settings)
         if union is not None:
             union.add(child.dataset, name)
+    del child  # the last cycle's dataset need not outlive its fold
     if union is not None:
         env.dataset = union.dataset()
     else:

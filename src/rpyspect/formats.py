@@ -358,20 +358,19 @@ def export_csv_graph(spectrogram: Spectrogram, path) -> None:
 class UnionFold:
     """The running union of CRE datasets, one at a time: NCR summed per
     key, citing-year counts max-combined, summaries summed, cluster ids
-    and citing-year masks dropped, keys in first-seen order.
+    and citing-year masks dropped. It holds two counts per key, no reference.
 
-    ``add`` folds in one dataset's variants in canonical order, the
-    order of the rows ``save_cre`` writes, and keeps the first reference
-    seen for each key. ``union_cre`` adds each file as ``load_cre``
-    loads it; a ``forEachUnion`` loop adds each iteration's dataset
-    under the name of the file it writes, or would write, for it, and so
-    gets the dataset ``union_cre`` would read back from those files.
+    ``add`` folds in a dataset's variants in any order; ``dataset`` parses
+    each key once and lists the keys in canonical order, as ``save_cre``
+    writes its rows. ``union_cre`` adds each file as ``load_cre`` loads
+    it; a ``forEachUnion`` loop adds each iteration's dataset under the
+    name of the file it writes, or would write, for it, and so gets the
+    dataset ``union_cre`` would read back from those files.
     """
 
-    __slots__ = ("_refs", "_ncr", "_n_py_years", "_n_citing", "_n_cr_total", "_names")
+    __slots__ = ("_ncr", "_n_py_years", "_n_citing", "_n_cr_total", "_names")
 
     def __init__(self):
-        self._refs: dict[str, CitedReference] = {}
         self._ncr: dict[str, int] = {}
         self._n_py_years: dict[str, int] = {}
         self._n_citing = 0
@@ -383,27 +382,26 @@ class UnionFold:
         self._names.append(os.path.basename(os.fspath(path)))
         self._n_citing += dataset.n_citing
         self._n_cr_total += dataset.n_cr_total
-        refs, ncr_of, years_of = self._refs, self._ncr, self._n_py_years
-        for v in dataset.sorted_variants():
-            key = v.key
+        ncr_of, years_of = self._ncr, self._n_py_years
+        for key, v in dataset.variants.items():
             if key in ncr_of:
                 ncr_of[key] += v.ncr
                 if v.n_py_years > years_of[key]:
                     years_of[key] = v.n_py_years
             else:
-                refs[key] = v.reference
                 ncr_of[key] = v.ncr
                 years_of[key] = v.n_py_years
 
     def dataset(self) -> Dataset:
         """The union of the datasets folded in so far."""
         years_of = self._n_py_years
-        merged = {
-            key: CRVariant(key=key, reference=ref, ncr=self._ncr[key], n_py_years=years_of[key])
-            for key, ref in self._refs.items()
-        }
+        merged = [
+            CRVariant(key, parse_key(key), ncr, n_py_years=years_of[key])
+            for key, ncr in self._ncr.items()
+        ]
+        merged.sort(key=canonical_order)
         return Dataset(
-            variants=merged,
+            variants={v.key: v for v in merged},
             n_citing=self._n_citing,
             n_cr_total=self._n_cr_total,
             provenance=f"union of {len(self._names)} files: {', '.join(sorted(self._names))}",
@@ -412,11 +410,11 @@ class UnionFold:
 
 def union_cre(paths: Sequence) -> Dataset:
     """Merge CRE files by the rule of ``UnionFold``. Order-independent:
-    any permutation of paths yields the identical Dataset.
+    any permutation of paths yields the identical Dataset and key order.
 
     Each file is loaded by ``load_cre``, with its checks and errors, and
-    folded in before the next is read, so the call holds the union and
-    one loaded file.
+    folded in before the next is read, so the call holds the union's
+    counts and one loaded file.
     """
     if not paths:
         raise DomainError("union_cre needs at least one file")

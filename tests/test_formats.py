@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import csv
+import gc
 import io
 import os
 import random
@@ -25,9 +26,19 @@ from rpyspect.formats import (
     export_csv_graph,
     load_cre,
     save_cre,
+    UnionFold,
     union_cre,
 )
-from rpyspect.model import CRVariant, Dataset, Spectrogram, SpectroRow, aggregate
+from rpyspect.model import (
+    CitedReference,
+    CRVariant,
+    Dataset,
+    Spectrogram,
+    SpectroRow,
+    aggregate,
+    canonical_order,
+    parse_key,
+)
 from rpyspect.spectroscopy import compute_spectrogram, n_pct
 from rpyspect.wos import ImportFilter, analyze_file, import_file
 
@@ -344,8 +355,8 @@ POOLED_EXAMPLE = aggregate(
 
 def reference_union(paths) -> Dataset:
     """The union as a fold of load_cre over the files: ncr summed,
-    n_py_years max-combined, cluster ids cleared, each key's first
-    reference kept."""
+    n_py_years max-combined, cluster ids cleared, each reference derived
+    from its key, the keys in canonical order."""
     merged: dict[str, CRVariant] = {}
     n_citing = n_cr_total = 0
     for path in paths:
@@ -356,13 +367,13 @@ def reference_union(paths) -> Dataset:
             prev = merged.get(key)
             merged[key] = CRVariant(
                 key=key,
-                reference=v.reference if prev is None else prev.reference,
+                reference=parse_key(key),
                 ncr=v.ncr if prev is None else prev.ncr + v.ncr,
                 n_py_years=v.n_py_years if prev is None else max(prev.n_py_years, v.n_py_years),
             )
     names = ", ".join(sorted(os.path.basename(os.fspath(p)) for p in paths))
     return Dataset(
-        variants=merged,
+        variants={v.key: v for v in sorted(merged.values(), key=canonical_order)},
         n_citing=n_citing,
         n_cr_total=n_cr_total,
         provenance=f"union of {len(paths)} files: {names}",
@@ -448,6 +459,25 @@ class TestUnionCre:
         a = union_cre(paths)
         b = union_cre(list(reversed(paths)))
         assert a == b
+        assert list(a.variants) == list(b.variants)
+
+    def test_fold_keeps_no_reference(self):
+        """The fold holds counts per key: once the datasets it folded are
+        gone, no CitedReference stays alive until it builds the union."""
+
+        def live_refs():
+            gc.collect()
+            return sum(type(o) is CitedReference for o in gc.get_objects())
+
+        baseline = live_refs()
+        datasets = [random_dataset(s) for s in (6, 7, 8)]
+        keys = set().union(*(ds.variants for ds in datasets))
+        union = UnionFold()
+        for i, ds in enumerate(datasets):
+            union.add(ds, f"u{i}.cre")
+        del datasets, ds
+        assert live_refs() - baseline == 0
+        assert set(union.dataset().variants) == keys
 
     def test_additivity(self, tmp_path):
         datasets = [random_dataset(s) for s in (9, 10, 11)]
@@ -464,7 +494,7 @@ class TestUnionCre:
     @example(datasets=[POOLED_EXAMPLE, POOLED_EXAMPLE], twice=True)
     def test_matches_a_fold_of_loaded_files(self, tmp_path_factory, datasets, twice):
         """union_cre equals folding load_cre over the files, with the keys
-        in first-seen order; ``twice`` lists the first path again."""
+        in canonical order; ``twice`` lists the first path again."""
         paths = self.save_datasets(tmp_path_factory.mktemp("union"), datasets)
         if twice:
             paths.append(paths[0])
