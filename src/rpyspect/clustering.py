@@ -288,9 +288,10 @@ def merge_clusters(dataset: Dataset) -> Dataset:
     = highest-NCR member (ties: lexicographically smallest key), citing
     years pooled when tracked (the OR of the members' masks, else the
     members' max count). Variants without a cluster id pass through as
-    singletons."""
+    singletons. Each step is order-free, so the input is grouped as it
+    stands and the output is not in canonical order."""
     groups: dict[object, list[CRVariant]] = {}
-    for v in dataset.sorted_variants():
+    for v in dataset.variants.values():
         gid = v.cluster_id if v.cluster_id is not None else ("solo", v.key)
         groups.setdefault(gid, []).append(v)
 

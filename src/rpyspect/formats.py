@@ -2,7 +2,10 @@
 CSV_GRAPH spectrogram table, and the CRE union used for sample merging.
 
 ``load_cre`` is the one CRE reader; ``union_cre`` and a ``forEachUnion``
-loop fold datasets through the one union rule, ``UnionFold``.
+loop fold datasets through the one union rule, ``UnionFold``. ``_row`` is
+the one table-row renderer: ``cre_bytes`` writes its rows, and
+``load_cre`` accepts a row only if it is ``_row`` of the variant read
+from it.
 
 CRE v1 is a line-oriented, tab-separated UTF-8 format with a trailing
 body checksum; see docs/cre-format.md for byte-level examples. Output is
@@ -23,7 +26,6 @@ from typing import Mapping, Optional, Sequence
 from . import model, spectroscopy
 from .errors import ChecksumError, CreFormatError, DomainError, EmptyDatasetError, FormatVersionError
 from .model import (
-    CitedReference,
     CRVariant,
     Dataset,
     Spectrogram,
@@ -83,19 +85,13 @@ def _opt(value) -> str:
     return "" if value is None else str(value)
 
 
-# The table columns that render a reference's fields, and that rendering.
-_FIELD_COLUMNS = _TABLE_COLUMNS[1:7]
-
-
-def _fields(ref: CitedReference) -> list[str]:
-    return [
-        ref.author,
-        _opt(ref.rpy),
-        ref.source,
-        _opt(ref.volume),
-        _opt(ref.page),
-        _opt(ref.doi),
-    ]
+def _row(v: CRVariant) -> str:
+    """The table row ``cre_bytes`` writes for ``v``: its key, its
+    reference's fields and its counts. The only place in this module that
+    reads a variant's parsed fields."""
+    r = v.reference
+    cols = (v.key, r.author, _opt(r.rpy), r.source, _opt(r.volume), _opt(r.page), _opt(r.doi))
+    return "\t".join((*cols, str(v.ncr), _opt(v.cluster_id), str(v.n_py_years)))
 
 
 # O_EXCL: never open a file some other writer made under the same name.
@@ -134,19 +130,8 @@ def cre_bytes(dataset: Dataset, settings: Optional[Mapping[str, int]] = None) ->
     lines.append(f"#SETTINGS\t{_fmt_settings(settings)}")
     variants = dataset.sorted_variants()
     lines.append(f"#SUMMARY\t{dataset.n_citing}\t{dataset.n_cr_total}\t{len(variants)}")
-    lines.append("#TABLE\t" + "\t".join(_TABLE_COLUMNS))
-    for v in variants:
-        lines.append(
-            "\t".join(
-                (
-                    v.key,
-                    *_fields(v.reference),
-                    str(v.ncr),
-                    _opt(v.cluster_id),
-                    str(v.n_py_years),
-                )
-            )
-        )
+    lines.append(f"#TABLE\t{_TABLE_LINE}")
+    lines.extend(map(_row, variants))
     body = "\n".join(lines) + "\n"
     digest = hashlib.sha256(body.encode("utf-8")).hexdigest()
     return (body + f"#CHECKSUM\t{digest}\n#END\n").encode("utf-8")
@@ -158,19 +143,20 @@ def save_cre(dataset: Dataset, path, settings: Optional[Mapping[str, int]] = Non
 
 def load_cre(path) -> Dataset:
     """Load a CRE v1 file, verifying version, checksum, header lines, row
-    count, fields and row order.
+    count, rows and row order.
 
-    Each reference is derived from its row's key (``parse_key``), and the
-    stored fields must be that reference's rendering; the per-variant
-    citing-year sets come back as bare counts. A header line that
-    ``cre_bytes`` would not write (no tab after its tag, a tab or CR in
-    the provenance, settings that are not sorted name=integer pairs,
-    other table columns), a bad row (not 10 columns, or a key an earlier
-    row holds), a bad field (an integer not spelled as ``cre_bytes``
-    writes it, counts that ``CRVariant`` refuses, an empty or
-    unnormalized key, a reference field that differs from its key's, an
-    n_cr_total below the table's sum of ncr) or a row out of canonical
-    order raises CreFormatError naming the file and the 1-based line.
+    Each row's variant is built from its key and counts, with the key's
+    parse (``parse_key``) as its reference, and the row must be ``_row``
+    of that variant; citing-year sets come back as bare counts. A
+    header line that ``cre_bytes`` would not write (no tab after its tag,
+    a tab or CR in the provenance, settings that are not sorted
+    name=integer pairs, other table columns), a bad row (not 10 columns,
+    or a key an earlier row holds), a bad field (an empty or unnormalized
+    key, an integer not spelled as ``cre_bytes`` writes it, counts that
+    ``CRVariant`` refuses, then the first field column that differs from
+    its key's), a row out of canonical order or an n_cr_total below the
+    table's sum of ncr raises CreFormatError naming the file and the
+    1-based line.
     """
     provenance, n_citing, n_cr_total, rows = _read_header(path)
     variants: dict[str, CRVariant] = {}
@@ -190,23 +176,23 @@ def load_cre(path) -> Dataset:
         # (bench/tracer.py counts its calls) reaches this call too.
         if model.normalize_key(key) != key:
             raise CreFormatError(f"{where}: key {key!r} is not normalized")
-        # The fields are the key's, so rpy is canonical and in range too.
-        ref = parse_key(key)
-        fields = _fields(ref)
-        stored = cols[1:7]
-        if stored != fields:
-            for name, got, derived in zip(_FIELD_COLUMNS, stored, fields):
-                if got != derived:
-                    raise CreFormatError(
-                        f"{where}: {name} {got!r} differs from {derived!r}, its key's"
-                    )
         ncr = _int(cols[7], "ncr", where)
         cluster_id = _int(cols[8], "cluster_id", where) if cols[8] else None
         n_py = _int(cols[9], "n_py_years", where)
         try:
-            variant = CRVariant(key, ref, ncr, cluster_id, n_py)
+            variant = CRVariant(key, parse_key(key), ncr, cluster_id, n_py)
         except ValueError as exc:
             raise CreFormatError(f"{where}: {exc}") from None
+        # The key and the counts are as written, so a row that differs
+        # differs in a field column; the fields are the key's, so rpy is
+        # canonical and in range too.
+        written = _row(variant)
+        if row != written:
+            for name, got, derived in zip(_TABLE_COLUMNS, cols, written.split("\t")):
+                if got != derived:
+                    raise CreFormatError(
+                        f"{where}: {name} {got!r} differs from {derived!r}, its key's"
+                    )
         order = canonical_order(variant)
         if previous is not None and order < previous:
             raise CreFormatError(f"{where}: row is out of (rpy, key) order")
@@ -272,7 +258,8 @@ def _read_header(path) -> tuple[str, int, int, list[str]]:
     rows = lines[5:-2]
     if len(rows) != n_variants:
         raise CreFormatError(
-            f"{path}: summary declares {n_variants} variants, table has {len(rows)}"
+            f"{path}: line 4: summary declares {n_variants} variants,"
+            f" table has {len(rows)}"
         )
     return provenance, n_citing, n_cr_total, rows
 

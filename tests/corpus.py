@@ -10,7 +10,7 @@ the clustering tests.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 _SURNAMES = (
@@ -71,10 +71,13 @@ def misspell(work: Work, rng: random.Random) -> str:
 
 @dataclass
 class Corpus:
-    """Generated records plus the truth needed by oracles."""
+    """Generated records plus the truth needed by oracles: ``forms[i]``
+    lists the lines that cite ``works[i]``, its canonical line first and
+    then its planted misspellings."""
 
     records: list[tuple[Optional[int], str, list[str]]]
     works: list[Work]
+    forms: list[list[str]] = field(default_factory=list)
 
     @property
     def n_records(self) -> int:
@@ -183,4 +186,4 @@ def make_corpus(
             else:
                 crs.append(own[0])
         records.append((py, doc_type, crs))
-    return Corpus(records=records, works=works)
+    return Corpus(records=records, works=works, forms=forms)

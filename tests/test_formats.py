@@ -2,10 +2,12 @@ from __future__ import annotations
 
 import csv
 import gc
+import hashlib
 import io
 import os
 import random
 import stat
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -154,6 +156,99 @@ class TestCreRoundTrip:
     def test_missing_file(self, tmp_path):
         with pytest.raises(OSError):
             load_cre(tmp_path / "absent.cre")
+
+
+GOLDEN_CRE = sorted((Path(__file__).parent / "golden" / "expected").glob("*/*.cre"))
+
+CONTRACT_SETTINGS = {"median_range": 2, "n_pct_range": 0}
+# A small valid file: rows with a volume, a page, a DOI and a cluster id,
+# and an undated row last.
+CONTRACT_VARIANTS = [
+    CRVariant(key, parse_key(key), ncr, cluster_id, n_py_years)
+    for key, ncr, cluster_id, n_py_years in [
+        ("STUIVER M, 1993, RADIOCARBON, V35, P215", 7, 0, 3),
+        ("SMITH J, 1993, NATURE, V1, DOI 10.1000/X", 2, 0, 2),
+        ("A B, 2000, J", 1, None, 1),
+        ("UNDATED WORK, J THING, P12-14", 3, None, 0),
+    ]
+]
+CONTRACT_BODY = cre_bytes(
+    Dataset(
+        variants={v.key: v for v in CONTRACT_VARIANTS},
+        n_citing=5,
+        n_cr_total=20,
+        provenance="contract",
+    ),
+    CONTRACT_SETTINGS,
+).decode("utf-8").split("\n")[:-3]
+SUMMARY_LINE = 3
+ROW_LINES = range(5, len(CONTRACT_BODY))
+ROW_VALUES = sorted({col for i in ROW_LINES for col in CONTRACT_BODY[i].split("\t")})
+
+
+def signed(body: list[str]) -> bytes:
+    """A CRE file of ``body``'s lines with a #CHECKSUM that matches them."""
+    text = "\n".join(body) + "\n"
+    digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
+    return (text + f"#CHECKSUM\t{digest}\n#END\n").encode("utf-8")
+
+
+@st.composite
+def one_column_edits(draw):
+    """(0-based line, column, value): one column of one table row, or of
+    #SUMMARY (not its tag), set to an edge-case integer spelling, another
+    row's value, or short text without tab or newline."""
+    line = draw(st.sampled_from([SUMMARY_LINE, *ROW_LINES]))
+    n_cols = len(CONTRACT_BODY[line].split("\t"))
+    column = draw(st.integers(1 if line == SUMMARY_LINE else 0, n_cols - 1))
+    value = draw(
+        st.sampled_from(["", "0", "-1", "+1", " 1", "01", "١"])
+        | st.sampled_from(ROW_VALUES)
+        | st.text(st.characters(blacklist_characters="\t\n"), max_size=4)
+    )
+    return line, column, value
+
+
+class TestCreContract:
+    """docs/cre-format.md: loading accepts only canonical files, so a file
+    that loads writes back byte for byte, and every other file fails at
+    the line that breaks a rule."""
+
+    def test_contract_file_writes_back(self, tmp_path):
+        path = tmp_path / "contract.cre"
+        path.write_bytes(signed(CONTRACT_BODY))
+        assert cre_bytes(load_cre(path), CONTRACT_SETTINGS) == path.read_bytes()
+
+    @settings(max_examples=1000, deadline=None)
+    @given(edit=one_column_edits())
+    @example(edit=(5, 1, ""))  # a blank author: only the row compare refuses it
+    @example(edit=(SUMMARY_LINE, 3, "3"))  # one variant fewer than the table holds
+    @example(edit=(5, 7, "99"))  # an ncr above the n_cr_total
+    def test_a_file_either_fails_at_its_line_or_writes_back(self, tmp_path_factory, edit):
+        line, column, value = edit
+        body = list(CONTRACT_BODY)
+        cols = body[line].split("\t")
+        cols[column] = value
+        body[line] = "\t".join(cols)
+        path = tmp_path_factory.getbasetemp() / "edit.cre"
+        path.write_bytes(signed(body))
+        try:
+            loaded = load_cre(path)
+        except CreFormatError as exc:
+            # A row's ncr counts towards the n_cr_total check of line 4.
+            assert f"edit.cre: line {line + 1}: " in str(exc) or (
+                "edit.cre: line 4: n_cr_total 20 is below" in str(exc)
+            )
+        else:
+            assert cre_bytes(loaded, CONTRACT_SETTINGS) == path.read_bytes()
+
+    @pytest.mark.parametrize("path", GOLDEN_CRE, ids=lambda p: p.name)
+    def test_golden_writes_back_with_its_settings(self, path):
+        data = path.read_bytes()
+        tag, text = data.decode("utf-8").split("\n")[2].split("\t")
+        assert tag == "#SETTINGS"
+        settings_ = {name: int(n) for name, n in (pair.split("=") for pair in text.split())}
+        assert cre_bytes(load_cre(path), settings_) == data
 
 
 # CR-line pieces: years in ASCII, Arabic-Indic and superscript digits,

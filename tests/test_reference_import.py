@@ -216,6 +216,11 @@ IMPORT_FILTERS = st.sampled_from(MODES).flatmap(
     data=b"PT J\r\r\nPY 2011\r\r\nCR A B, 1990, J\r\r\n   C D, 1991.\r\r\n   ;\r\r\nER\r\r\nEF",
     filt=ImportFilter(),
 )
+# A SYSTEMATIC sample of no CRs from a non-empty stream.
+@example(
+    data=b"PT J\nPY 2011\nCR A B, 1990, J\nER\nEF",
+    filt=ImportFilter(max_cr=0, sampling_mode="SYSTEMATIC"),
+)
 def test_import_file_matches_the_reference(tmp_path_factory, data, filt):
     path = tmp_path_factory.getbasetemp() / "reference.txt"
     path.write_bytes(data)
