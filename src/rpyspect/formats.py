@@ -2,10 +2,10 @@
 CSV_GRAPH spectrogram table, and the CRE union used for sample merging.
 
 ``load_cre`` is the one CRE reader; ``union_cre`` and a ``forEachUnion``
-loop fold datasets through the one union rule, ``UnionFold``. ``_row`` is
-the one table-row renderer: ``cre_bytes`` writes its rows, and
-``load_cre`` accepts a row only if it is ``_row`` of the variant read
-from it.
+loop fold datasets through the one union rule, ``UnionFold``. The writer
+has one renderer for the header lines, ``_header_lines``, and one for the
+table rows, ``_row``; ``load_cre`` accepts a header line or a row only if
+it is what that renderer gives for the values read from it.
 
 CRE v1 is a line-oriented, tab-separated UTF-8 format with a trailing
 body checksum; see docs/cre-format.md for byte-level examples. Output is
@@ -48,15 +48,10 @@ _TABLE_COLUMNS = (
     "cluster_id",
     "n_py_years",
 )
-_TABLE_LINE = "\t".join(_TABLE_COLUMNS)
 
 # The only integer spelling cre_bytes writes: ASCII digits, no sign, no
 # leading zero. int() would also read "+3", " 1", "1_0" and "١٩٩٠".
 _CANONICAL_INT = re.compile(r"0|[1-9][0-9]*").fullmatch
-
-# One #SETTINGS pair. Script settings are integers, and arithmetic such as
-# ``0-1`` can make them negative.
-_SETTING = re.compile(r"[A-Za-z_][A-Za-z0-9_]*=(?:0|-?[1-9][0-9]*)").fullmatch
 
 
 def _int(text: str, name: str, where: str) -> int:
@@ -74,11 +69,30 @@ def _clean(text: str) -> str:
 
 
 def _fmt_settings(settings: Optional[Mapping[str, int]]) -> str:
-    text = " ".join(f"{key}={settings[key]}" for key in sorted(settings or ()))
-    # The reader's rule, so that every file written loads back.
-    if not _canonical_settings(text):
-        raise DomainError(f"settings must map names to integers, got {dict(settings)!r}")
-    return text
+    """The #SETTINGS text: ``name=value`` pairs sorted by name. A name is
+    an ASCII identifier and a value a plain int (a script's arithmetic
+    can make it negative), so the text splits back into its pairs."""
+    settings = dict(settings or {})
+    for name, value in settings.items():
+        identifier = isinstance(name, str) and name.isascii() and name.isidentifier()
+        if not identifier or type(value) is not int:
+            raise DomainError(f"settings must map names to integers, got {settings!r}")
+    try:
+        return " ".join(f"{name}={settings[name]}" for name in sorted(settings))
+    except ValueError:  # an int longer than sys.get_int_max_str_digits()
+        raise DomainError("settings must map names to integers short enough to write") from None
+
+
+def _header_lines(
+    provenance: str, settings_text: str, n_citing: int, n_cr_total: int, n_variants: int
+) -> tuple[str, str, str, str]:
+    """Lines 2 to 5 of a CRE file, as ``cre_bytes`` writes them."""
+    return (
+        f"#PROVENANCE\t{_clean(provenance)}",
+        f"#SETTINGS\t{settings_text}",
+        f"#SUMMARY\t{n_citing}\t{n_cr_total}\t{n_variants}",
+        "#TABLE\t" + "\t".join(_TABLE_COLUMNS),
+    )
 
 
 def _opt(value) -> str:
@@ -125,14 +139,15 @@ def _atomic_write(path, data: bytes) -> None:
 def cre_bytes(dataset: Dataset, settings: Optional[Mapping[str, int]] = None) -> bytes:
     """Serialize a dataset to CRE v1 bytes (canonical variant order:
     rpy then key, undated variants last)."""
-    lines = [f"{CRE_MAGIC}\t{CRE_VERSION}"]
-    lines.append(f"#PROVENANCE\t{_clean(dataset.provenance)}")
-    lines.append(f"#SETTINGS\t{_fmt_settings(settings)}")
     variants = dataset.sorted_variants()
-    lines.append(f"#SUMMARY\t{dataset.n_citing}\t{dataset.n_cr_total}\t{len(variants)}")
-    lines.append(f"#TABLE\t{_TABLE_LINE}")
-    lines.extend(map(_row, variants))
-    body = "\n".join(lines) + "\n"
+    header = _header_lines(
+        dataset.provenance,
+        _fmt_settings(settings),
+        dataset.n_citing,
+        dataset.n_cr_total,
+        len(variants),
+    )
+    body = "\n".join([f"{CRE_MAGIC}\t{CRE_VERSION}", *header, *map(_row, variants)]) + "\n"
     digest = hashlib.sha256(body.encode("utf-8")).hexdigest()
     return (body + f"#CHECKSUM\t{digest}\n#END\n").encode("utf-8")
 
@@ -147,10 +162,10 @@ def load_cre(path) -> Dataset:
 
     Each row's variant is built from its key and counts, with the key's
     parse (``parse_key``) as its reference, and the row must be ``_row``
-    of that variant; citing-year sets come back as bare counts. A
-    header line that ``cre_bytes`` would not write (no tab after its tag,
-    a tab or CR in the provenance, settings that are not sorted
-    name=integer pairs, other table columns), a bad row (not 10 columns,
+    of that variant; citing-year sets come back as bare counts. Lines 2
+    to 5 must be ``_header_lines`` of the provenance, settings and counts
+    read from them and the row count. A header line that differs, or
+    whose settings or counts cannot be read, a bad row (not 10 columns,
     or a key an earlier row holds), a bad field (an empty or unnormalized
     key, an integer not spelled as ``cre_bytes`` writes it, counts that
     ``CRVariant`` refuses, then the first field column that differs from
@@ -212,8 +227,11 @@ def load_cre(path) -> Dataset:
 
 
 def _read_header(path) -> tuple[str, int, int, list[str]]:
-    """Check a CRE file's encoding, checksum, header lines and row count;
-    return its provenance, n_citing, n_cr_total and (unchecked) rows."""
+    """Check a CRE file's encoding, checksum and first line, read the
+    provenance, settings, n_citing and n_cr_total of lines 2 to 4, and
+    require lines 2 to 5 to be ``_header_lines`` of those values and the
+    row count. Return the values the dataset needs and the (unchecked)
+    rows."""
     with open(path, "rb") as fh:
         data = fh.read()
     try:
@@ -240,46 +258,24 @@ def _read_header(path) -> tuple[str, int, int, list[str]]:
     if version != CRE_VERSION:
         raise FormatVersionError(f"{path}: unsupported CRE version {version}")
 
-    provenance = _header(lines, 1, "#PROVENANCE", path)
-    if "\t" in provenance or "\r" in provenance:
-        raise CreFormatError(f"{path}: line 2: #PROVENANCE holds a tab or CR")
-    if not _canonical_settings(_header(lines, 2, "#SETTINGS", path)):
-        raise CreFormatError(f"{path}: line 3: #SETTINGS is not sorted name=integer pairs")
-    summary = _header(lines, 3, "#SUMMARY", path).split("\t")
-    if len(summary) != 3:
-        raise CreFormatError(f"{path}: line 4: malformed #SUMMARY line")
-    n_citing, n_cr_total, n_variants = (
-        _int(field, name, f"{path}: line 4")
-        for field, name in zip(summary, ("n_citing", "n_cr_total", "n_variants"))
-    )
-    if _header(lines, 4, "#TABLE", path) != _TABLE_LINE:
-        raise CreFormatError(f"{path}: line 5: #TABLE columns are not {_TABLE_LINE!r}")
-
     rows = lines[5:-2]
-    if len(rows) != n_variants:
-        raise CreFormatError(
-            f"{path}: line 4: summary declares {n_variants} variants,"
-            f" table has {len(rows)}"
-        )
+    provenance = lines[1].partition("\t")[2]
+    pairs = (pair.partition("=") for pair in lines[2].partition("\t")[2].split())
+    try:
+        settings_text = _fmt_settings({name: int(value) for name, _, value in pairs})
+    except (ValueError, DomainError):
+        raise CreFormatError(f"{path}: line 3: #SETTINGS is not name=integer pairs") from None
+    summary = lines[3].split("\t") + ["", ""]  # a missing column reads as "", which _int refuses
+    n_citing = _int(summary[1], "n_citing", f"{path}: line 4")
+    n_cr_total = _int(summary[2], "n_cr_total", f"{path}: line 4")
+    written = _header_lines(provenance, settings_text, n_citing, n_cr_total, len(rows))
+    for lineno, got, want in zip(range(2, 6), lines[1:5], written):
+        if got != want:
+            raise CreFormatError(
+                f"{path}: line {lineno}: {got!r} differs from {want!r},"
+                " the line written for the values read from it"
+            )
     return provenance, n_citing, n_cr_total, rows
-
-
-def _header(lines: list[str], index: int, tag: str, path) -> str:
-    """The text after ``tag`` and its tab on header line ``index``."""
-    line = lines[index]
-    if not line.startswith(tag + "\t"):
-        raise CreFormatError(f"{path}: line {index + 1}: expected {tag} and a tab, got {line!r}")
-    return line[len(tag) + 1 :]
-
-
-def _canonical_settings(text: str) -> bool:
-    """Whether ``text`` is a canonical #SETTINGS text: empty, or
-    name=integer pairs joined by single spaces, names strictly rising."""
-    if not text:
-        return True
-    pairs = text.split(" ")
-    names = [pair.split("=", 1)[0] for pair in pairs]
-    return all(map(_SETTING, pairs)) and all(a < b for a, b in zip(names, names[1:]))
 
 
 def _fmt_num(x: float) -> str:

@@ -7,6 +7,7 @@ import io
 import os
 import random
 import stat
+import sys
 from pathlib import Path
 
 import pytest
@@ -113,6 +114,18 @@ class TestCreRoundTrip:
             save_cre(random_dataset(3), tmp_path / "s.cre", settings=settings_)
         assert not (tmp_path / "s.cre").exists()
 
+    @pytest.mark.skipif(
+        not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+        reason="int() has no digit limit in this interpreter",
+    )
+    def test_setting_too_long_to_write_is_not_written(self, tmp_path):
+        # A script's additions can pass the digit limit that str() keeps;
+        # the reader refuses such a value at line 3 too.
+        huge = 10 ** sys.get_int_max_str_digits()
+        with pytest.raises(DomainError, match="short enough to write"):
+            save_cre(random_dataset(3), tmp_path / "s.cre", settings={"median_range": huge})
+        assert not (tmp_path / "s.cre").exists()
+
     def test_checksum_detects_corruption(self, tmp_path):
         path = tmp_path / "c.cre"
         save_cre(random_dataset(2), path)
@@ -181,9 +194,25 @@ CONTRACT_BODY = cre_bytes(
     ),
     CONTRACT_SETTINGS,
 ).decode("utf-8").split("\n")[:-3]
-SUMMARY_LINE = 3
+PROVENANCE_LINE, SETTINGS_LINE, SUMMARY_LINE, TABLE_LINE = 1, 2, 3, 4
 ROW_LINES = range(5, len(CONTRACT_BODY))
 ROW_VALUES = sorted({col for i in ROW_LINES for col in CONTRACT_BODY[i].split("\t")})
+TABLE_NAMES = CONTRACT_BODY[TABLE_LINE].split("\t")[1:]
+# #SETTINGS texts of up to three pairs, from names and values that the
+# writer writes and spellings that it does not.
+SETTINGS_TEXTS = st.lists(
+    st.tuples(
+        st.sampled_from(["median_range", "n_pct_range", "a", "_", "é", "1a", ""]),
+        st.sampled_from(["0", "2", "-1", "-0", "02", "+1", "١", ""]),
+    ),
+    max_size=3,
+).map(lambda pairs: " ".join(f"{name}={value}" for name, value in pairs))
+
+
+def settings_of(line: str) -> dict[str, int]:
+    """The settings a #SETTINGS line of a loadable file holds."""
+    text = line.split("\t")[1]
+    return {name: int(n) for name, n in (pair.split("=") for pair in text.split())}
 
 
 def signed(body: list[str]) -> bytes:
@@ -195,18 +224,25 @@ def signed(body: list[str]) -> bytes:
 
 @st.composite
 def one_column_edits(draw):
-    """(0-based line, column, value): one column of one table row, or of
-    #SUMMARY (not its tag), set to an edge-case integer spelling, another
-    row's value, or short text without tab or newline."""
-    line = draw(st.sampled_from([SUMMARY_LINE, *ROW_LINES]))
+    """(0-based line, column, value): one column of one table row, the
+    text of #PROVENANCE or #SETTINGS, or a column of #SUMMARY or #TABLE
+    (not its tag), set to an edge-case integer spelling, another row's
+    value, or short text without tab or newline; a #SETTINGS text may
+    also be name=value pairs, and a #TABLE column another column's name."""
+    header = [PROVENANCE_LINE, SETTINGS_LINE, SUMMARY_LINE, TABLE_LINE]
+    line = draw(st.sampled_from([*header, *ROW_LINES]))
     n_cols = len(CONTRACT_BODY[line].split("\t"))
-    column = draw(st.integers(1 if line == SUMMARY_LINE else 0, n_cols - 1))
-    value = draw(
+    column = draw(st.integers(0 if line in ROW_LINES else 1, n_cols - 1))
+    values = (
         st.sampled_from(["", "0", "-1", "+1", " 1", "01", "١"])
         | st.sampled_from(ROW_VALUES)
-        | st.text(st.characters(blacklist_characters="\t\n"), max_size=4)
+        | st.text(st.characters(codec="utf-8", blacklist_characters="\t\n"), max_size=4)
     )
-    return line, column, value
+    if line == SETTINGS_LINE:
+        values |= SETTINGS_TEXTS
+    elif line == TABLE_LINE:
+        values |= st.sampled_from(TABLE_NAMES)
+    return line, column, draw(values)
 
 
 class TestCreContract:
@@ -224,6 +260,10 @@ class TestCreContract:
     @example(edit=(5, 1, ""))  # a blank author: only the row compare refuses it
     @example(edit=(SUMMARY_LINE, 3, "3"))  # one variant fewer than the table holds
     @example(edit=(5, 7, "99"))  # an ncr above the n_cr_total
+    @example(edit=(PROVENANCE_LINE, 1, "a\tb"))  # a tab in the provenance
+    @example(edit=(SETTINGS_LINE, 1, "median_range=02"))  # a value with a leading zero
+    @example(edit=(SETTINGS_LINE, 1, "n_pct_range=0 median_range=2"))  # names out of order
+    @example(edit=(TABLE_LINE, 1, "KEY"))  # a renamed #TABLE column
     def test_a_file_either_fails_at_its_line_or_writes_back(self, tmp_path_factory, edit):
         line, column, value = edit
         body = list(CONTRACT_BODY)
@@ -240,15 +280,14 @@ class TestCreContract:
                 "edit.cre: line 4: n_cr_total 20 is below" in str(exc)
             )
         else:
-            assert cre_bytes(loaded, CONTRACT_SETTINGS) == path.read_bytes()
+            assert cre_bytes(loaded, settings_of(body[SETTINGS_LINE])) == path.read_bytes()
 
     @pytest.mark.parametrize("path", GOLDEN_CRE, ids=lambda p: p.name)
     def test_golden_writes_back_with_its_settings(self, path):
         data = path.read_bytes()
-        tag, text = data.decode("utf-8").split("\n")[2].split("\t")
-        assert tag == "#SETTINGS"
-        settings_ = {name: int(n) for name, n in (pair.split("=") for pair in text.split())}
-        assert cre_bytes(load_cre(path), settings_) == data
+        line = data.decode("utf-8").split("\n")[SETTINGS_LINE]
+        assert line.startswith("#SETTINGS\t")
+        assert cre_bytes(load_cre(path), settings_of(line)) == data
 
 
 # CR-line pieces: years in ASCII, Arabic-Indic and superscript digits,
