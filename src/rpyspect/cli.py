@@ -121,7 +121,7 @@ def cmd_spectro(args) -> int:
     dataset = formats.load_cre(args.cre)
     spect = spectroscopy.compute_spectrogram(dataset, args.median_range)
     formats.export_csv_graph(spect, args.out)
-    _stderr(f"wrote {len(spect.rows)} spectrogram rows -> {args.out}")
+    _stderr(f"wrote {len(spect)} spectrogram rows -> {args.out}")
     return 0
 
 

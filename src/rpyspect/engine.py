@@ -23,7 +23,7 @@ from typing import Callable, Optional
 from . import clustering, formats, spectroscopy, wos
 from .errors import DomainError, RpysError, ScriptError
 from .model import Dataset
-from .script import Loop, ScriptProgram, Statement, eval_expr
+from .script import Loop, Statement, eval_expr
 from .structs import Struct
 
 DEFAULT_SETTINGS = {"median_range": 2, "n_pct_range": 0}
@@ -72,7 +72,13 @@ class Environment(Struct):
     population_counts: dict[tuple, int]
 
     def child(self, iteration: int) -> Environment:
-        return self.replace(settings=dict(self.settings), dataset=None, iteration=iteration)
+        # A top-level loop's iteration i seeds from base_seed + i. A loop
+        # nested in iteration i starts its seeds at (base_seed + i) << 32,
+        # so each outer iteration's inner loop draws other samples.
+        base = self.base_seed if self.iteration is None else (self.base_seed + self.iteration) << 32
+        return self.replace(
+            settings=dict(self.settings), dataset=None, base_seed=base, iteration=iteration
+        )
 
     def require_dataset(self) -> Dataset:
         if self.dataset is None:
@@ -80,9 +86,9 @@ class Environment(Struct):
         return self.dataset
 
 
-def execute(program: ScriptProgram, env: Environment) -> Environment:
-    """Run a validated program, mutating and returning ``env``."""
-    _run_statements(program.statements, env, {})
+def execute(statements: tuple[Statement, ...], env: Environment) -> Environment:
+    """Run a validated script's statements, mutating and returning ``env``."""
+    _run_statements(statements, env, {})
     return env
 
 

@@ -319,12 +319,12 @@ def export_csv_cr(dataset: Dataset, path, n_pct_range: int = 0) -> None:
 
 
 def csv_graph_bytes(spectrogram: Spectrogram) -> bytes:
-    if not spectrogram.rows:
+    if not spectrogram:
         raise EmptyDatasetError("spectrogram has no rows")
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["RPY", "N_CR", "MEDIAN_DEV"])
-    for row in spectrogram.rows:
+    for row in spectrogram:
         writer.writerow([row.rpy, row.ncr, _fmt_num(row.median_dev)])
     return buf.getvalue().encode("utf-8")
 

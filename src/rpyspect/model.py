@@ -289,23 +289,9 @@ class SpectroRow(NamedTuple):
     median_dev: float
 
 
-class Spectrogram(Frozen):
-    """Per-RPY series of (NCR, median deviation).
-
-    Rows are strictly increasing in year with no gaps: years without CRs
-    appear with ncr = 0.
-    """
-
-    __slots__ = ("rows",)
-    rows: tuple[SpectroRow, ...]
-
-    def ncr_by_year(self) -> dict[int, int]:
-        return {r.rpy: r.ncr for r in self.rows}
-
-    def max_ncr(self, lo: int, hi: int) -> int:
-        """Largest NCR over years in [lo, hi] (0 if the window is empty)."""
-        vals = [r.ncr for r in self.rows if lo <= r.rpy <= hi]
-        return max(vals) if vals else 0
+# A spectrogram is its rows. compute_spectrogram's are strictly increasing
+# in year with no gaps: years without CRs appear with ncr = 0.
+Spectrogram = tuple[SpectroRow, ...]
 
 
 def aggregate(

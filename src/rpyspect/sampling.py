@@ -19,12 +19,13 @@ its own: ``wos.import_file`` narrows the citing-year filter to the drawn
 year and keeps everything that passes.
 
 Randomness comes from ``random.Random`` (MT19937). The reservoir draws
-its slots from ``getrandbits``, whose output for a seed CPython keeps
-stable across versions, and maps the bits to a slot itself, the way
-``randrange`` does: so a RANDOM sample's reproducibility rests on the
-MT19937 output, not on ``randrange``'s mapping, which CPython does not
-promise to keep. A (seed, stream order) pair reproduces a sample
-bit-for-bit on any platform.
+its slots, and ``wos.import_file`` a CLUSTER sample's year, from
+``getrandbits``, whose output for a seed CPython keeps stable across
+versions, and maps the bits to a value itself, the way ``randrange``
+does: so a sample's reproducibility rests on the MT19937 output, not on
+``randrange``'s mapping, which CPython does not promise to keep. A
+(seed, stream order) pair reproduces a sample bit-for-bit on any
+platform.
 """
 
 from __future__ import annotations

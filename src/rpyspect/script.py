@@ -35,11 +35,6 @@ from .structs import Frozen
 # --- AST ---------------------------------------------------------------
 
 
-class Lit(Frozen):
-    __slots__ = ("value",)
-    value: object  # int, float, bool, or str
-
-
 class Var(Frozen):
     __slots__ = ("name",)
     name: str
@@ -52,12 +47,9 @@ class BinOp(Frozen):
     right: Expr
 
 
-class ListExpr(Frozen):
-    __slots__ = ("items",)
-    items: tuple[Expr, ...]
-
-
-Expr = Union[Lit, Var, BinOp, ListExpr]
+# A literal stands for itself, and a list literal is the tuple of its
+# items.
+Expr = Union[int, float, bool, str, Var, BinOp, tuple]
 
 
 # A statement's source location takes no part in == or hash.
@@ -86,11 +78,6 @@ class Loop(Frozen):
 
 
 Statement = Union[Call, Loop]
-
-
-class ScriptProgram(Frozen):
-    __slots__ = ("statements",)
-    statements: tuple[Statement, ...]
 
 
 # --- Registered surface --------------------------------------------------
@@ -355,7 +342,7 @@ class _Parser:
     def parse_atom(self) -> Expr:
         tok = self.take()
         if tok.kind in ("INT", "REAL", "STRING", "BOOL"):
-            return Lit(tok.value)
+            return tok.value
         if tok.kind == "IDENT":
             return Var(tok.value)
         if tok.kind == "[":
@@ -366,7 +353,7 @@ class _Parser:
                 items.append(self.parse_expr())
             self.expect("]")
             self.depth -= 1
-            return ListExpr(items=tuple(items))
+            return tuple(items)
         if tok.kind == "(":
             self.nest(tok)
             inner = self.parse_expr()
@@ -378,13 +365,11 @@ class _Parser:
 
 # --- Static validation ----------------------------------------------------
 
-_LIT_TYPES = {bool: "bool", int: "int", float: "real", str: "str"}
+_LIT_TYPES = {bool: "bool", int: "int", float: "real", str: "str", tuple: "list"}
 
 
 def _expr_type(expr: Expr, loop_var: Optional[str], line: int, col: int) -> str:
     """Static type of an expression; loop variables are integers."""
-    if isinstance(expr, Lit):
-        return _LIT_TYPES[type(expr.value)]
     if isinstance(expr, Var):
         if loop_var is None or expr.name != loop_var:
             raise BadArgumentError(f"unbound variable {expr.name!r}", line, col)
@@ -394,19 +379,19 @@ def _expr_type(expr: Expr, loop_var: Optional[str], line: int, col: int) -> str:
             if _expr_type(side, loop_var, line, col) != "int":
                 raise BadArgumentError("arithmetic needs integer operands", line, col)
         return "int"
-    return "list"
+    return _LIT_TYPES[type(expr)]
 
 
 def _check_arg(name: str, expr: Expr, want: str, loop_var: Optional[str], line: int, col: int):
     got = _expr_type(expr, loop_var, line, col)
     shape = _SHAPES.get(want)
     if shape:
-        items = expr.items if isinstance(expr, ListExpr) else ()
+        items = expr if isinstance(expr, tuple) else ()
         if tuple(_expr_type(e, loop_var, line, col) for e in items) != shape:
             raise BadArgumentError(f"{name} expects [{', '.join(shape)}]", line, col)
     elif got != want and (want, got) != ("real", "int"):
         raise BadArgumentError(f"{name} expects {want}, got {got}", line, col)
-    elif name in _PATH_ARGS and "\0" in expr.value:
+    elif name in _PATH_ARGS and "\0" in expr:
         # open() and os.makedirs() reject it only when the statement runs.
         raise BadArgumentError(f"{name} must not contain a NUL character", line, col)
 
@@ -445,19 +430,17 @@ def _validate(statements: tuple[Statement, ...], loop_var: Optional[str]) -> Non
             _validate_args(stmt.name, stmt.args, spec, loop_var, stmt.line, stmt.col)
 
 
-def parse_script(text: str) -> ScriptProgram:
-    """Parse and statically validate a script."""
-    program = ScriptProgram(statements=tuple(_Parser(_tokenize(text)).parse_statements()))
-    _validate(program.statements, None)
-    return program
+def parse_script(text: str) -> tuple[Statement, ...]:
+    """Parse and statically validate a script into its statements."""
+    statements = tuple(_Parser(_tokenize(text)).parse_statements())
+    _validate(statements, None)
+    return statements
 
 
 # --- Evaluation and pretty-printing ---------------------------------------
 
 
 def eval_expr(expr: Expr, bindings: Optional[dict[str, int]] = None):
-    if isinstance(expr, Lit):
-        return expr.value
     if isinstance(expr, Var):
         if not bindings or expr.name not in bindings:
             raise BadArgumentError(f"unbound variable {expr.name!r}")
@@ -466,26 +449,12 @@ def eval_expr(expr: Expr, bindings: Optional[dict[str, int]] = None):
         left = eval_expr(expr.left, bindings)
         right = eval_expr(expr.right, bindings)
         return left + right if expr.op == "+" else left - right
-    return [eval_expr(item, bindings) for item in expr.items]
+    if isinstance(expr, tuple):
+        return [eval_expr(item, bindings) for item in expr]
+    return expr
 
 
 def _fmt_expr(expr: Expr) -> str:
-    if isinstance(expr, Lit):
-        v = expr.value
-        if isinstance(v, bool):
-            return "true" if v else "false"
-        # json and decimal load here, not at start: only pretty() needs them.
-        if isinstance(v, str):
-            import json
-
-            return json.dumps(v, ensure_ascii=False)
-        if isinstance(v, float):
-            from decimal import Decimal
-
-            # digits.digits: repr() would write 1e-05 or 1e+16.
-            text = format(Decimal(repr(v)), "f")
-            return text if "." in text else text + ".0"
-        return str(v)
     if isinstance(expr, Var):
         return expr.name
     if isinstance(expr, BinOp):
@@ -493,13 +462,28 @@ def _fmt_expr(expr: Expr) -> str:
         if isinstance(expr.right, BinOp):
             right = f"({right})"
         return f"{_fmt_expr(expr.left)} {expr.op} {right}"
-    return "[" + ", ".join(_fmt_expr(item) for item in expr.items) + "]"
+    if isinstance(expr, tuple):
+        return "[" + ", ".join(_fmt_expr(item) for item in expr) + "]"
+    if isinstance(expr, bool):
+        return "true" if expr else "false"
+    # json and decimal load here, not at start: only pretty() needs them.
+    if isinstance(expr, str):
+        import json
+
+        return json.dumps(expr, ensure_ascii=False)
+    if isinstance(expr, float):
+        from decimal import Decimal
+
+        # digits.digits: repr() would write 1e-05 or 1e+16.
+        text = format(Decimal(repr(expr)), "f")
+        return text if "." in text else text + ".0"
+    return str(expr)
 
 
-def pretty(program: ScriptProgram) -> str:
+def pretty(statements: tuple[Statement, ...]) -> str:
     """Canonical source form; parsing it back reproduces the same AST."""
     out: list[str] = []
-    _pretty_into(program.statements, out, 0)
+    _pretty_into(statements, out, 0)
     return "\n".join(out) + "\n" if out else ""
 
 

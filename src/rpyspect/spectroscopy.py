@@ -47,15 +47,14 @@ def compute_spectrogram(dataset: Dataset, median_range: int = 2) -> Spectrogram:
         median = window[mid] if len(window) % 2 else (window[mid - 1] + window[mid]) / 2
         dev = series[i] - median
         rows.append(SpectroRow(rpy=y, ncr=series[i], median_dev=float(dev)))
-    return Spectrogram(rows=tuple(rows))
+    return tuple(rows)
 
 
 def _shared_window(*specs: Spectrogram) -> tuple[int, int]:
-    for s in specs:
-        if not s.rows:
-            raise EmptyDatasetError("spectrogram has no rows")
-    lo = max(s.rows[0].rpy for s in specs)
-    hi = min(s.rows[-1].rpy for s in specs)
+    if not all(specs):
+        raise EmptyDatasetError("spectrogram has no rows")
+    lo = max(s[0].rpy for s in specs)
+    hi = min(s[-1].rpy for s in specs)
     if lo > hi:
         raise DomainError("spectrograms share no RPY window")
     return lo, hi
@@ -65,10 +64,13 @@ def scale_factor(sample: Spectrogram, reference: Spectrogram) -> float:
     """f = (sample peak NCR) / (reference peak NCR) over the shared year
     window; dividing sample rows by f lifts them to reference scale."""
     lo, hi = _shared_window(sample, reference)
-    ref_max = reference.max_ncr(lo, hi)
+    # A hand-built spectrogram may have gaps, so a window may hold no row.
+    sample_max, ref_max = (
+        max((r.ncr for r in s if lo <= r.rpy <= hi), default=0) for s in (sample, reference)
+    )
     if ref_max == 0:
         raise ZeroDivisionError("reference spectrogram peak NCR is 0")
-    return sample.max_ncr(lo, hi) / ref_max
+    return sample_max / ref_max
 
 
 def spectrogram_diff(
@@ -81,8 +83,8 @@ def spectrogram_diff(
     f_b = scale_factor(b, reference)
     if f_a == 0 or f_b == 0:
         raise ZeroDivisionError("sample spectrogram peak NCR is 0 in the shared window")
-    ncr_a = a.ncr_by_year()
-    ncr_b = b.ncr_by_year()
+    ncr_a = {r.rpy: r.ncr for r in a}
+    ncr_b = {r.rpy: r.ncr for r in b}
     return [
         (y, ncr_a.get(y, 0) / f_a - ncr_b.get(y, 0) / f_b) for y in range(lo, hi + 1)
     ]

@@ -384,15 +384,20 @@ def import_file(
     EmptySampleError when the population or the selection is empty.
 
     A CLUSTER import is a NONE import of one citing year: it draws the
-    year with ``random.Random(seed).randint`` over ``py_range`` (CPython
-    does not promise to keep ``randint``'s mapping of the MT19937 output,
-    unlike the reservoir's ``getrandbits``) and narrows ``py_range`` to
-    that year, unknown years excluded. So ``n_citing`` counts the drawn
-    year's records and the provenance names the year.
+    year uniformly from ``py_range`` by the reservoir's rule (see
+    ``sampling``) and narrows ``py_range`` to that year, unknown years
+    excluded. So ``n_citing`` counts the drawn year's records and the
+    provenance names the year.
     """
     if filt.sampling_mode == "CLUSTER":
-        year = random.Random(filt.seed).randint(filt.py_range[0], filt.py_range[1])
-        filt = filt.replace(py_range=(year, year, False))
+        lo, hi, _ = filt.py_range
+        # CPython keeps getrandbits' output for a seed, not randint's mapping.
+        width = hi - lo + 1
+        getrandbits = random.Random(filt.seed).getrandbits
+        r = getrandbits(width.bit_length())
+        while r >= width:
+            r = getrandbits(width.bit_length())
+        filt = filt.replace(py_range=(lo + r, lo + r, False))
     if sampler is None:
         total = analyze_file(path, filt).n_cr if filt.sampling_mode == "SYSTEMATIC" else None
         sampler = build_sampler(filt, total=total)

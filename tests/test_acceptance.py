@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import os
 import random
+import re
 import shutil
 import time
 from collections import Counter
@@ -20,7 +21,7 @@ from rpyspect.clustering import ClusterConfig, cluster_crs, compatible, merge_cl
 from rpyspect.engine import Environment, execute
 from rpyspect.errors import RpysError
 from rpyspect.formats import load_cre, save_cre, union_cre
-from rpyspect.model import CitedReference, CRVariant, Dataset, aggregate, normalize_key
+from rpyspect.model import CitedReference, CRVariant, Dataset, SpectroRow, aggregate, normalize_key
 from rpyspect.sampling import RandomSampler, removal_threshold
 from rpyspect.script import parse_script
 from rpyspect.spectroscopy import compute_spectrogram, scale_factor, top_crs
@@ -125,8 +126,8 @@ def test_criterion_5_spectrogram_oracle_equivalence():
                 counts[v.rpy] = counts.get(v.rpy, 0) + v.ncr
             years = list(range(min(counts), max(counts) + 1))
             series = [counts.get(y, 0) for y in years]
-            assert [r.rpy for r in spect.rows] == years
-            for i, row in enumerate(spect.rows):
+            assert [r.rpy for r in spect] == years
+            for i, row in enumerate(spect):
                 assert row.ncr == series[i]
                 window = sorted(series[max(0, i - median_range) : i + median_range + 1])
                 k = len(window)
@@ -203,9 +204,9 @@ def test_criterion_7_scaled_sample_fidelity(tmp_path):
         spect_pop = compute_spectrogram(population)
         spect_sample = compute_spectrogram(sample)
         f = scale_factor(spect_sample, spect_pop)
-        peak = max(r.ncr for r in spect_pop.rows)
-        pop_by_year = spect_pop.ncr_by_year()
-        for row in spect_sample.rows:
+        peak = max(r.ncr for r in spect_pop)
+        pop_by_year = {r.rpy: r.ncr for r in spect_pop}
+        for row in spect_sample:
             assert abs(row.ncr / f - pop_by_year[row.rpy]) <= 0.05 * peak
         for year in peak_years:
             assert top_crs(sample, year, 1)[0].key == top_crs(population, year, 1)[0].key
@@ -274,6 +275,27 @@ def test_cluster_sample_of_listing3_is_its_golden_year(corpus, tmp_path, monkeyp
     assert body(produced) == body(golden)
     for name in ("out3_CR.csv", "out3_GRAPH.csv"):
         assert (tmp_path / name).read_bytes() == (expected / name).read_bytes()
+
+
+def test_readme_library_use_runs_as_written(tmp_path, monkeypatch):
+    # 4,400 records of 25 CRs: 110,000 CRs, so the block's 50,000-CR
+    # SYSTEMATIC sample has step 2 and its offset 1 is valid.
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"## Library use\n\n```python\n(.*?)```", readme, re.S).group(1)
+    monkeypatch.chdir(tmp_path)
+    make_corpus(seed=0, n_records=4400).write(tmp_path / "savedrecs.txt")
+    names: dict = {}
+    exec(compile(block, "README.md", "exec"), names)
+    assert dataset_fields(load_cre(tmp_path / "savedrecs.cre")) == dataset_fields(names["ds"])
+    assert names["sample"].sum_ncr() == 50_000
+    population, sample_spect = names["population"], names["sample_spect"]
+    assert all(isinstance(row, SpectroRow) for row in population + names["spect"])
+    # The sample holds 50,000 of 110,000 CRs, and each year of it, scaled
+    # up, lands within 2 % of the population's peak.
+    assert 0.4 < names["f"] < 0.5
+    peak = max(row.ncr for row in population)
+    assert [y for y, _ in names["diff"]] == [row.rpy for row in population]
+    assert max(abs(d) for _, d in names["diff"]) < 0.02 * peak
 
 
 def test_criterion_9_round_trip_and_union(tmp_path):

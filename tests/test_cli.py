@@ -469,7 +469,7 @@ class TestSpectro:
         save_cre(ds, "data.cre")
         main(["spectro", "data.cre", "--median-range", "0", "--out", "g0.csv"])
         spect = compute_spectrogram(load_cre("data.cre"), median_range=0)
-        assert all(row.median_dev == 0 for row in spect.rows)
+        assert all(row.median_dev == 0 for row in spect)
         body = (workdir / "g0.csv").read_text()
         assert all(line.endswith(",0") for line in body.splitlines()[1:])
 

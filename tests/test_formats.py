@@ -36,7 +36,6 @@ from rpyspect.model import (
     CitedReference,
     CRVariant,
     Dataset,
-    Spectrogram,
     SpectroRow,
     aggregate,
     canonical_order,
@@ -432,8 +431,8 @@ class TestCsvGraph:
         path = tmp_path / "g.csv"
         export_csv_graph(spect, path)
         lines = path.read_text().splitlines()[1:]
-        assert len(lines) == len(spect.rows)
-        for line, row in zip(lines, spect.rows):
+        assert len(lines) == len(spect)
+        for line, row in zip(lines, spect):
             y, n, dev = line.split(",")
             assert (int(y), int(n)) == (row.rpy, row.ncr)
             assert float(dev) == row.median_dev
@@ -441,13 +440,11 @@ class TestCsvGraph:
     def test_empty_spectrogram_writes_nothing(self, tmp_path):
         path = tmp_path / "never.csv"
         with pytest.raises(EmptyDatasetError):
-            export_csv_graph(Spectrogram(rows=()), path)
+            export_csv_graph((), path)
         assert not path.exists()
 
     def test_half_devs_are_written_as_decimals(self):
-        spect = Spectrogram(
-            rows=(SpectroRow(2000, 3, 0.5), SpectroRow(2001, 4, -1.5))
-        )
+        spect = (SpectroRow(2000, 3, 0.5), SpectroRow(2001, 4, -1.5))
         body = csv_graph_bytes(spect).decode()
         assert "2000,3,0.5" in body and "2001,4,-1.5" in body
 

@@ -22,8 +22,6 @@ from rpyspect.model import (
     CRVariant,
     Dataset,
     LineTables,
-    SpectroRow,
-    Spectrogram,
     aggregate,
     fold,
     normalize_key,
@@ -249,7 +247,6 @@ def frozen_records():
         ref,
         variant,
         Dataset({variant.key: variant}, 2, 3, "built"),
-        Spectrogram((SpectroRow(1990, 3, 0.0),)),
         ClusterConfig(0.75, use_page=True),
         ImportFilter((1970, 2010, False), (1980, 2014, True), 50, "SYSTEMATIC", 2, 7),
     ]

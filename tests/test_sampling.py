@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import random
+import statistics
 from collections import Counter
 from fractions import Fraction
 
@@ -177,7 +178,7 @@ def per_year_error(sample, population) -> float:
     """The mean absolute per-year difference of ``sample``, scaled to
     ``population``, from ``population``, as a fraction of its peak NCR."""
     diff = spectrogram_diff(sample, population, population)
-    peak = max(row.ncr for row in population.rows)
+    peak = max(row.ncr for row in population)
     return sum(abs(d) for _, d in diff) / len(diff) / peak
 
 
@@ -209,9 +210,42 @@ class TestSystematicPeriodicity:
         assert error("SYSTEMATIC") > 3 * error("RANDOM")
 
 
+class TestRandomYardstick:
+    """A RANDOM sample of n of the N CRs holds a hypergeometric count of
+    each RPY's N_y CRs: mean n p and variance n p (1 - p) (N - n) / (N - 1),
+    where p = N_y / N. Twenty seeded reservoirs must agree with it in each
+    year's spread and in each year's mean (ROADMAP items 7 and 19)."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_per_year_counts_are_hypergeometric(self, seed):
+        occs = make_corpus(seed=seed, n_records=2000).occurrences()
+
+        def rpy(line):  # make_corpus lines are "AUTHOR, RPY, SOURCE, ..."
+            return int(line.split(", ")[1])
+
+        population = Counter(rpy(line) for line, _ in occs)
+        total, n, draws = len(occs), 5000, 20
+        samples = []
+        for draw in range(draws):
+            per_year = Counter()
+            for line, count, _ in select(RandomSampler(n, seed=draw), occs):
+                per_year[rpy(line)] += count
+            samples.append(per_year)
+        ratios, chi2 = [], 0.0
+        for year, n_year in population.items():
+            p = n_year / total
+            mean, var = n * p, n * p * (1 - p) * (total - n) / (total - 1)
+            counts = [sample[year] for sample in samples]
+            ratios.append(statistics.variance(counts) / var)
+            chi2 += (statistics.fmean(counts) - mean) ** 2 / (var / draws)
+        assert (total, len(population)) == (50_000, 41)
+        assert 0.7 <= statistics.fmean(ratios) <= 1.3
+        assert chi2 < 65  # the 99 % point of chi-squared with 41 degrees of freedom
+
+
 class TestClusterSample:
-    """A CLUSTER sample is the NONE import of one citing year, drawn with
-    ``random.Random(seed).randint`` from the PY range."""
+    """A CLUSTER sample is the NONE import of one citing year, drawn
+    uniformly from the PY range by the reservoir's rule."""
 
     SIZES = {2011: 4, 2012: 1, 2013: 2, 2014: 3}  # records per citing year
 
@@ -244,6 +278,18 @@ class TestClusterSample:
         # The sample's records are the drawn year's only.
         assert (ds.n_citing, ds.n_cr_total) == (self.SIZES[year], 2 * self.SIZES[year])
         assert f"py=[{year},{year},false]" in ds.provenance
+
+    def test_drawn_years_are_pinned(self, tmp_path):
+        # The draw reads only getrandbits, whose output for a seed CPython
+        # keeps, so these years hold on every version. (They equal
+        # random.Random(seed).randint(2011, 2014), whose mapping CPython
+        # does not promise to keep.)
+        path = self.write(tmp_path / "c.txt")
+        drawn = []
+        for seed in range(9):
+            provenance = self.cluster(path, 2011, 2014, seed).provenance
+            drawn.append(int(provenance.split(" py=[")[1][:4]))
+        assert drawn == [2014, 2012, 2011, 2012, 2012, 2013, 2011, 2013, 2012]
 
     def test_deterministic_given_seed(self, tmp_path):
         path = self.write(tmp_path / "c.txt")

@@ -27,10 +27,7 @@ from rpyspect.script import (
     REGISTRY,
     BinOp,
     Call,
-    ListExpr,
-    Lit,
     Loop,
-    ScriptProgram,
     Var,
     eval_expr,
     parse_script,
@@ -45,14 +42,14 @@ from corpus import make_corpus
 class TestParse:
     def test_set_call(self):
         prog = parse_script("set(n_pct_range: 0, median_range: 2)")
-        assert prog.statements == (
-            Call("set", (("n_pct_range", Lit(0)), ("median_range", Lit(2)))),
+        assert prog == (
+            Call("set", (("n_pct_range", 0), ("median_range", 2))),
         )
 
     def test_remove_cr_list(self):
         prog = parse_script("removeCR(N_CR: [0, 99])")
-        assert prog.statements == (
-            Call("removeCR", (("N_CR", ListExpr((Lit(0), Lit(99)))),)),
+        assert prog == (
+            Call("removeCR", (("N_CR", (0, 99)),)),
         )
 
     def test_unknown_function(self):
@@ -95,7 +92,7 @@ class TestParse:
         prog = parse_script(
             "// leading comment\n  set( median_range : 2 )  // trailing\n\ninfo()\n"
         )
-        assert [s.name for s in prog.statements] == ["set", "info"]
+        assert [s.name for s in prog] == ["set", "info"]
 
     def test_loop_with_index_arithmetic(self):
         prog = parse_script(
@@ -103,7 +100,7 @@ class TestParse:
             '    importFile(file: "x", type: "WOS", offset: index+1)\n'
             "})"
         )
-        loop = prog.statements[0]
+        loop = prog[0]
         assert isinstance(loop, Loop)
         assert loop.kind == "forEach"
         offset = dict(loop.body[0].args)["offset"]
@@ -116,8 +113,8 @@ class TestParse:
             '    saveFile(file: "out.cre")\n'
             "}"
         )
-        assert isinstance(prog.statements[0], Loop)
-        assert prog.statements[1] == Call("saveFile", (("file", Lit("out.cre")),))
+        assert isinstance(prog[0], Loop)
+        assert prog[1] == Call("saveFile", (("file", "out.cre"),))
 
     def test_use_block_must_start_with_loop(self):
         with pytest.raises(ScriptSyntaxError):
@@ -150,12 +147,12 @@ class TestPrettyRoundTrip:
 
 class TestAstRecords:
     def test_equality_needs_the_same_node_type(self):
-        assert Lit("x") != Var("x")
-        assert Lit("x") == Lit("x") and Var("x") == Var("x")
-        assert BinOp("+", Var("i"), Lit(1)) != BinOp("-", Var("i"), Lit(1))
+        assert Var("x") != "x" and "x" != Var("x")
+        assert Var("x") == Var("x")
+        assert BinOp("+", Var("i"), 1) != BinOp("-", Var("i"), 1)
 
     def test_location_takes_no_part_in_equality_or_hash(self):
-        args = (("count", Lit(2)),)
+        args = (("count", 2),)
         body = (Call("info", (), line=2, col=5),)
         pairs = [
             (Call("info", args, line=1, col=1), Call("info", args, line=9, col=3)),
@@ -171,16 +168,14 @@ class TestAstRecords:
         node = Call("info", (), line=1, col=1)
         with pytest.raises(AttributeError):
             node.line = 2
-        with pytest.raises(AttributeError):
-            ScriptProgram((node,)).statements = ()
 
     def test_parsed_programs_compare_by_value(self):
         src = "forEach(count: 2, { i ->\n    set(median_range: i+1)\n})\n"
         moved = "\n\n  " + src
         assert parse_script(src) == parse_script(moved)
         assert hash(parse_script(src)) == hash(parse_script(moved))
-        assert parse_script(src).statements[0].line == 1
-        assert parse_script(moved).statements[0].line == 3
+        assert parse_script(src)[0].line == 1
+        assert parse_script(moved)[0].line == 3
 
 
 # Script tokens plus Unicode numerals (int() reads "١" but not "²" or "½"),
@@ -292,8 +287,8 @@ class TestMalformedScripts:
 
     def test_parenthesized_operand(self):
         prog = parse_script("forEach(count: 3, { i ->\n    set(median_range: i - (1 - 1))\n})")
-        expr = prog.statements[0].body[0].args[0][1]
-        assert expr == BinOp("-", Var("i"), BinOp("-", Lit(1), Lit(1)))
+        expr = prog[0].body[0].args[0][1]
+        assert expr == BinOp("-", Var("i"), BinOp("-", 1, 1))
         printed = pretty(prog)
         assert "i - (1 - 1)" in printed
         assert parse_script(printed) == prog
@@ -600,6 +595,31 @@ class TestLoops:
         assert "seed=0" in a.provenance
         assert "seed=1" in b.provenance
         assert set(a.variants) != set(b.variants)
+
+    def test_nested_loops_draw_new_samples_in_each_outer_iteration(self, tmp_path):
+        # An inner body cannot name the outer index, so the inner seeds must
+        # depend on it through the environment.
+        make_corpus(seed=3, n_records=200).write(tmp_path / "corpus.txt")
+        out = tmp_path / "out"
+        src = (
+            f'forEach(count: 2, dir: "{out}", {{ i ->\n'
+            "    forEachUnion(count: 2, { j ->\n"
+            f'        importFile(file: "{tmp_path / "corpus.txt"}", type: "WOS",'
+            ' sampling: "RANDOM", maxCR: 300)\n'
+            "    })\n"
+            "})\n"
+        )
+        self.run(src, seed=0)
+        first, second = (
+            (out / name).read_bytes().partition(b"#SETTINGS")[2]
+            for name in ("iter_0000.cre", "iter_0001.cre")
+        )
+        assert first != second
+        # A top-level iteration keeps base_seed + index (the goldens rely on
+        # it); a nested one starts from its outer iteration's seed << 32.
+        outer = Environment(base_seed=5).child(1)
+        assert outer.base_seed == 5
+        assert outer.child(2).base_seed == 6 << 32
 
     def test_for_each_keeps_files_and_no_dataset(self, corpus_file, tmp_path):
         keep = tmp_path / "cycles"

@@ -478,7 +478,7 @@ class TestImportFile:
             import_file(path, ImportFilter())
 
     def test_empty_cluster_selection_names_the_mode(self, tmp_path):
-        # random.Random(0).randint(2011, 2013) draws 2012, which has no records.
+        # Seed 0 draws 2012 from [2011, 2013], and 2012 has no records.
         records = [(py, "Article", [f"AUTHOR X, 2000, JOURNAL {py}"]) for py in (2011, 2013)]
         path = tmp_path / "gappy.txt"
         Corpus(records=records, works=[]).write(path)
