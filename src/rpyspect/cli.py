@@ -69,6 +69,9 @@ def _stderr(line: str) -> None:
 
 
 def cmd_run(args) -> int:
+    if args.seed < 0:
+        _stderr(f"error: --seed must be >= 0, got {args.seed}")
+        return 1
     env = engine.Environment(tmpdir=args.tmpdir, base_seed=args.seed, verbose=args.verbose)
     try:
         with open(args.script, "r", encoding="utf-8") as fh:

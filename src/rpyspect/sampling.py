@@ -1,7 +1,8 @@
 """Sampling strategies over the filtered CR occurrence stream.
 
-The samplers are fed only by ``wos.import_file``, one ``offer(line, py)``
-at a time, in file order; after each record it stops reading once
+The samplers are fed only by ``wos.import_file``, in file order, one
+``offer(line, py)`` per passing CR line as read, with its citing year (a
+variant's RPY comes from its key); after each record it stops once
 ``wants_more()`` is false. Every sampler is single-pass and holds at most
 its sample, folded by line as it is offered: NONE and SYSTEMATIC keep one
 count and one citing-year mask per distinct line they kept
@@ -9,14 +10,13 @@ count and one citing-year mask per distinct line they kept
 reservoir of (line, py) pairs and folds it at the end. That is what keeps
 huge imports memory-bounded. An offer that keeps nothing costs one
 comparison for SYSTEMATIC (its position against the next pick). A
-per-record ``offer``, one call per record instead of one per occurrence,
-waits until the benchmark's tracer counts the offered pairs from the data
-rather than from ``offer`` calls (ROADMAP item 1a). Their arguments come
-from a ``wos.ImportFilter``, which has checked them, so a sampler checks
-only what it cannot: a RANDOM or SYSTEMATIC size of at least 1, and an
-offset below the systematic step. A CLUSTER sample needs no sampler of
-its own: ``wos.import_file`` narrows the citing-year filter to the drawn
-year and keeps everything that passes.
+per-record ``offer`` waits until the benchmark's tracer counts the offered
+lines from the data rather than from ``offer`` calls (ROADMAP item 1a).
+Their arguments come from a ``wos.ImportFilter``, which has checked them,
+so a sampler checks only what it cannot: a RANDOM or SYSTEMATIC size of at
+least 1, and an offset below the systematic step. A CLUSTER sample needs
+no sampler of its own: ``wos.import_file`` narrows the citing-year filter
+to the drawn year and keeps everything that passes.
 
 Randomness comes from ``random.Random`` (MT19937). The reservoir draws
 its slots, and ``wos.import_file`` a CLUSTER sample's year, from

@@ -3,7 +3,8 @@
 The reader is a generator that holds one record and one 64 KiB block of
 input at a time, so an import's peak memory is O(distinct lines of the
 sample + one record) regardless of file size (a RANDOM import holds its
-reservoir). Field-tag layout (2-char tag, value from column 4, 3-space
+reservoir). It keeps CR lines as read; years are read only for an RPY
+filter. The field-tag layout (2-char tag, value from column 4, 3-space
 continuation indent) is documented byte-exactly in docs/wos-format.md.
 """
 
@@ -26,8 +27,8 @@ from .model import (
 from .sampling import MODES, NoneSampler, RandomSampler, Sampler, SystematicSampler
 from .structs import Frozen, Struct
 
-Pairs = Sequence[tuple[str, Optional[int]]]  # (line, rpy) per CR line, in file order
-Record = tuple[Optional[int], Pairs]  # (py, crs) of one citing record
+Lines = Sequence[str]  # the CR lines of one record as read, in file order
+Record = tuple[Optional[int], Lines]  # (py, crs) of one citing record
 
 SUPPORTED_FORMATS = ("WOS",)
 RESERVED_FORMATS = ("SCOPUS", "CROSSREF")
@@ -40,7 +41,9 @@ class ImportFilter(Frozen):
     whether records/CRs without a parseable year pass. max_cr is the
     sample size for NONE (0 means no limit), RANDOM and SYSTEMATIC;
     CLUSTER ignores it and keeps every CR of one citing year drawn from
-    its py_range, which it must have. offset is only used by SYSTEMATIC.
+    its py_range, which it must have. offset is only used by SYSTEMATIC;
+    seed by RANDOM and CLUSTER, and must be >= 0 (``random.Random`` seeds
+    with an int's absolute value, so -1 would draw what 1 draws).
     ``_validate`` runs whenever a filter is built, ``replace`` included,
     and the record is frozen, so a filter stays valid: ``build_sampler``,
     ``import_file`` and the samplers rely on its checks.
@@ -67,10 +70,9 @@ class ImportFilter(Frozen):
         for rng in (self.rpy_range, self.py_range):
             if rng is not None and rng[0] > rng[1]:
                 raise DomainError(f"year range lo > hi: {rng}")
-        if self.max_cr < 0:
-            raise DomainError("max_cr must be >= 0")
-        if self.offset < 0:
-            raise DomainError("offset must be >= 0")
+        for name in ("max_cr", "offset", "seed"):
+            if getattr(self, name) < 0:
+                raise DomainError(f"{name} must be >= 0")
         if self.sampling_mode not in MODES:
             raise DomainError(f"unknown sampling mode {self.sampling_mode!r}")
         if self.sampling_mode == "CLUSTER" and self.py_range is None:
@@ -106,8 +108,8 @@ class MemoryProbe:
     The import pipeline reports the number of simultaneously live
     entries after each record: the entries the sampler holds
     (``Sampler.held``: one per distinct kept line, or one per reservoir
-    slot for RANDOM) plus all of the current record's (line, rpy) pairs,
-    filtered out or not. The probe keeps the peak.
+    slot for RANDOM) plus all of the current record's CR lines, filtered
+    out or not. The probe keeps the peak.
     """
 
     def __init__(self):
@@ -121,10 +123,9 @@ class MemoryProbe:
 
 
 class _YearMemo(dict):
-    """``parse_year`` of each token looked up, filled on first sight.
-
-    Only ASCII tokens are stored: ``RAW_YEAR`` tokens are 4 decimal
-    digits, so it never holds more than 10,000 entries.
+    """``parse_year`` of each token looked up, filled on first sight. Only
+    ASCII tokens are stored, so with 4-digit ``RAW_YEAR`` tokens it never
+    holds more than 10,000 entries.
     """
 
     def __missing__(self, token: str) -> Optional[int]:
@@ -139,23 +140,15 @@ _no_key = NO_KEY.fullmatch
 _years = _YearMemo()
 
 
-def parse_cr_line(line: str) -> Optional[tuple[str, Optional[int]]]:
-    """The line as read and its reference publication year, or None.
-
-    The year is ``parse_year`` of the token ``model.RAW_YEAR`` finds in
-    the raw text (looked up in a memo), the same token as the second
-    ", " token of ``normalize_key(line)``, so no per-line normalization
-    is needed. A line whose key would be empty (only whitespace and
-    ``.,;:``) yields None. This is the reader's only per-line work:
-    ``aggregate`` computes the key once per distinct line a sampler
-    retains and the other fields once per distinct key.
+def parse_cr_line(line: str) -> Optional[str]:
+    """The line as read, or None if its key would be empty (only
+    whitespace and ``.,;:``, so never when it starts with a letter or
+    digit). This is the reader's only per-line work: ``aggregate``
+    computes the key once per distinct line a sampler retains.
     """
-    found = _raw_year(line)
-    if found is not None:
-        return line, _years[found[1]]
-    if _no_key(line):
-        return None
-    return line, None
+    if line[:1].isalnum() or not _no_key(line):
+        return line
+    return None
 
 
 # Large enough that decoding costs one call per block, small enough to
@@ -203,8 +196,8 @@ def _decoded_lines(stream: BinaryIO) -> Iterator[str]:
 
 def parse_wos(stream: BinaryIO, stats: Optional[ParseStats] = None) -> Iterator[Record]:
     """Yield each record of a WoS tagged export as (py, crs), in file order:
-    its citing year and its own list of (line, rpy) pairs, one per CR line
-    as read, in file order (systematic sampling depends on that order).
+    its citing year and its own list of CR lines as read, in file order
+    (systematic sampling depends on that order).
 
     Record boundaries sit at the ER tag; a record still open at EF/EOF is
     malformed and skipped (counted in ``stats``), and so is a CR line that
@@ -216,7 +209,7 @@ def parse_wos(stream: BinaryIO, stats: Optional[ParseStats] = None) -> Iterator[
     """
     stats = stats if stats is not None else ParseStats()
     py: Optional[int] = None
-    crs: list[tuple[str, Optional[int]]] = []
+    crs: list[str] = []
     add = crs.append
     open_record = False
     in_cr = False  # the last tag line was a CR line
@@ -257,11 +250,11 @@ def parse_wos(stream: BinaryIO, stats: Optional[ParseStats] = None) -> Iterator[
         # One reference per CR line or continuation; blank ones are not CRs.
         text = line[3:]
         if text and not text.isspace():
-            pair = parse_cr_line(text)
-            if pair is None:
+            cr = parse_cr_line(text)
+            if cr is None:
                 stats.malformed_records += 1
             else:
-                add(pair)
+                add(cr)
 
     if open_record:
         stats.malformed_records += 1
@@ -284,23 +277,25 @@ def check_format(fmt: str) -> None:
 
 def _passing(
     path, filt: ImportFilter, stats: ParseStats
-) -> Iterator[tuple[Optional[int], Pairs, Pairs]]:
-    """Each (py, crs) record of ``path`` with the (line, rpy) pairs of
-    ``crs`` that pass both year filters, as (py, crs, passing).
+) -> Iterator[tuple[Optional[int], Lines, Lines]]:
+    """Each (py, crs) record of ``path`` with the CR lines of ``crs``
+    that pass both year filters, as (py, crs, passing).
 
     A record whose citing year fails the PY filter has an empty
-    ``passing``. Without an RPY filter every pair passes, so a record
-    whose citing year passes is yielded as read: ``passing`` is ``crs``
-    itself, with no per-CR test and no copy. This is the one place that
-    applies the filters and counts what passes, so the count pass totals
-    exactly the CRs an import offers, in file order. ``stats.n_citing``
-    and ``stats.n_cr`` start at 0 and cover the records yielded so far.
+    ``passing``. Without an RPY filter a passing record is yielded as
+    read: ``passing`` is ``crs`` itself, and no CR year is read. With
+    one, the year of each CR line of a passing record is ``parse_year``
+    of the ``model.RAW_YEAR`` token (memoized), its key's second ", "
+    token. This is the one place that applies the filters and counts
+    what passes, so the count pass totals exactly the CRs an import
+    offers, in file order. ``stats.n_citing`` and ``stats.n_cr`` start
+    at 0 and cover the records yielded so far.
     """
-    # parse_year only returns years in [YEAR_MIN, YEAR_MAX], so without a
-    # filter every year passes, and without an RPY filter every pair does.
+    # parse_year returns only years in [YEAR_MIN, YEAR_MAX]: no filter, all pass.
     py_lo, py_hi, py_unknown = filt.py_range or (YEAR_MIN, YEAR_MAX, True)
     unfiltered = filt.rpy_range is None
     lo, hi, unknown = filt.rpy_range or (YEAR_MIN, YEAR_MAX, True)
+    raw_year, years = _raw_year, _years
     stats.n_citing = stats.n_cr = 0
     for py, crs in parse_wos_path(path, stats):
         if not (py_unknown if py is None else py_lo <= py <= py_hi):
@@ -309,7 +304,12 @@ def _passing(
         if unfiltered:
             passing = crs
         else:
-            passing = [cr for cr in crs if (unknown if cr[1] is None else lo <= cr[1] <= hi)]
+            passing = []
+            for line in crs:
+                found = raw_year(line)
+                rpy = None if found is None else years[found[1]]
+                if unknown if rpy is None else lo <= rpy <= hi:
+                    passing.append(line)
         stats.n_citing += 1
         stats.n_cr += len(passing)
         yield py, crs, passing
@@ -376,12 +376,12 @@ def import_file(
     population CR count, so the file is read twice rather than buffered.
     A caller that already knows the count passes a sampler built with
     ``build_sampler(filt, total=...)`` and saves that pass, as the script
-    engine does. The sampler is offered the CRs of the same filtered
-    stream the count pass reads (``_passing``), a whole record at a time,
-    and the import stops at the first record after which it wants no
-    more (a full sampler ignores the rest of that record); ``stats`` (or
-    a new ParseStats) counts what was read up to there. Raises
-    EmptySampleError when the population or the selection is empty.
+    engine does. The sampler is offered the passing CR lines of the
+    stream the count pass reads (``_passing``), with their citing year, a
+    record at a time; the import stops at the first record after which it
+    wants no more (a full sampler ignores the rest of that record).
+    ``stats`` (or a new ParseStats) counts what was read up to there.
+    Raises EmptySampleError for an empty population or selection.
 
     A CLUSTER import is a NONE import of one citing year: it draws the
     year uniformly from ``py_range`` by the reservoir's rule (see
@@ -405,7 +405,7 @@ def import_file(
     stats = stats if stats is not None else ParseStats()
     offer = sampler.offer
     for py, crs, passing in _passing(path, filt, stats):
-        for line, _ in passing:
+        for line in passing:
             offer(line, py)
         if probe is not None:
             probe.observe(sampler.held() + len(crs))

@@ -149,6 +149,35 @@ class TestRun:
         assert main(["analyze", "sup.txt"]) == 0
         assert capsys.readouterr().out == "citing=1 crs=2\n"
 
+    @pytest.mark.parametrize(
+        "script, argv, error",
+        [
+            (
+                'importFile(file: "corpus.txt", type: "WOS", sampling: "RANDOM", maxCR: 60)\n',
+                ["--seed", "-1"],
+                "error: --seed must be >= 0, got -1\n",
+            ),
+            (
+                'forEach(count: 2, dir: "out", { index ->\n'
+                '    importFile(file: "corpus.txt", type: "WOS", sampling: "RANDOM",'
+                " maxCR: 60, seed: index - 1)\n"
+                "})\n",
+                [],
+                "error: s.crs: line 2, col 5: seed must be >= 0\n",
+            ),
+        ],
+        ids=["--seed", "seed-argument"],
+    )
+    def test_negative_seed_exits_1_with_a_located_message(
+        self, workdir, capsys, script, argv, error
+    ):
+        # random.Random seeds with an int's absolute value: seeds -1 and 1
+        # would draw the same sample.
+        (workdir / "s.crs").write_text(script + 'saveFile(file: "s.cre")\n')
+        assert main(["run", "s.crs", *argv]) == 1
+        assert capsys.readouterr().err == error
+        assert not (workdir / "s.cre").exists()
+
     def test_seeded_rerun_is_byte_identical(self, workdir):
         script = (
             "forEachUnion(count: 3, { index ->\n"
@@ -380,6 +409,12 @@ class TestSample:
         assert (workdir / "sys.cre").read_bytes() == cre_bytes(
             expected, settings=DEFAULT_SETTINGS
         )
+
+    def test_negative_seed_exits_1(self, workdir, capsys):
+        argv = ["sample", "corpus.txt", "--mode", "random", "--n", "60", "--seed", "-1"]
+        assert main([*argv, "--out", "r.cre"]) == 1
+        assert capsys.readouterr().err == "error: seed must be >= 0\n"
+        assert not (workdir / "r.cre").exists()
 
     def test_cluster_without_py_is_usage_error(self, workdir, capsys):
         assert (

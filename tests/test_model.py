@@ -370,10 +370,13 @@ class TestRecords:
             ({"py_range": (2014, 1980, False)}, "year range lo > hi: (2014, 1980, False)"),
             ({"max_cr": -1}, "max_cr must be >= 0"),
             ({"offset": -1}, "offset must be >= 0"),
+            ({"seed": -1}, "seed must be >= 0"),
             ({"sampling_mode": "RANDOMM"}, "unknown sampling mode 'RANDOMM'"),
             ({"sampling_mode": "CLUSTER"}, "cluster sampling requires a citing-year range"),
         ],
-        ids=["rpy_range", "py_range", "max_cr", "offset", "sampling_mode", "cluster_py_range"],
+        ids=[
+            "rpy_range", "py_range", "max_cr", "offset", "seed", "sampling_mode", "cluster_py_range"
+        ],
     )
     def test_import_filter_checks_every_field_when_built(self, changes, message):
         # The samplers do not check these again: the filter is their one gate.

@@ -11,7 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from rpyspect import model, wos
 from rpyspect.errors import DomainError, EmptySampleError, OffsetTooLargeError, RpysError
-from rpyspect.model import CitedReference, aggregate, normalize_key, parse_key
+from rpyspect.model import YEAR_MAX, YEAR_MIN, CitedReference, aggregate, normalize_key, parse_key
 from rpyspect.wos import (
     ImportFilter,
     MemoryProbe,
@@ -171,7 +171,7 @@ class TestParseWos:
         text = "PT J\nPY 2011\nCR ...\n   A B, 2000, J\n   , ;\nER\nEF\n"
         stats = ParseStats()
         records = parse_text(text, stats)
-        assert records[0][1] == [("A B, 2000, J", 2000)]
+        assert records[0][1] == ["A B, 2000, J"]
         assert stats.malformed_records == 2
 
     def test_unknown_tags_ignored(self):
@@ -182,16 +182,16 @@ class TestParseWos:
 
     def test_non_ascii_letters_are_not_a_tag(self):
         records = parse_text("PT J\nPY 2011\nCR A B, 1990, J\nER\nÄB x\nER\nEF\n")
-        assert records == [(2011, [("A B, 1990, J", 1990)])]
+        assert records == [(2011, ["A B, 1990, J"])]
 
     def test_line_shorter_than_a_tag_is_ignored(self):
         records = parse_text("PT J\nPY 2011\nA\nCR A B, 2000, J\nER\nEF\n")
-        assert records[0][1] == [("A B, 2000, J", 2000)]
+        assert records[0][1] == ["A B, 2000, J"]
 
     def test_latin1_fallback(self):
         body = b"PT J\nPY 2011\nCR M\xdcLLER K, 1990, J PHYS\nER\nEF\n"
         records = list(parse_wos(io.BytesIO(body)))
-        assert records[0][1] == [("MÜLLER K, 1990, J PHYS", 1990)]
+        assert records[0][1] == ["MÜLLER K, 1990, J PHYS"]
 
     @pytest.mark.parametrize("value", ["2_011", "-7", "+2011"])
     def test_py_follows_the_year_rule(self, value):
@@ -201,14 +201,14 @@ class TestParseWos:
     def test_crlf_line_endings(self):
         records = parse_text(TWO_RECORDS.replace("\n", "\r\n"))
         assert [len(crs) for _, crs in records] == [3, 0]
-        assert records[0][1][0] == ("STUIVER M, 1993, RADIOCARBON, V35, P215", 1993)
+        assert records[0][1][0] == "STUIVER M, 1993, RADIOCARBON, V35, P215"
 
     def test_roundtrip_against_generator(self, corpus: Corpus, corpus_file):
         records = list(parse_wos_path(corpus_file))
         assert len(records) == corpus.n_records
         for (parsed_py, parsed_crs), (py, _, crs) in zip(records, corpus.records):
             assert parsed_py == py
-            assert [line for line, _ in parsed_crs] == crs
+            assert parsed_crs == crs
 
 
 def fields(line: str) -> CitedReference:
@@ -216,23 +216,55 @@ def fields(line: str) -> CitedReference:
     return parse_key(normalize_key(line))
 
 
+CR_LINE_EXAMPLES = [
+    "Stuiver M, 1993,  Radiocarbon, V35, P215.",
+    " ., ;",  # no key
+    "A, 1990",
+    "A, 19900, J",
+    "A,1990, B, 1991",  # the first "," is not followed by whitespace
+    "A, 1990 , J",  # the year token is "1990 "
+    "A, 1990\u3000.;",  # trailing whitespace and punctuation
+    "A, 1990:",
+]
+
+
+def cr_line_property(test):
+    """Run ``test`` on 2,000 drawn CR texts and on every CR_LINE_EXAMPLES text."""
+    for text in CR_LINE_EXAMPLES:
+        test = example(text)(test)
+    return settings(max_examples=2000)(given(st.one_of(RAW_CR_TEXT, CR_TEXT, st.text()))(test))
+
+
+def kept_by_rpy_filter(crs: list[str], rpy_range) -> list[str]:
+    """The lines ``_passing`` keeps of one record of citing year 2000 that
+    holds ``crs``, under the RPY filter ``rpy_range``: the record is fed
+    to it directly, so any text can be a CR line."""
+    record = [(2000, crs)]
+    with mock.patch.object(wos, "parse_wos_path", lambda path, stats: iter(record)):
+        [(_, _, passing)] = _passing(None, ImportFilter(rpy_range=rpy_range), ParseStats())
+    return passing
+
+
 class TestParseCrLine:
-    @settings(max_examples=2000)
-    @given(st.one_of(RAW_CR_TEXT, CR_TEXT, st.text()))
-    @example("Stuiver M, 1993,  Radiocarbon, V35, P215.")
-    @example(" ., ;")  # no key
-    @example("A, 1990")
-    @example("A, 19900, J")
-    @example("A,1990, B, 1991")  # the first "," is not followed by whitespace
-    @example("A, 1990 , J")  # the year token is "1990 "
-    @example("A, 1990\u3000.;")  # trailing whitespace and punctuation
-    @example("A, 1990:")
-    def test_pair_is_the_line_and_its_keys_year(self, text):
+    @cr_line_property
+    def test_line_is_kept_as_read_unless_it_has_no_key(self, text):
+        if normalize_key(text):
+            assert parse_cr_line(text) is text
+        else:
+            assert parse_cr_line(text) is None
+
+    @cr_line_property
+    def test_year_read_for_an_rpy_filter_is_the_keys_year(self, text):
         key = normalize_key(text)
         if not key:
-            assert parse_cr_line(text) is None
+            return  # the reader drops the line, so no filter sees it
+        rpy = parse_key(key).rpy
+        if rpy is None:
+            # Every known year passes the first filter: a line it drops has none.
+            assert kept_by_rpy_filter([text], (YEAR_MIN, YEAR_MAX, False)) == []
+            assert kept_by_rpy_filter([text], (YEAR_MIN, YEAR_MAX, True)) == [text]
         else:
-            assert parse_cr_line(text) == (text, parse_key(key).rpy)
+            assert kept_by_rpy_filter([text], (rpy, rpy, False)) == [text]
 
     @pytest.mark.parametrize(
         "token",
@@ -241,8 +273,13 @@ class TestParseCrLine:
     def test_year_memo_gives_the_year_rule(self, token, monkeypatch):
         monkeypatch.setattr(wos, "_years", wos._YearMemo())
         line = f"A B, {token}, J"
-        assert parse_cr_line(line) == (line, model.parse_year(token))  # first sight
-        assert parse_cr_line(line) == (line, model.parse_year(token))  # a repeat
+        year = model.parse_year(token)
+        # A one-year filter keeps the line only if that year is read; a
+        # filter of every known year drops it only if no year is read.
+        rpy_range = (YEAR_MIN, YEAR_MAX, False) if year is None else (year, year, False)
+        kept = [] if year is None else [line]
+        assert kept_by_rpy_filter([line], rpy_range) == kept  # first sight
+        assert kept_by_rpy_filter([line], rpy_range) == kept  # a repeat
         assert list(wos._years) == ([token] if token.isascii() else [])
 
     # The other fields of a line come from its key, once per distinct key.
@@ -406,7 +443,7 @@ class TestAnalyzeFile:
 
     @pytest.mark.parametrize("py_range", [None, (1990, 2005, False)])
     def test_unfiltered_records_pass_as_read(self, corpus: Corpus, corpus_file, py_range):
-        # Without an RPY filter every pair passes: a record whose citing
+        # Without an RPY filter every line passes: a record whose citing
         # year passes is yielded with its own list, not a copy.
         stats = ParseStats()
         n_cr = 0
@@ -434,7 +471,7 @@ class TestImportFile:
     def test_none_sampling_equals_manual_composition(self, corpus: Corpus, corpus_file):
         ds = import_file(corpus_file, ImportFilter())
         manual = aggregate(
-            (key, py) for py, crs in parse_wos_path(corpus_file) for key, _ in crs
+            (key, py) for py, crs in parse_wos_path(corpus_file) for key in crs
         )
         assert {k: v.ncr for k, v in ds.variants.items()} == {
             k: v.ncr for k, v in manual.variants.items()
@@ -553,7 +590,7 @@ class TestSelectMatchesImport:
         lo, hi, unknown = py_range or (0, 9999, True)
         for py, crs in parse_wos_path(path):
             if unknown if py is None else lo <= py <= hi:
-                for line, _ in crs:
+                for line in crs:
                     yield line, py
 
     @settings(max_examples=300, deadline=None)
@@ -617,11 +654,11 @@ class TestStreamingContract:
         assert probe.peak <= 50 + 20
 
     def test_probe_counts_every_pair_of_a_filtered_record(self, tmp_path):
-        # The probe counts the sampler's pairs plus all of the current
-        # record's pairs, filtered out or not: the filters shrink what is
-        # offered, not what the reader holds. The PY-1970 record fails the
-        # citing-year filter with 3 pairs on top of the 1 kept, so the
-        # peak is 4; counting only the passing pairs would give 3.
+        # The probe counts the sampler's lines plus all of the current
+        # record's CR lines, filtered out or not: the filters shrink what
+        # is offered, not what the reader holds. The PY-1970 record fails
+        # the citing-year filter with 3 lines on top of the 1 kept, so the
+        # peak is 4; counting only the passing lines would give 3.
         path = tmp_path / "filtered.txt"
         path.write_text(
             "FN X\nVR 1.0\n"
@@ -638,13 +675,13 @@ class TestStreamingContract:
     def test_none_import_holds_distinct_lines_not_occurrences(self, tmp_path):
         # 3,000 CR occurrences of at most 40 works: the NONE sampler folds
         # them by line as it reads, so the probe peaks at the distinct
-        # lines plus one record (10 pairs), far below the occurrences.
+        # lines plus one record (10 lines), far below the occurrences.
         corpus = make_corpus(seed=6, n_records=300, crs_per_record=10, n_works=40)
         path = tmp_path / "repeats.txt"
         corpus.write(path)
         probe = MemoryProbe()
         ds = import_file(path, ImportFilter(), probe=probe)
-        lines = {line for _, crs in parse_wos_path(path) for line, _ in crs}
+        lines = {line for _, crs in parse_wos_path(path) for line in crs}
         assert ds.n_cr_total == corpus.n_cr == 3000
         assert probe.peak == len(lines) + 10
         assert probe.peak < ds.n_cr_total
@@ -652,8 +689,8 @@ class TestStreamingContract:
     def test_probe_accounting_is_honest(self, tmp_path, monkeypatch):
         # Cross-check the accounting hook against a census of the CR lines
         # still alive, each counted from creation to collection: the
-        # reader's (line, rpy) pairs and the (line, py) pairs the sampler
-        # keeps both hold the line object that parse_cr_line returns.
+        # reader's CR lines and the (line, py) pairs the sampler keeps
+        # both hold the line object that parse_cr_line returns.
         corpus = make_corpus(seed=3, n_records=60, crs_per_record=10, n_works=100)
         path = tmp_path / "census.txt"
         corpus.write(path)
@@ -670,8 +707,8 @@ class TestStreamingContract:
         parse = wos.parse_cr_line
 
         def counted_parse(line):
-            line, rpy = parse(line)
-            return Line(line), rpy
+            line = parse(line)
+            return None if line is None else Line(line)
 
         monkeypatch.setattr(wos, "parse_cr_line", counted_parse)
 
@@ -688,6 +725,48 @@ class TestStreamingContract:
         import_file(path, ImportFilter(max_cr=40, sampling_mode="RANDOM"), probe=probe)
         # The census may lag by one record awaiting rebinding.
         assert 40 <= probe.census_peak <= 40 + 2 * 10
+
+
+class TestYearOnDemand:
+    """A CR's year is read (``wos._raw_year``) only for an RPY filter, and
+    only for the CR lines of records whose citing year passes."""
+
+    TEXT = (
+        "FN X\nVR 1.0\n"
+        "PT J\nPY 2000\nCR A B, 1990, J\n   C D, 1850, K\nER\n"
+        "PT J\nPY 1970\nCR E F, 1991, L\n   G H, 1992, M\n   I J, 1993, N\nER\n"
+        "PT J\nPY 2001\nCR K L, 1995, O\nER\nEF\n"
+    )
+    PY = (1980, 2014, False)
+
+    @pytest.fixture()
+    def reads(self, tmp_path, monkeypatch):
+        (tmp_path / "years.txt").write_text(self.TEXT)
+        monkeypatch.chdir(tmp_path)
+        read = []
+        raw_year = wos._raw_year
+        monkeypatch.setattr(wos, "_raw_year", lambda line: read.append(line) or raw_year(line))
+        return read
+
+    @pytest.mark.parametrize(
+        "filt",
+        [ImportFilter(), ImportFilter(py_range=PY, max_cr=2, sampling_mode="SYSTEMATIC")],
+        ids=["NONE", "SYSTEMATIC"],
+    )
+    def test_no_year_is_read_without_an_rpy_filter(self, reads, filt):
+        assert import_file("years.txt", filt).n_cr_total > 0
+        assert analyze_file("years.txt", filt).n_cr > 0
+        assert reads == []
+
+    def test_one_read_per_cr_line_of_each_passing_record(self, reads):
+        filt = ImportFilter(rpy_range=(1900, 2010, False), py_range=self.PY)
+        assert analyze_file("years.txt", filt).n_cr == 2
+        # The PY-1970 record fails the citing-year filter: none of its lines.
+        assert reads == ["A B, 1990, J", "C D, 1850, K", "K L, 1995, O"]
+        reads.clear()
+        sample = import_file("years.txt", filt.replace(max_cr=1, sampling_mode="RANDOM"))
+        assert sample.n_cr_total == 1
+        assert reads == ["A B, 1990, J", "C D, 1850, K", "K L, 1995, O"]
 
 
 class TestFormats:
