@@ -38,17 +38,21 @@ def normalize_key(raw: str) -> str:
     return " ".join(raw.split()).upper().rstrip(".,;: ")
 
 
-# The unrolled prefix cannot match past the line's first "," plus
+# The unrolled head cannot match past the line's first "," plus
 # whitespace run, so a match never skips to a later token.
-RAW_YEAR = re.compile(r"[^,]*(?:,(?!\s)[^,]*)*,\s+(\d{4})(?:,\s|[.,;:\s]*\Z)")
+RAW_YEAR_HEAD = r"[^,]*(?:,(?!\s)[^,]*)*,\s+"
+RAW_YEAR_TAIL = r"(?:,\s|[.,;:\s]*\Z)"
+RAW_YEAR = re.compile(RAW_YEAR_HEAD + r"(\d{4})" + RAW_YEAR_TAIL)
 r"""Finds the candidate year token of a raw cited-reference line, without
 normalizing it: the 4 decimal digits after the line's first ``,`` plus
-whitespace run, followed by ``,`` plus whitespace or by nothing but
-``[.,;:\s]*``. Those are ``normalize_key``'s rules read on the raw text
-(a whitespace run becomes one space, trailing ``.,;:`` and spaces are
-stripped, and upper-casing moves no digit, comma or space), so group 1
-is the key's second ``", "`` token exactly when that token is 4 decimal
-digits. ``parse_year`` then judges the token."""
+whitespace run (``RAW_YEAR_HEAD``), followed by ``,`` plus whitespace or
+by nothing but ``[.,;:\s]*`` (``RAW_YEAR_TAIL``). Those are
+``normalize_key``'s rules read on the raw text (a whitespace run becomes
+one space, trailing ``.,;:`` and spaces are stripped, and upper-casing
+moves no digit, comma or space), so group 1 is the key's second ``", "``
+token exactly when that token is 4 decimal digits. ``parse_year`` then
+judges the token. The WoS reader's year gates (``wos._year_gate``) put
+the same head and tail around the years of an RPY filter."""
 
 NO_KEY = re.compile(r"[\s.,;:]*")
 """Fullmatches exactly the lines whose ``normalize_key`` is empty."""

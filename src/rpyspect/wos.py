@@ -4,19 +4,27 @@ The reader is a generator that holds one record and one 64 KiB block of
 input at a time, so an import's peak memory is O(distinct lines of the
 sample + one record) regardless of file size (a RANDOM import holds its
 reservoir). It keeps CR lines as read; years are read only for an RPY
-filter. The field-tag layout (2-char tag, value from column 4, 3-space
-continuation indent) is documented byte-exactly in docs/wos-format.md.
+filter, which decides the lines of an all-ASCII record with one compiled
+pattern built from its years (``_year_gate``) and those of any other
+record line by line, by the same rule. The field-tag layout (2-char tag,
+value from column 4, 3-space continuation indent) is documented
+byte-exactly in docs/wos-format.md.
 """
 
 from __future__ import annotations
 
+import functools
 import random
+import re
+from itertools import filterfalse
 from typing import BinaryIO, Callable, Iterator, Optional, Sequence
 
 from .errors import DomainError, EmptySampleError
 from .model import (
     NO_KEY,
     RAW_YEAR,
+    RAW_YEAR_HEAD,
+    RAW_YEAR_TAIL,
     YEAR_MAX,
     YEAR_MIN,
     Dataset,
@@ -122,22 +130,8 @@ class MemoryProbe:
             self.peak = live
 
 
-class _YearMemo(dict):
-    """``parse_year`` of each token looked up, filled on first sight. Only
-    ASCII tokens are stored, so with 4-digit ``RAW_YEAR`` tokens it never
-    holds more than 10,000 entries.
-    """
-
-    def __missing__(self, token: str) -> Optional[int]:
-        year = parse_year(token)
-        if token.isascii():
-            self[token] = year
-        return year
-
-
 _raw_year = RAW_YEAR.match
 _no_key = NO_KEY.fullmatch
-_years = _YearMemo()
 
 
 def parse_cr_line(line: str) -> Optional[str]:
@@ -275,6 +269,51 @@ def check_format(fmt: str) -> None:
     raise DomainError(f"unknown import format {fmt!r}")
 
 
+def _digit_trie(spellings: Sequence[str]) -> str:
+    """A regex that matches exactly ``spellings``, distinct digit strings
+    of one length (at least one of them), as a trie: sibling digits whose
+    subtries are equal share one character class."""
+    if not spellings[0]:
+        return ""
+    rests: dict[str, list[str]] = {}
+    for spelling in spellings:
+        rests.setdefault(spelling[0], []).append(spelling[1:])
+    digits: dict[str, str] = {}  # subtrie -> the digits that lead to it
+    for digit, rest in rests.items():
+        sub = _digit_trie(rest)
+        digits[sub] = digits.get(sub, "") + digit
+    branches = [(d if len(d) == 1 else f"[{d}]") + sub for sub, d in digits.items()]
+    return branches[0] if len(branches) == 1 else "(?:" + "|".join(branches) + ")"
+
+
+@functools.lru_cache(maxsize=32)
+def _year_gate(lo: int, hi: int, unknown: bool) -> Callable[[str], object]:
+    r"""The ``match`` of the year gate of the RPY filter (lo, hi, unknown).
+
+    The gate is ``RAW_YEAR`` with its ``\d{4}`` narrowed to the ASCII
+    spellings of some years: with ``unknown`` false, those the filter
+    keeps, [max(lo, YEAR_MIN), min(hi, YEAR_MAX)], so an ASCII line passes
+    if the gate matches it; with ``unknown`` true, the other years of
+    [YEAR_MIN, YEAR_MAX], so an ASCII line passes if it does not. On an
+    ASCII line the head stops only at the line's first "," plus
+    whitespace run, and ``\s+`` gives back no digit, so the gate reads
+    ``RAW_YEAR``'s token; ``parse_year`` of an ASCII token of 4 digits is
+    its ``int`` if that lies in [YEAR_MIN, YEAR_MAX]. A non-ASCII line can spell a year in other
+    decimal digits (``١٩٩٠``), which the gate does not read.
+
+    The head sits in a lookahead whose match is then read back (``\1``):
+    the head can match only one way, and a lookahead is not backtracked
+    into, so a line the gate refuses costs one pass of the head rather
+    than one retry per character the head could give back (Python 3.10
+    has no atomic groups). Cached, so the imports and the count pass of a
+    loop compile the gate once.
+    """
+    kept = range(max(lo, YEAR_MIN), min(hi, YEAR_MAX) + 1)
+    years = [str(y) for y in range(YEAR_MIN, YEAR_MAX + 1) if (y in kept) != unknown]
+    spelled = _digit_trie(years) if years else "(?!)"
+    return re.compile(f"(?=({RAW_YEAR_HEAD}))\\1(?:{spelled}){RAW_YEAR_TAIL}").match
+
+
 def _passing(
     path, filt: ImportFilter, stats: ParseStats
 ) -> Iterator[tuple[Optional[int], Lines, Lines]]:
@@ -285,17 +324,21 @@ def _passing(
     ``passing``. Without an RPY filter a passing record is yielded as
     read: ``passing`` is ``crs`` itself, and no CR year is read. With
     one, the year of each CR line of a passing record is ``parse_year``
-    of the ``model.RAW_YEAR`` token (memoized), its key's second ", "
-    token. This is the one place that applies the filters and counts
-    what passes, so the count pass totals exactly the CRs an import
-    offers, in file order. ``stats.n_citing`` and ``stats.n_cr`` start
-    at 0 and cover the records yielded so far.
+    of the ``model.RAW_YEAR`` token, its key's second ", " token. A
+    record whose lines are all ASCII is decided in one C-level pass of
+    the filter's year gate (``_year_gate``), any other line by line; both
+    keep the same lines. This is the one place that applies the filters
+    and counts what passes, so the count pass totals exactly the CRs an
+    import offers, in file order. ``stats.n_citing`` and ``stats.n_cr``
+    start at 0 and cover the records yielded so far.
     """
     # parse_year returns only years in [YEAR_MIN, YEAR_MAX]: no filter, all pass.
     py_lo, py_hi, py_unknown = filt.py_range or (YEAR_MIN, YEAR_MAX, True)
     unfiltered = filt.rpy_range is None
     lo, hi, unknown = filt.rpy_range or (YEAR_MIN, YEAR_MAX, True)
-    raw_year, years = _raw_year, _years
+    gate = None if unfiltered else _year_gate(lo, hi, unknown)
+    select = filterfalse if unknown else filter
+    raw_year = _raw_year
     stats.n_citing = stats.n_cr = 0
     for py, crs in parse_wos_path(path, stats):
         if not (py_unknown if py is None else py_lo <= py <= py_hi):
@@ -303,11 +346,13 @@ def _passing(
             continue
         if unfiltered:
             passing = crs
+        elif all(map(str.isascii, crs)):
+            passing = list(select(gate, crs))
         else:
             passing = []
             for line in crs:
                 found = raw_year(line)
-                rpy = None if found is None else years[found[1]]
+                rpy = None if found is None else parse_year(found[1])
                 if unknown if rpy is None else lo <= rpy <= hi:
                     passing.append(line)
         stats.n_citing += 1

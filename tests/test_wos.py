@@ -270,8 +270,7 @@ class TestParseCrLine:
         "token",
         ["1990", "1000", "3000", "0999", "3001", "١٩٩٠", "٠٩٩٩", "٣٠٠١", "1٩9٠"],
     )
-    def test_year_memo_gives_the_year_rule(self, token, monkeypatch):
-        monkeypatch.setattr(wos, "_years", wos._YearMemo())
+    def test_year_memo_gives_the_year_rule(self, token):
         line = f"A B, {token}, J"
         year = model.parse_year(token)
         # A one-year filter keeps the line only if that year is read; a
@@ -280,7 +279,41 @@ class TestParseCrLine:
         kept = [] if year is None else [line]
         assert kept_by_rpy_filter([line], rpy_range) == kept  # first sight
         assert kept_by_rpy_filter([line], rpy_range) == kept  # a repeat
-        assert list(wos._years) == ([token] if token.isascii() else [])
+
+    @pytest.mark.parametrize(
+        "rpy_range",
+        [
+            (1970, 2010, False),
+            (1970, 2010, True),
+            (YEAR_MIN, YEAR_MAX, False),
+            (YEAR_MIN, YEAR_MAX, True),
+            (2000, 2000, False),
+            (-5, 10**20, False),
+            (3001, 4000, False),  # no known year passes
+            (3001, 4000, True),
+        ],
+    )
+    def test_year_gate_keeps_what_the_year_rule_keeps(self, rpy_range):
+        # Every ASCII token of 4 digits, in one record: the gated path.
+        lo, hi, unknown = rpy_range
+        crs, expected = [], []
+        for n in range(10_000):
+            line = f"A B, {n:04d}, J"
+            year = model.parse_year(f"{n:04d}")
+            crs.append(line)
+            if unknown if year is None else lo <= year <= hi:
+                expected.append(line)
+        assert kept_by_rpy_filter(crs, rpy_range) == expected
+
+    @pytest.mark.parametrize("unknown", [False, True])
+    def test_record_with_a_non_ascii_line_keeps_the_year_rule(self, unknown):
+        # Other decimal digits spell years too, so the gate cannot decide
+        # this record: each line's token goes through parse_year.
+        crs = ["MÜLLER K, 1990, J", "A B, ١٩٩٠, J", "A B, 1٩9٠, J", "A B, ٣٠٠١, J", "C D, 1850, K"]
+        kept = ["MÜLLER K, 1990, J", "A B, ١٩٩٠, J", "A B, 1٩9٠, J"]
+        if unknown:
+            kept.append("A B, ٣٠٠١, J")  # 3001 is past YEAR_MAX: an unknown year
+        assert kept_by_rpy_filter(crs, (1970, 2010, unknown)) == kept
 
     # The other fields of a line come from its key, once per distinct key.
     def test_full_reference(self):
@@ -728,8 +761,9 @@ class TestStreamingContract:
 
 
 class TestYearOnDemand:
-    """A CR's year is read (``wos._raw_year``) only for an RPY filter, and
-    only for the CR lines of records whose citing year passes."""
+    """A CR's year is read only for an RPY filter, and only for the CR
+    lines of records whose citing year passes: by the filter's year gate
+    for a record of ASCII lines, else line by line (``wos._raw_year``)."""
 
     TEXT = (
         "FN X\nVR 1.0\n"
@@ -741,11 +775,18 @@ class TestYearOnDemand:
 
     @pytest.fixture()
     def reads(self, tmp_path, monkeypatch):
-        (tmp_path / "years.txt").write_text(self.TEXT)
+        (tmp_path / "years.txt").write_text(self.TEXT, encoding="utf-8")
+        (tmp_path / "mixed.txt").write_text(self.TEXT.replace("A B", "MÜLLER K"), encoding="utf-8")
         monkeypatch.chdir(tmp_path)
-        read = []
-        raw_year = wos._raw_year
-        monkeypatch.setattr(wos, "_raw_year", lambda line: read.append(line) or raw_year(line))
+        read = []  # (how, line): "gate" for the year gate, "line" for the per-line read
+        year_gate, raw_year = wos._year_gate, wos._raw_year
+
+        def counted_gate(lo, hi, unknown):
+            gate = year_gate(lo, hi, unknown)
+            return lambda line: read.append(("gate", line)) or gate(line)
+
+        monkeypatch.setattr(wos, "_year_gate", counted_gate)
+        monkeypatch.setattr(wos, "_raw_year", lambda line: read.append(("line", line)) or raw_year(line))
         return read
 
     @pytest.mark.parametrize(
@@ -759,14 +800,22 @@ class TestYearOnDemand:
         assert reads == []
 
     def test_one_read_per_cr_line_of_each_passing_record(self, reads):
+        expected = [("gate", "A B, 1990, J"), ("gate", "C D, 1850, K"), ("gate", "K L, 1995, O")]
+        self.check_reads("years.txt", reads, expected)
+
+    def test_a_record_with_a_non_ascii_line_is_read_line_by_line(self, reads):
+        expected = [("line", "MÜLLER K, 1990, J"), ("line", "C D, 1850, K"), ("gate", "K L, 1995, O")]
+        self.check_reads("mixed.txt", reads, expected)
+
+    def check_reads(self, path, reads, expected):
         filt = ImportFilter(rpy_range=(1900, 2010, False), py_range=self.PY)
-        assert analyze_file("years.txt", filt).n_cr == 2
+        assert analyze_file(path, filt).n_cr == 2
         # The PY-1970 record fails the citing-year filter: none of its lines.
-        assert reads == ["A B, 1990, J", "C D, 1850, K", "K L, 1995, O"]
+        assert reads == expected
         reads.clear()
-        sample = import_file("years.txt", filt.replace(max_cr=1, sampling_mode="RANDOM"))
+        sample = import_file(path, filt.replace(max_cr=1, sampling_mode="RANDOM"))
         assert sample.n_cr_total == 1
-        assert reads == ["A B, 1990, J", "C D, 1850, K", "K L, 1995, O"]
+        assert reads == expected
 
 
 class TestFormats:
