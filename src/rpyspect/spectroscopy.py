@@ -4,12 +4,17 @@ All functions are pure over immutable datasets. Median windows are
 truncated at the series edges rather than zero-padded (padding would
 manufacture spurious positive deviations there); an even-length window's
 median is the mean of its two central values.
+
+``fidelity`` is the one measure of how closely a sample's spectrogram
+tracks a reference's, such as the population's. It scores every year
+that either spectrogram spans, so a sample also answers for the years
+it misses.
 """
 
 from __future__ import annotations
 
 from itertools import accumulate
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import DomainError, EmptyDatasetError
 from .model import CRVariant, Dataset, Spectrogram, SpectroRow
@@ -50,20 +55,14 @@ def compute_spectrogram(dataset: Dataset, median_range: int = 2) -> Spectrogram:
     return tuple(rows)
 
 
-def _shared_window(*specs: Spectrogram) -> tuple[int, int]:
-    if not all(specs):
-        raise EmptyDatasetError("spectrogram has no rows")
-    lo = max(s[0].rpy for s in specs)
-    hi = min(s[-1].rpy for s in specs)
-    if lo > hi:
-        raise DomainError("spectrograms share no RPY window")
-    return lo, hi
-
-
 def scale_factor(sample: Spectrogram, reference: Spectrogram) -> float:
     """f = (sample peak NCR) / (reference peak NCR) over the shared year
     window; dividing sample rows by f lifts them to reference scale."""
-    lo, hi = _shared_window(sample, reference)
+    if not (sample and reference):
+        raise EmptyDatasetError("spectrogram has no rows")
+    lo, hi = max(sample[0].rpy, reference[0].rpy), min(sample[-1].rpy, reference[-1].rpy)
+    if lo > hi:
+        raise DomainError("spectrograms share no RPY window")
     # A hand-built spectrogram may have gaps, so a window may hold no row.
     sample_max, ref_max = (
         max((r.ncr for r in s if lo <= r.rpy <= hi), default=0) for s in (sample, reference)
@@ -73,21 +72,31 @@ def scale_factor(sample: Spectrogram, reference: Spectrogram) -> float:
     return sample_max / ref_max
 
 
-def spectrogram_diff(
-    a: Spectrogram, b: Spectrogram, reference: Spectrogram
-) -> list[tuple[int, float]]:
-    """Per-year difference between two spectrograms after both are scaled
-    to the reference; years outside the shared window are omitted."""
-    lo, hi = _shared_window(a, b, reference)
-    f_a = scale_factor(a, reference)
-    f_b = scale_factor(b, reference)
-    if f_a == 0 or f_b == 0:
+class Fidelity(NamedTuple):
+    """How closely a sample's spectrogram tracks a reference's."""
+
+    scale: float  # scale_factor(sample, reference)
+    deviations: tuple[tuple[int, float], ...]  # (year, sample NCR / scale - reference NCR)
+    mean_error: float  # mean |deviation| / reference peak NCR
+    max_error: float  # largest |deviation| / reference peak NCR
+
+
+def fidelity(sample: Spectrogram, reference: Spectrogram) -> Fidelity:
+    """The sample scaled to the reference, year by year, from the earlier
+    first year to the later last year of the two: a year a spectrogram
+    lacks counts as NCR 0, so a year the sample misses costs the
+    reference's NCR there."""
+    scale = scale_factor(sample, reference)
+    if scale == 0:
         raise ZeroDivisionError("sample spectrogram peak NCR is 0 in the shared window")
-    ncr_a = {r.rpy: r.ncr for r in a}
-    ncr_b = {r.rpy: r.ncr for r in b}
-    return [
-        (y, ncr_a.get(y, 0) / f_a - ncr_b.get(y, 0) / f_b) for y in range(lo, hi + 1)
-    ]
+    ncr_sample, ncr_ref = ({r.rpy: r.ncr for r in s} for s in (sample, reference))
+    lo, hi = min(sample[0].rpy, reference[0].rpy), max(sample[-1].rpy, reference[-1].rpy)
+    deviations = tuple(
+        (y, ncr_sample.get(y, 0) / scale - ncr_ref.get(y, 0)) for y in range(lo, hi + 1)
+    )
+    errors = [abs(d) for _, d in deviations]
+    peak = max(ncr_ref.values())
+    return Fidelity(scale, deviations, sum(errors) / len(errors) / peak, max(errors) / peak)
 
 
 def top_crs(dataset: Dataset, rpy: int, k: int) -> list[CRVariant]:

@@ -24,7 +24,7 @@ from rpyspect.formats import load_cre, save_cre, union_cre
 from rpyspect.model import CitedReference, CRVariant, Dataset, SpectroRow, aggregate, normalize_key
 from rpyspect.sampling import RandomSampler, removal_threshold
 from rpyspect.script import parse_script
-from rpyspect.spectroscopy import compute_spectrogram, scale_factor, top_crs
+from rpyspect.spectroscopy import compute_spectrogram, fidelity, top_crs
 from rpyspect.wos import ImportFilter, MemoryProbe, import_file
 
 from conftest import dataset_fields, select
@@ -203,11 +203,7 @@ def test_criterion_7_scaled_sample_fidelity(tmp_path):
         )
         spect_pop = compute_spectrogram(population)
         spect_sample = compute_spectrogram(sample)
-        f = scale_factor(spect_sample, spect_pop)
-        peak = max(r.ncr for r in spect_pop)
-        pop_by_year = {r.rpy: r.ncr for r in spect_pop}
-        for row in spect_sample:
-            assert abs(row.ncr / f - pop_by_year[row.rpy]) <= 0.05 * peak
+        assert fidelity(spect_sample, spect_pop).max_error <= 0.05
         for year in peak_years:
             assert top_crs(sample, year, 1)[0].key == top_crs(population, year, 1)[0].key
 
@@ -292,10 +288,10 @@ def test_readme_library_use_runs_as_written(tmp_path, monkeypatch):
     assert all(isinstance(row, SpectroRow) for row in population + names["spect"])
     # The sample holds 50,000 of 110,000 CRs, and each year of it, scaled
     # up, lands within 2 % of the population's peak.
-    assert 0.4 < names["f"] < 0.5
-    peak = max(row.ncr for row in population)
-    assert [y for y, _ in names["diff"]] == [row.rpy for row in population]
-    assert max(abs(d) for _, d in names["diff"]) < 0.02 * peak
+    fit = names["fit"]
+    assert 0.4 < fit.scale < 0.5
+    assert [y for y, _ in fit.deviations] == [row.rpy for row in population]
+    assert fit.max_error < 0.02
 
 
 def test_criterion_9_round_trip_and_union(tmp_path):

@@ -12,7 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 from rpyspect.errors import DomainError, EmptySampleError, OffsetTooLargeError
 from rpyspect.model import YEAR_BITS, aggregate
 from rpyspect.sampling import NoneSampler, RandomSampler, SystematicSampler, removal_threshold
-from rpyspect.spectroscopy import compute_spectrogram, spectrogram_diff
+from rpyspect.spectroscopy import compute_spectrogram, fidelity
 from rpyspect.wos import ImportFilter, MemoryProbe, ParseStats, import_file
 
 from conftest import folded, rows, select
@@ -174,14 +174,6 @@ class TestSystematicSample:
         assert wants == [pos < last for pos in range(total)]
 
 
-def per_year_error(sample, population) -> float:
-    """The mean absolute per-year difference of ``sample``, scaled to
-    ``population``, from ``population``, as a fraction of its peak NCR."""
-    diff = spectrogram_diff(sample, population, population)
-    peak = max(row.ncr for row in population)
-    return sum(abs(d) for _, d in diff) / len(diff) / peak
-
-
 class TestSystematicPeriodicity:
     """README "Sampling notes": when every record holds 25 CRs sorted by
     RPY, a SYSTEMATIC step of 25 picks the same position in every record,
@@ -205,7 +197,7 @@ class TestSystematicPeriodicity:
         def error(mode):
             filt = ImportFilter(max_cr=n, sampling_mode=mode, seed=seed)
             sample = import_file(tmp_path / "sorted.txt", filt)
-            return per_year_error(compute_spectrogram(sample, median_range=0), population)
+            return fidelity(compute_spectrogram(sample, median_range=0), population).mean_error
 
         assert error("SYSTEMATIC") > 3 * error("RANDOM")
 

@@ -3,15 +3,16 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import assume, given, strategies as st
 
 from rpyspect.errors import DomainError, EmptyDatasetError
-from rpyspect.model import CitedReference, CRVariant, Dataset, aggregate
+from rpyspect.model import CitedReference, CRVariant, Dataset, SpectroRow, aggregate
 from rpyspect.sampling import SystematicSampler
 from rpyspect.spectroscopy import (
     compute_spectrogram,
+    fidelity,
     n_pct,
     scale_factor,
-    spectrogram_diff,
     top_crs,
     window_totals,
 )
@@ -137,53 +138,119 @@ class TestScaleFactor:
         select(sampler, occs)
         spect_pop = compute_spectrogram(aggregate(occs))
         spect_sample = compute_spectrogram(aggregate(sampler.result()))
-        f = scale_factor(spect_sample, spect_pop)
-        pop_by_year = {r.rpy: r.ncr for r in spect_pop}
-        for row in spect_sample:
-            assert abs(row.ncr / f - pop_by_year[row.rpy]) <= 2
+        deviations = fidelity(spect_sample, spect_pop).deviations
+        assert [y for y, _ in deviations] == list(range(2000, 2010))
+        assert max(abs(d) for _, d in deviations) <= 2
 
 
-class TestSpectrogramDiff:
+def by_hand(ncr: dict[int, int]) -> tuple[SpectroRow, ...]:
+    """A hand-built spectrogram: one row per given year, in year order."""
+    return tuple(SpectroRow(y, c, 0.0) for y, c in sorted(ncr.items()))
+
+
+# Gap-filled spectrograms: one row for every year from the first to the
+# last dated count, a year between them without a count at NCR 0.
+spectrograms = st.dictionaries(
+    st.integers(1990, 2010), st.integers(1, 50), min_size=1, max_size=12
+).map(lambda counts: compute_spectrogram(dataset_from_counts(counts)))
+
+
+class TestFidelity:
     def test_self_difference_is_zero(self):
         spect = compute_spectrogram(dataset_from_counts({2000: 5, 2001: 9, 2002: 2}))
-        ref = compute_spectrogram(dataset_from_counts({2000: 50, 2001: 90, 2002: 20}))
-        assert all(d == 0 for _, d in spectrogram_diff(spect, spect, ref))
+        result = fidelity(spect, spect)
+        assert all(d == 0 for _, d in result.deviations)
+        assert result.scale == 1.0
+        assert result.mean_error == result.max_error == 0
 
     def test_uniform_factor_cancels(self):
-        a = compute_spectrogram(dataset_from_counts({2000: 10, 2001: 4, 2002: 6}))
-        b = compute_spectrogram(dataset_from_counts({2000: 20, 2001: 8, 2002: 12}))
+        sample = compute_spectrogram(dataset_from_counts({2000: 10, 2001: 4, 2002: 6}))
         ref = compute_spectrogram(dataset_from_counts({2000: 100, 2001: 40, 2002: 60}))
-        assert all(d == pytest.approx(0) for _, d in spectrogram_diff(a, b, ref))
+        result = fidelity(sample, ref)
+        assert result.scale == 0.1
+        assert all(d == pytest.approx(0, abs=1e-12) for _, d in result.deviations)
 
     def test_matches_composed_oracle(self):
         rng = random.Random(31)
-        mk = lambda: compute_spectrogram(
-            dataset_from_counts({1990 + i: rng.randint(1, 40) for i in range(15)})
-        )
-        a, b, ref = mk(), mk(), mk()
-        diff = spectrogram_diff(a, b, ref)
-        f_a, f_b = scale_factor(a, ref), scale_factor(b, ref)
-        ncr_a, ncr_b = {r.rpy: r.ncr for r in a}, {r.rpy: r.ncr for r in b}
-        for year, value in diff:
-            assert value == pytest.approx(ncr_a[year] / f_a - ncr_b[year] / f_b)
 
-    def test_years_outside_shared_window_omitted(self):
-        a = compute_spectrogram(dataset_from_counts({2000: 4, 2005: 4}))
-        b = compute_spectrogram(dataset_from_counts({2002: 4, 2008: 4}))
+        def mk(first):
+            counts = {first + i: rng.randint(0, 40) for i in range(rng.randint(8, 15))}
+            # Each starts at `first` and holds 1997, a year every pair shares.
+            counts[first] = counts[1997] = rng.randint(1, 40)
+            return compute_spectrogram(
+                dataset_from_counts({y: c for y, c in counts.items() if c})
+            )
+
+        for _ in range(20):
+            sample, ref = mk(rng.randint(1990, 1996)), mk(rng.randint(1990, 1996))
+            result = fidelity(sample, ref)
+            f = scale_factor(sample, ref)
+            ncr_sample, ncr_ref = {r.rpy: r.ncr for r in sample}, {r.rpy: r.ncr for r in ref}
+            years = sorted(ncr_sample.keys() | ncr_ref.keys())
+            assert result.scale == f
+            assert [y for y, _ in result.deviations] == years
+            for year, value in result.deviations:
+                assert value == ncr_sample.get(year, 0) / f - ncr_ref.get(year, 0)
+
+    def test_every_year_either_spectrogram_spans_counts(self):
+        # The sample spans 2000..2005 of the reference's 1990..2010; the
+        # reference's years outside that window count at sample NCR 0.
+        sample = compute_spectrogram(dataset_from_counts({2000: 4, 2005: 4}))
         ref = compute_spectrogram(
             dataset_from_counts({y: 10 + y - 1990 for y in range(1990, 2011)})
         )
-        years = [y for y, _ in spectrogram_diff(a, b, ref)]
-        assert years == list(range(2002, 2006))
+        result = fidelity(sample, ref)
+        assert [y for y, _ in result.deviations] == list(range(1990, 2011))
+        assert all(d == -(10 + y - 1990) for y, d in result.deviations if y < 2000)
+
+    def test_years_the_sample_misses_count_against_it(self):
+        # scale = 5 / 10: the sample's 2001 and 2002 scale back exactly,
+        # and the reference's first and last years stand at -NCR.
+        sample = by_hand({2001: 5, 2002: 3})
+        ref = by_hand({2000: 4, 2001: 10, 2002: 6, 2003: 2})
+        result = fidelity(sample, ref)
+        assert result.scale == 0.5
+        assert result.deviations == ((2000, -4.0), (2001, 0.0), (2002, 0.0), (2003, -2.0))
+        assert result.mean_error == 0.15  # (4 + 0 + 0 + 2) / 4 years / peak 10
+        assert result.max_error == 0.4  # 4 / peak 10
+
+    def test_a_year_past_the_reference_counts_against_ncr_zero(self):
+        sample = by_hand({2000: 5, 2001: 10, 2002: 4})
+        ref = by_hand({2000: 10, 2001: 20})
+        result = fidelity(sample, ref)
+        assert result.scale == 0.5
+        assert result.deviations == ((2000, 0.0), (2001, 0.0), (2002, 8.0))
+        assert result.mean_error == 8 / 3 / 20
+        assert result.max_error == 0.4
+
+    @given(sample=spectrograms, reference=spectrograms)
+    def test_deviation_years_are_the_union_range(self, sample, reference):
+        lo, hi = max(sample[0].rpy, reference[0].rpy), min(sample[-1].rpy, reference[-1].rpy)
+        assume(all(any(lo <= r.rpy <= hi and r.ncr for r in s) for s in (sample, reference)))
+        years = [y for y, _ in fidelity(sample, reference).deviations]
+        first = min(sample[0].rpy, reference[0].rpy)
+        assert years == list(range(first, max(sample[-1].rpy, reference[-1].rpy) + 1))
+
+    @given(reference=spectrograms, k=st.integers(1, 20))
+    def test_a_k_fold_sample_has_zero_deviations(self, reference, k):
+        sample = tuple(r._replace(ncr=k * r.ncr) for r in reference)
+        result = fidelity(sample, reference)
+        assert result.scale == k
+        assert all(d == 0 for _, d in result.deviations)
+        assert result.mean_error == result.max_error == 0
 
     def test_zero_sample_peak_raises(self):
-        # The sample covers 1998..2002 but its NCR is zero on the shared
-        # window (the reference's single year, 2000), so its factor is 0.
-        a = compute_spectrogram(dataset_from_counts({1998: 7, 2002: 7}))
-        ref = compute_spectrogram(dataset_from_counts({2000: 5}))
+        # The sample covers 1998..2002 but has no NCR on the shared window
+        # (the reference's single year, 2000), so its factor is 0.
+        sample, ref = by_hand({1998: 7, 2002: 7}), by_hand({2000: 5})
         message = "^sample spectrogram peak NCR is 0 in the shared window$"
         with pytest.raises(ZeroDivisionError, match=message):
-            spectrogram_diff(a, ref, ref)
+            fidelity(sample, ref)
+
+    def test_disjoint_year_ranges_raise(self):
+        sample, ref = by_hand({1990: 5}), by_hand({2000: 5})
+        with pytest.raises(DomainError, match="^spectrograms share no RPY window$"):
+            fidelity(sample, ref)
 
 
 def two_variant_dataset():
