@@ -20,7 +20,7 @@ from .model import (
 )
 from .sampling import removal_threshold
 from .script import parse_script, pretty
-from .spectroscopy import compute_spectrogram, fidelity, n_pct, scale_factor, top_crs
+from .spectroscopy import compute_spectrogram, fidelity, n_pct, top_crs
 from .wos import (
     ImportFilter,
     MemoryProbe,

@@ -59,7 +59,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_spectro = sub.add_parser("spectro", help="compute a spectrogram CSV from a CRE file")
     p_spectro.add_argument("cre")
-    p_spectro.add_argument("--median-range", type=int, default=2)
+    median_range = engine.DEFAULT_SETTINGS["median_range"]
+    p_spectro.add_argument("--median-range", type=int, default=median_range)
     p_spectro.add_argument("--out", required=True)
     return parser
 

@@ -307,7 +307,7 @@ def csv_cr_bytes(dataset: Dataset, n_pct_range: int = 0) -> bytes:
                 v.ncr,
                 _fmt_num(pct),
                 _opt(v.cluster_id),
-                cluster_sizes.get(v.cluster_id, 1) if v.cluster_id is not None else 1,
+                cluster_sizes[v.cluster_id] if v.cluster_id is not None else 1,
             ]
         )
     return buf.getvalue().encode("utf-8")

@@ -14,18 +14,25 @@ it misses.
 from __future__ import annotations
 
 from itertools import accumulate
-from typing import NamedTuple, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from .errors import DomainError, EmptyDatasetError
 from .model import CRVariant, Dataset, Spectrogram, SpectroRow
 
 
-def ncr_per_rpy(dataset: Dataset) -> dict[Optional[int], int]:
-    """NCR summed per reference publication year, undated variants under None."""
+def year_series(dataset: Dataset) -> tuple[int, list[int], int]:
+    """(first, series, undated): series[i] is the dataset's NCR of RPY
+    first + i, from the first dated RPY to the last (0 in a gap year;
+    empty, and first 0, when no variant is dated), and undated is the NCR
+    of the variants without an RPY."""
     totals: dict[Optional[int], int] = {}
     for v in dataset.variants.values():
         totals[v.rpy] = totals.get(v.rpy, 0) + v.ncr
-    return totals
+    undated = totals.pop(None, 0)
+    if not totals:
+        return 0, [], undated
+    first = min(totals)
+    return first, [totals.get(y, 0) for y in range(first, max(totals) + 1)], undated
 
 
 def compute_spectrogram(dataset: Dataset, median_range: int = 2) -> Spectrogram:
@@ -38,26 +45,37 @@ def compute_spectrogram(dataset: Dataset, median_range: int = 2) -> Spectrogram:
     """
     if median_range < 0:
         raise DomainError("median_range must be >= 0")
-    counts = ncr_per_rpy(dataset)
-    counts.pop(None, None)
-    if not counts:
+    first, series, _ = year_series(dataset)
+    if not series:
         raise EmptyDatasetError("no variant carries a reference publication year")
-    lo, hi = min(counts), max(counts)
-    years = list(range(lo, hi + 1))
-    series = [counts.get(y, 0) for y in years]
-    rows = []
-    for i, y in enumerate(years):
+    years = range(first, first + len(series))
+    return tuple(map(SpectroRow, years, series, _median_deviations(series, median_range)))
+
+
+def _median_deviations(series: list[int], median_range: int) -> Iterator[float]:
+    """Each value minus the median of the values within median_range
+    places of it, the window truncated at the ends of the series."""
+    for i, value in enumerate(series):
         window = sorted(series[max(0, i - median_range) : i + median_range + 1])
         mid = len(window) // 2
         median = window[mid] if len(window) % 2 else (window[mid - 1] + window[mid]) / 2
-        dev = series[i] - median
-        rows.append(SpectroRow(rpy=y, ncr=series[i], median_dev=float(dev)))
-    return tuple(rows)
+        yield float(value - median)
 
 
-def scale_factor(sample: Spectrogram, reference: Spectrogram) -> float:
-    """f = (sample peak NCR) / (reference peak NCR) over the shared year
-    window; dividing sample rows by f lifts them to reference scale."""
+class Fidelity(NamedTuple):
+    """How closely a sample's spectrogram tracks a reference's."""
+
+    scale: float  # sample peak NCR / reference peak NCR in the shared years
+    deviations: tuple[tuple[int, float], ...]  # (year, sample NCR / scale - reference NCR)
+    mean_error: float  # mean |deviation| / reference peak NCR
+    max_error: float  # largest |deviation| / reference peak NCR
+
+
+def fidelity(sample: Spectrogram, reference: Spectrogram) -> Fidelity:
+    """The sample scaled to the reference, year by year, from the earlier
+    first year to the later last year of the two: a year a spectrogram
+    lacks counts as NCR 0, so a year the sample misses costs the
+    reference's NCR there."""
     if not (sample and reference):
         raise EmptyDatasetError("spectrogram has no rows")
     lo, hi = max(sample[0].rpy, reference[0].rpy), min(sample[-1].rpy, reference[-1].rpy)
@@ -69,30 +87,13 @@ def scale_factor(sample: Spectrogram, reference: Spectrogram) -> float:
     )
     if ref_max == 0:
         raise ZeroDivisionError("reference spectrogram peak NCR is 0")
-    return sample_max / ref_max
-
-
-class Fidelity(NamedTuple):
-    """How closely a sample's spectrogram tracks a reference's."""
-
-    scale: float  # scale_factor(sample, reference)
-    deviations: tuple[tuple[int, float], ...]  # (year, sample NCR / scale - reference NCR)
-    mean_error: float  # mean |deviation| / reference peak NCR
-    max_error: float  # largest |deviation| / reference peak NCR
-
-
-def fidelity(sample: Spectrogram, reference: Spectrogram) -> Fidelity:
-    """The sample scaled to the reference, year by year, from the earlier
-    first year to the later last year of the two: a year a spectrogram
-    lacks counts as NCR 0, so a year the sample misses costs the
-    reference's NCR there."""
-    scale = scale_factor(sample, reference)
-    if scale == 0:
+    if sample_max == 0:
         raise ZeroDivisionError("sample spectrogram peak NCR is 0 in the shared window")
+    scale = sample_max / ref_max
     ncr_sample, ncr_ref = ({r.rpy: r.ncr for r in s} for s in (sample, reference))
-    lo, hi = min(sample[0].rpy, reference[0].rpy), max(sample[-1].rpy, reference[-1].rpy)
+    first, last = min(sample[0].rpy, reference[0].rpy), max(sample[-1].rpy, reference[-1].rpy)
     deviations = tuple(
-        (y, ncr_sample.get(y, 0) / scale - ncr_ref.get(y, 0)) for y in range(lo, hi + 1)
+        (y, ncr_sample.get(y, 0) / scale - ncr_ref.get(y, 0)) for y in range(first, last + 1)
     )
     errors = [abs(d) for _, d in deviations]
     peak = max(ncr_ref.values())
@@ -124,22 +125,18 @@ def window_totals(dataset: Dataset, n_pct_range: int) -> dict[Optional[int], int
     """The ``n_pct`` denominator of each RPY the dataset holds: the NCR
     within ±n_pct_range years of it, and the undated NCR under None.
 
-    One pass over cumulative per-year sums, so the cost does not grow
-    with the range. The sums are exact integers, so each share is the
-    same float as dividing by the direct sum over the window.
+    One pass over the cumulative sums of ``year_series``, so the cost does
+    not grow with the range. The sums are exact integers, so each share
+    is the same float as dividing by the direct sum over the window.
     """
     if n_pct_range < 0:
         raise DomainError("n_pct_range must be >= 0")
-    totals = ncr_per_rpy(dataset)
-    windows: dict[Optional[int], int] = {}
-    if None in totals:
-        windows[None] = totals.pop(None)
-    if not totals:
-        return windows
-    lo, hi = min(totals), max(totals)
-    # cumulative[i] is the NCR of the years lo .. lo + i - 1.
-    cumulative = [0, *accumulate(totals.get(year, 0) for year in range(lo, hi + 1))]
-    for year in totals:
-        first, last = max(year - n_pct_range, lo), min(year + n_pct_range, hi)
-        windows[year] = cumulative[last - lo + 1] - cumulative[first - lo]
+    first, series, undated = year_series(dataset)
+    # cumulative[i] is the NCR of the first i years of the series.
+    cumulative = [0, *accumulate(series)]
+    windows: dict[Optional[int], int] = {None: undated}
+    for i, ncr in enumerate(series):
+        if ncr:  # every variant has ncr >= 1, so the year holds one
+            end = min(i + n_pct_range + 1, len(series))
+            windows[first + i] = cumulative[end] - cumulative[max(i - n_pct_range, 0)]
     return windows

@@ -1,9 +1,10 @@
 from __future__ import annotations
 
 import random
+from typing import Optional
 
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 from rpyspect.errors import DomainError, EmptyDatasetError
 from rpyspect.model import CitedReference, CRVariant, Dataset, SpectroRow, aggregate
@@ -12,22 +13,27 @@ from rpyspect.spectroscopy import (
     compute_spectrogram,
     fidelity,
     n_pct,
-    scale_factor,
     top_crs,
     window_totals,
+    year_series,
 )
 
 from conftest import select
 
 
+def dataset_of(variants: list[tuple[Optional[int], int]]) -> Dataset:
+    """One variant per (RPY or None, NCR) pair."""
+    table = {}
+    for i, (year, ncr) in enumerate(variants):
+        key = f"WORK {i}, {year}, J"
+        ref = CitedReference(raw=key, author=f"WORK {i}", rpy=year, source="J")
+        table[key] = CRVariant(key=key, reference=ref, ncr=ncr, n_py_years=1)
+    return Dataset(variants=table, n_citing=1, n_cr_total=sum(n for _, n in variants))
+
+
 def dataset_from_counts(counts: dict[int, int]) -> Dataset:
     """One variant per year with the given NCR."""
-    variants = {}
-    for year, ncr in counts.items():
-        key = f"WORK {year}, {year}, J"
-        ref = CitedReference(raw=key, author=f"WORK {year}", rpy=year, source="J")
-        variants[key] = CRVariant(key=key, reference=ref, ncr=ncr, n_py_years=1)
-    return Dataset(variants=variants, n_citing=1, n_cr_total=sum(counts.values()))
+    return dataset_of(list(counts.items()))
 
 
 def window_median_oracle(series: list[int], i: int, r: int) -> float:
@@ -39,7 +45,45 @@ def window_median_oracle(series: list[int], i: int, r: int) -> float:
     return (window[k // 2 - 1] + window[k // 2]) / 2
 
 
+class TestYearSeries:
+    @given(
+        variants=st.lists(
+            st.tuples(st.none() | st.integers(1990, 2010), st.integers(1, 9)), max_size=12
+        )
+    )
+    def test_series_holds_each_year_and_the_undated(self, variants):
+        ds = dataset_of(variants)
+        first, series, undated = year_series(ds)
+        assert sum(series) + undated == ds.sum_ncr()
+        assert undated == sum(n for year, n in variants if year is None)
+        dated = [year for year, _ in variants if year is not None]
+        assert (series == []) == (not dated)
+        if dated:
+            assert (first, first + len(series) - 1) == (min(dated), max(dated))
+            assert series[0] and series[-1]
+        for i, ncr in enumerate(series):
+            assert ncr == sum(n for year, n in variants if year == first + i)
+
+
+@st.composite
+def counts_and_range(draw):
+    """Year counts with gaps, and a median range from 0 to the span + 1."""
+    counts = draw(st.dictionaries(st.integers(1990, 2010), st.integers(1, 50), min_size=1))
+    return counts, draw(st.integers(0, max(counts) - min(counts) + 2))
+
+
 class TestComputeSpectrogram:
+    @given(counts_and_range())
+    @example(({2000: 7}, 0))
+    @example(({2000: 7}, 2))
+    def test_median_dev_matches_window_oracle(self, counts_range):
+        counts, median_range = counts_range
+        spect = compute_spectrogram(dataset_from_counts(counts), median_range)
+        series = [counts.get(y, 0) for y in range(min(counts), max(counts) + 1)]
+        assert [(r.rpy, r.ncr) for r in spect] == list(zip(range(min(counts), 2011), series))
+        for i, row in enumerate(spect):
+            assert row.median_dev == series[i] - window_median_oracle(series, i, median_range)
+
     def test_constant_series_has_zero_deviation(self):
         ds = dataset_from_counts({y: 7 for y in range(1990, 2001)})
         spect = compute_spectrogram(ds, median_range=2)
@@ -93,35 +137,39 @@ class TestComputeSpectrogram:
         with pytest.raises(EmptyDatasetError):
             compute_spectrogram(undated)
 
+    def test_negative_range_raises_before_the_empty_check(self):
+        with pytest.raises(DomainError, match="^median_range must be >= 0$"):
+            compute_spectrogram(Dataset(), -1)
+
 
 class TestScaleFactor:
     def test_forced_arithmetic(self):
         sample = compute_spectrogram(dataset_from_counts({2000: 50, 2001: 10}))
         reference = compute_spectrogram(dataset_from_counts({2000: 100, 2001: 30}))
-        assert scale_factor(sample, reference) == 0.5
+        assert fidelity(sample, reference).scale == 0.5
 
     def test_identity(self):
         spect = compute_spectrogram(dataset_from_counts({2000: 5, 2001: 9}))
-        assert scale_factor(spect, spect) == 1.0
+        assert fidelity(spect, spect).scale == 1.0
 
     def test_zero_reference_peak_raises(self):
         # Reference covers 1998..2002 but its NCR is zero on the shared
         # window (the sample's single year, 2000).
         sample = compute_spectrogram(dataset_from_counts({2000: 5}))
         reference = compute_spectrogram(dataset_from_counts({1998: 7, 2002: 7}))
-        with pytest.raises(ZeroDivisionError):
-            scale_factor(sample, reference)
+        with pytest.raises(ZeroDivisionError, match="^reference spectrogram peak NCR is 0$"):
+            fidelity(sample, reference)
 
     def test_empty_spectrogram_raises(self):
         ref = compute_spectrogram(dataset_from_counts({2000: 5}))
         with pytest.raises(EmptyDatasetError, match="^spectrogram has no rows$"):
-            scale_factor((), ref)
+            fidelity((), ref)
 
     def test_disjoint_year_ranges_raise(self):
         a = compute_spectrogram(dataset_from_counts({1990: 5}))
         b = compute_spectrogram(dataset_from_counts({2000: 5}))
         with pytest.raises(DomainError):
-            scale_factor(a, b)
+            fidelity(a, b)
 
     def test_quarter_systematic_sample_scales_back_exactly(self):
         # Occurrences arrive in runs of 4 per year, so a 1-in-4 systematic
@@ -184,7 +232,10 @@ class TestFidelity:
         for _ in range(20):
             sample, ref = mk(rng.randint(1990, 1996)), mk(rng.randint(1990, 1996))
             result = fidelity(sample, ref)
-            f = scale_factor(sample, ref)
+            lo, hi = max(sample[0].rpy, ref[0].rpy), min(sample[-1].rpy, ref[-1].rpy)
+            f = max(r.ncr for r in sample if lo <= r.rpy <= hi) / max(
+                r.ncr for r in ref if lo <= r.rpy <= hi
+            )
             ncr_sample, ncr_ref = {r.rpy: r.ncr for r in sample}, {r.rpy: r.ncr for r in ref}
             years = sorted(ncr_sample.keys() | ncr_ref.keys())
             assert result.scale == f
