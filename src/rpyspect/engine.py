@@ -124,8 +124,8 @@ def _import_filter(args: dict, env: Environment) -> wos.ImportFilter:
     if seed is None:
         seed = env.base_seed + (env.iteration or 0)
     return wos.ImportFilter(
-        rpy_range=tuple(args["RPY"]) if "RPY" in args else None,
-        py_range=tuple(args["PY"]) if "PY" in args else None,
+        rpy_range=args.get("RPY"),
+        py_range=args.get("PY"),
         max_cr=args.get("maxCR", 0),
         sampling_mode=mode,
         offset=args.get("offset", 0),

@@ -38,21 +38,19 @@ def normalize_key(raw: str) -> str:
     return " ".join(raw.split()).upper().rstrip(".,;: ")
 
 
-# The unrolled head cannot match past the line's first "," plus
-# whitespace run, so a match never skips to a later token.
+# The candidate year token of a raw cited-reference line, read without
+# normalizing it: the token after the line's first "," plus whitespace run
+# (RAW_YEAR_HEAD), followed by "," plus whitespace or by nothing but
+# [.,;:\s]* (RAW_YEAR_TAIL). Those are normalize_key's rules read on the
+# raw text (a whitespace run becomes one space, trailing ".,;:" and spaces
+# are stripped, and upper-casing moves no digit, comma or space), so a
+# token between them is the key's second ", " token. The unrolled head
+# cannot match past the line's first "," plus whitespace run, so a match
+# never skips to a later token. The WoS reader's year gates
+# (wos._year_gate) put the ASCII spellings of an RPY filter's years
+# between the two.
 RAW_YEAR_HEAD = r"[^,]*(?:,(?!\s)[^,]*)*,\s+"
 RAW_YEAR_TAIL = r"(?:,\s|[.,;:\s]*\Z)"
-RAW_YEAR = re.compile(RAW_YEAR_HEAD + r"(\d{4})" + RAW_YEAR_TAIL)
-r"""Finds the candidate year token of a raw cited-reference line, without
-normalizing it: the 4 decimal digits after the line's first ``,`` plus
-whitespace run (``RAW_YEAR_HEAD``), followed by ``,`` plus whitespace or
-by nothing but ``[.,;:\s]*`` (``RAW_YEAR_TAIL``). Those are
-``normalize_key``'s rules read on the raw text (a whitespace run becomes
-one space, trailing ``.,;:`` and spaces are stripped, and upper-casing
-moves no digit, comma or space), so group 1 is the key's second ``", "``
-token exactly when that token is 4 decimal digits. ``parse_year`` then
-judges the token. The WoS reader's year gates (``wos._year_gate``) put
-the same head and tail around the years of an RPY filter."""
 
 NO_KEY = re.compile(r"[\s.,;:]*")
 """Fullmatches exactly the lines whose ``normalize_key`` is empty."""
@@ -112,13 +110,14 @@ def fold(occurrences: Iterable[tuple[str, Optional[int]]]) -> LineTables:
 def parse_year(token: str) -> Optional[int]:
     """The reference publication year ``token`` spells, or None.
 
-    A year is 4 decimal digits (ones ``int()`` reads, so not ``¹⁹⁹⁰``)
-    in [YEAR_MIN, YEAR_MAX]. This is the one year rule: the WoS reader
-    applies it to a raw line's ``RAW_YEAR`` token and to the ``PY``
-    value, and ``parse_key`` to the second ``", "`` token of a key.
+    A year is 4 ASCII digits in [YEAR_MIN, YEAR_MAX], the digits of the
+    CRE integer rule, so ``١٩٩٠`` and ``¹⁹⁹⁰`` are not years. This is the
+    one year rule: the WoS reader applies it to the ``PY`` value and, by
+    its year gates, to a raw line's token between ``RAW_YEAR_HEAD`` and
+    ``RAW_YEAR_TAIL``; ``parse_key`` applies it to the second ``", "``
+    token of a key.
     """
-    # isdecimal(), not isdigit(): int() cannot read digits such as "¹".
-    if len(token) == 4 and token.isdecimal():
+    if len(token) == 4 and token.isascii() and token.isdigit():
         year = int(token)
         if YEAR_MIN <= year <= YEAR_MAX:
             return year

@@ -450,7 +450,7 @@ def eval_expr(expr: Expr, bindings: Optional[dict[str, int]] = None):
         right = eval_expr(expr.right, bindings)
         return left + right if expr.op == "+" else left - right
     if isinstance(expr, tuple):
-        return [eval_expr(item, bindings) for item in expr]
+        return tuple(eval_expr(item, bindings) for item in expr)
     return expr
 
 

@@ -4,9 +4,8 @@ The reader is a generator that holds one record and one 64 KiB block of
 input at a time, so an import's peak memory is O(distinct lines of the
 sample + one record) regardless of file size (a RANDOM import holds its
 reservoir). It keeps CR lines as read; years are read only for an RPY
-filter, which decides the lines of an all-ASCII record with one compiled
-pattern built from its years (``_year_gate``) and those of any other
-record line by line, by the same rule. The field-tag layout (2-char tag,
+filter, which decides the lines of each record with one compiled pattern
+built from its years (``_year_gate``). The field-tag layout (2-char tag,
 value from column 4, 3-space continuation indent) is documented
 byte-exactly in docs/wos-format.md.
 """
@@ -22,7 +21,6 @@ from typing import BinaryIO, Callable, Iterator, Optional, Sequence
 from .errors import DomainError, EmptySampleError
 from .model import (
     NO_KEY,
-    RAW_YEAR,
     RAW_YEAR_HEAD,
     RAW_YEAR_TAIL,
     YEAR_MAX,
@@ -130,7 +128,6 @@ class MemoryProbe:
             self.peak = live
 
 
-_raw_year = RAW_YEAR.match
 _no_key = NO_KEY.fullmatch
 
 
@@ -290,16 +287,15 @@ def _digit_trie(spellings: Sequence[str]) -> str:
 def _year_gate(lo: int, hi: int, unknown: bool) -> Callable[[str], object]:
     r"""The ``match`` of the year gate of the RPY filter (lo, hi, unknown).
 
-    The gate is ``RAW_YEAR`` with its ``\d{4}`` narrowed to the ASCII
-    spellings of some years: with ``unknown`` false, those the filter
-    keeps, [max(lo, YEAR_MIN), min(hi, YEAR_MAX)], so an ASCII line passes
-    if the gate matches it; with ``unknown`` true, the other years of
-    [YEAR_MIN, YEAR_MAX], so an ASCII line passes if it does not. On an
-    ASCII line the head stops only at the line's first "," plus
-    whitespace run, and ``\s+`` gives back no digit, so the gate reads
-    ``RAW_YEAR``'s token; ``parse_year`` of an ASCII token of 4 digits is
-    its ``int`` if that lies in [YEAR_MIN, YEAR_MAX]. A non-ASCII line can spell a year in other
-    decimal digits (``١٩٩٠``), which the gate does not read.
+    The gate is ``RAW_YEAR_HEAD``, the ASCII spellings of some years and
+    ``RAW_YEAR_TAIL``: with ``unknown`` false, the years the filter keeps,
+    [max(lo, YEAR_MIN), min(hi, YEAR_MAX)], so a line passes if the gate
+    matches it; with ``unknown`` true, the other years of [YEAR_MIN,
+    YEAR_MAX], so a line passes if it does not. The head stops only at the
+    line's first "," plus whitespace run, and ``\s+`` gives back no digit,
+    so the gate reads the key's second ", " token, and ``parse_year``
+    reads a year only from 4 ASCII digits: the gate keeps exactly the
+    lines whose key's year passes the filter, whatever their characters.
 
     The head sits in a lookahead whose match is then read back (``\1``):
     the head can match only one way, and a lookahead is not backtracked
@@ -323,14 +319,13 @@ def _passing(
     A record whose citing year fails the PY filter has an empty
     ``passing``. Without an RPY filter a passing record is yielded as
     read: ``passing`` is ``crs`` itself, and no CR year is read. With
-    one, the year of each CR line of a passing record is ``parse_year``
-    of the ``model.RAW_YEAR`` token, its key's second ", " token. A
-    record whose lines are all ASCII is decided in one C-level pass of
-    the filter's year gate (``_year_gate``), any other line by line; both
-    keep the same lines. This is the one place that applies the filters
-    and counts what passes, so the count pass totals exactly the CRs an
-    import offers, in file order. ``stats.n_citing`` and ``stats.n_cr``
-    start at 0 and cover the records yielded so far.
+    one, each passing record is decided in one C-level pass of the
+    filter's year gate (``_year_gate``), which keeps the lines whose key's
+    year (``parse_year`` of its second ", " token) passes the filter. This
+    is the one place that applies the filters and counts what passes, so
+    the count pass totals exactly the CRs an import offers, in file order.
+    ``stats.n_citing`` and ``stats.n_cr`` start at 0 and cover the records
+    yielded so far.
     """
     # parse_year returns only years in [YEAR_MIN, YEAR_MAX]: no filter, all pass.
     py_lo, py_hi, py_unknown = filt.py_range or (YEAR_MIN, YEAR_MAX, True)
@@ -338,23 +333,12 @@ def _passing(
     lo, hi, unknown = filt.rpy_range or (YEAR_MIN, YEAR_MAX, True)
     gate = None if unfiltered else _year_gate(lo, hi, unknown)
     select = filterfalse if unknown else filter
-    raw_year = _raw_year
     stats.n_citing = stats.n_cr = 0
     for py, crs in parse_wos_path(path, stats):
         if not (py_unknown if py is None else py_lo <= py <= py_hi):
             yield py, crs, ()
             continue
-        if unfiltered:
-            passing = crs
-        elif all(map(str.isascii, crs)):
-            passing = list(select(gate, crs))
-        else:
-            passing = []
-            for line in crs:
-                found = raw_year(line)
-                rpy = None if found is None else parse_year(found[1])
-                if unknown if rpy is None else lo <= rpy <= hi:
-                    passing.append(line)
+        passing = crs if unfiltered else list(select(gate, crs))
         stats.n_citing += 1
         stats.n_cr += len(passing)
         yield py, crs, passing

@@ -369,8 +369,9 @@ class TestAnalyze:
         assert "error" in capsys.readouterr().err
 
     def test_bad_range_syntax(self, workdir, capsys):
-        with pytest.raises(SystemExit):
+        with pytest.raises(SystemExit) as exited:
             main(["analyze", "corpus.txt", "--py", "1990"])
+        assert exited.value.code == 2  # argparse's usage error
 
     # runpy warns that the test module has already imported rpyspect.cli.
     @pytest.mark.filterwarnings("ignore:'rpyspect.cli' found in sys.modules:RuntimeWarning")

@@ -73,7 +73,7 @@ class TestParseKey:
     @pytest.mark.parametrize(
         "token, year",
         [("1000", 1000), ("3000", 3000), ("0999", None), ("3001", None),
-         ("199", None), ("19900", None), ("١٩٩٠", 1990), ("¹⁹⁹⁰", None)],
+         ("199", None), ("19900", None), ("١٩٩٠", None), ("¹⁹⁹⁰", None)],
     )
     def test_year_rule(self, token, year):
         assert parse_year(token) == year

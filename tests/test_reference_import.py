@@ -31,8 +31,8 @@ from test_wos import reference_normalize_key
 
 
 def reference_year(token: str) -> Optional[int]:
-    """Rule 2: 4 decimal digits that int() reads, in 1000–3000."""
-    if len(token) == 4 and token.isdecimal() and 1000 <= int(token) <= 3000:
+    """Rule 2: 4 ASCII digits, in 1000–3000."""
+    if len(token) == 4 and all("0" <= c <= "9" for c in token) and 1000 <= int(token) <= 3000:
         return int(token)
     return None
 
